@@ -57,6 +57,7 @@ def pugz_build_index(
     if isinstance(executor, str):
         executor = make_executor(executor, n_chunks)
 
+    report = PugzReport(n_chunks_requested=n_chunks)
     out_parts: list[bytes] = []
     checkpoints: list[Checkpoint] = []
     uoffset = 0
@@ -72,10 +73,7 @@ def pugz_build_index(
                 kind=CHECKPOINT_MEMBER,
             )
         )
-        # Fresh report per member: pugz_decompress_payload overwrites
-        # the chunk tables on each call, so a shared report would only
-        # describe the last member.
-        report = PugzReport(n_chunks_requested=n_chunks)
+        first_chunk = len(report.chunks)
         member_out = pugz_decompress_payload(
             data,
             8 * payload_start,
@@ -86,7 +84,9 @@ def pugz_build_index(
             kernel=kernel,
         )
         rel = 0
-        for chunk, size in zip(report.chunks, report.chunk_output_sizes):
+        for chunk, size in zip(
+            report.chunks[first_chunk:], report.chunk_output_sizes[first_chunk:]
+        ):
             if chunk.index > 0:
                 # A confirmed block start whose 32 KiB context pass 2a
                 # just resolved — a free checkpoint.

@@ -11,7 +11,10 @@ The algorithm, exactly as in the paper (Figure 3):
    origin of every unknown byte is tracked through back-references.
 3. **Second pass**: the 32 KiB boundary contexts are resolved
    sequentially (cheap — n × 32 KiB), then every chunk translates its
-   markers in parallel (:mod:`repro.core.translate`).
+   markers (:mod:`repro.core.translate`).  The paper runs translation
+   in parallel; here it runs in the calling process, which already
+   holds every symbol array — one vectorised gather per chunk costs
+   less than shipping the int32 symbols to a worker and the bytes back.
 
 The result is byte-exact for *any* input whose stream is well-formed,
 with no heuristics — verified against :func:`gzip.decompress`
@@ -148,15 +151,17 @@ class PugzReport:
     """Instrumentation of one parallel decompression run."""
 
     n_chunks_requested: int
+    #: Chunks of every member, in file order (``Chunk.index`` restarts
+    #: at 0 with each member); the per-chunk lists below run parallel.
     chunks: list[Chunk] = field(default_factory=list)
     #: Output bytes produced by each chunk in pass 1.
     chunk_output_sizes: list[int] = field(default_factory=list)
     #: Markers remaining in each chunk's output after pass 1.
     chunk_marker_counts: list[int] = field(default_factory=list)
-    #: Per-chunk outcome of the last member: ``ok`` / ``salvaged`` / ``lost``.
+    #: Per-chunk outcome: ``ok`` / ``salvaged`` / ``lost``.
     chunk_outcomes: list[str] = field(default_factory=list)
-    #: Per-chunk supervision detail of the last member (retries,
-    #: degradation rung, wall time) — parallel to ``chunk_outcomes``.
+    #: Per-chunk supervision detail (retries, degradation rung, wall
+    #: time) — parallel to ``chunk_outcomes``.
     chunk_details: list[ChunkOutcome] = field(default_factory=list)
     #: Compressed regions lost to corruption (recover mode; all members).
     holes: list[PugzHole] = field(default_factory=list)
@@ -267,12 +272,6 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
     except ReproError as exc:
         annotate(exc, chunk_index=index, stage="pass1", bit_offset=chunk_start)
         raise
-
-
-def _pass2_chunk(args) -> tuple[bytes, int]:
-    """Second-pass worker: translate one segment's markers to bytes."""
-    symbols, context, placeholder = args
-    return translate_chunk_counted(symbols, context, placeholder=placeholder)
 
 
 def _decode_chunk_prefix(
@@ -469,7 +468,7 @@ def pugz_decompress_payload(
     ``budget`` (a :class:`~repro.robustness.limits.ResourceBudget`)
     bounds each chunk's resident output; ``supervision`` (a
     :class:`~repro.parallel.supervision.SupervisionPolicy`) adds
-    per-task deadlines and bounded retries to both passes.  A chunk
+    per-task deadlines and bounded retries to pass 1.  A chunk
     whose *execution* failed terminally (deadline, dead worker) is
     re-decoded serially in-process — an exact, merely slower result —
     before the lossy salvage rungs are considered; the rung used is
@@ -477,7 +476,7 @@ def pugz_decompress_payload(
 
     ``kernel`` selects the decode kernel by *name* (``"pure"`` /
     ``"numpy"``; ``None`` = environment/auto, see
-    :mod:`repro.perf.kernels`) in every rung of both passes — it rides
+    :mod:`repro.perf.kernels`) in every rung of pass 1 — it rides
     the job tuples into workers, so it must stay a picklable string for
     the process executor.  Kernels are output-identical; this only
     moves the speed/robustness trade-off.
@@ -497,7 +496,6 @@ def pugz_decompress_payload(
 
     t0 = time.perf_counter()
     chunks = plan_chunks(data, start_bit, end_bit, n_chunks, confirm_blocks=confirm_blocks)
-    report.chunks = chunks
     report.sync_seconds += time.perf_counter() - t0
 
     # ---- pass 1: parallel marker-domain decompression -------------------
@@ -552,15 +550,15 @@ def pugz_decompress_payload(
             fallback = _zlib_fallback(data, c.start_bit // 8, budget)
             if fallback is not None:
                 fb_out, fb_end = fallback
-                report.chunks = [c]
-                report.chunk_outcomes = ["ok"]
-                report.chunk_details = [
+                report.chunks.append(c)
+                report.chunk_outcomes.append("ok")
+                report.chunk_details.append(
                     ChunkOutcome(
                         0, "ok", oc.retries, "zlib", oc.wall_time, error=str(err)
                     )
-                ]
-                report.chunk_output_sizes = [len(fb_out)]
-                report.chunk_marker_counts = [0]
+                )
+                report.chunk_output_sizes.append(len(fb_out))
+                report.chunk_marker_counts.append(0)
                 report.end_bit = fb_end
                 report.output_size += len(fb_out)
                 report.pass1_seconds += time.perf_counter() - t0
@@ -594,22 +592,23 @@ def pugz_decompress_payload(
             per_chunk = per_chunk[: k + 1]
             chunks = chunks[: k + 1]
             details = details[: k + 1]
-            report.chunks = chunks
             break
 
     segments = [s for segs, _, _ in per_chunk for s in segs]
-    report.chunk_outcomes = [outcome for _, _, outcome in per_chunk]
-    report.chunk_details = details
+    report.chunks.extend(chunks)
+    report.chunk_outcomes.extend(outcome for _, _, outcome in per_chunk)
+    report.chunk_details.extend(details)
     for _, holes, _ in per_chunk:
         report.holes.extend(holes)
     report.pass1_seconds += time.perf_counter() - t0
 
-    report.chunk_output_sizes = [
+    report.chunk_output_sizes.extend(
         sum(len(s.symbols) for s in segs) for segs, _, _ in per_chunk
-    ]
-    report.chunk_marker_counts = [
+    )
+    marker_counts = [
         sum(marker.count_markers(s.symbols) for s in segs) for segs, _, _ in per_chunk
     ]
+    report.chunk_marker_counts.extend(marker_counts)
     final_any = any(s.final_seen for s in segments)
     report.end_bit = segments[-1].end_bit if segments else start_bit
 
@@ -619,7 +618,7 @@ def pugz_decompress_payload(
             bit_offset=start_bit,
             stage="pass1",
         )
-    if on_error == "raise" and report.chunk_marker_counts[0]:
+    if on_error == "raise" and marker_counts[0]:
         raise ReproError(
             "chunk 0 produced markers: stream references data before its start",
             chunk_index=0,
@@ -637,24 +636,15 @@ def pugz_decompress_payload(
         resolved_prev = marker.resolve(seg.window, ctx)
     report.resolve_seconds += time.perf_counter() - t0
 
-    # ---- pass 2b: parallel marker translation ----------------------------
+    # ---- pass 2b: marker translation, in the calling process -------------
+    # The parent already holds every symbol array; shipping them to a
+    # pool and the bytes back costs several times the translation.
     t0 = time.perf_counter()
     hole_byte = placeholder if on_error == "recover" else None
-    pass2_jobs = [
-        (seg.symbols, ctx, hole_byte) for seg, ctx in zip(segments, contexts)
+    translated = [
+        translate_chunk_counted(seg.symbols, ctx, placeholder=hole_byte)
+        for seg, ctx in zip(segments, contexts)
     ]
-    if not pass2_jobs:
-        translated = []
-    elif supervision is not None and supervision.active:
-        # Translation is deterministic, so any post-retry failure here
-        # is an unrecoverable execution fault: raise it.
-        p2 = executor.map_outcomes(_pass2_chunk, pass2_jobs, supervision)
-        for p2_oc in p2:
-            if not p2_oc.ok:
-                raise p2_oc.error
-        translated = [p2_oc.value for p2_oc in p2]
-    else:
-        translated = executor.map(_pass2_chunk, pass2_jobs)
     out = b"".join(piece for piece, _ in translated)
     report.unresolved_markers += sum(count for _, count in translated)
     report.pass2_seconds += time.perf_counter() - t0
@@ -724,7 +714,7 @@ def pugz_decompress(
     kernel:
         Decode-kernel name (``"pure"`` / ``"numpy"``; ``None`` =
         environment/auto selection, see :mod:`repro.perf.kernels`).
-        Applies to every chunk in both passes and to all recovery
+        Applies to every chunk in pass 1 and to all recovery
         rungs; output is kernel-independent.
     """
     if on_error not in ("raise", "recover"):

@@ -69,6 +69,7 @@ _BIT_POSITIONALS = {
     "marker_inflate": 1,
     "probe_block": 1,
     "prescreen": 1,
+    "screen_candidates": 1,
     "seek_bits": 0,
     "bits_to_bytes": 0,
     "intra_byte_bits": 0,

@@ -7,8 +7,8 @@ Three interchangeable strategies behind one ``map``-shaped interface:
   serialises the pure-Python decode work, so this demonstrates the
   *algorithm's* concurrency, not wall-clock scaling (see DESIGN.md);
 * :class:`ProcessExecutor` — ``multiprocessing``-based; truly parallel
-  on multi-core machines (this reproduction machine has a single core,
-  so speedups are modelled by :mod:`repro.perf` instead).
+  on multi-core machines (measured 1 -> 2 worker scaling of pugz is in
+  docs/PERFORMANCE.md; :mod:`repro.perf` models larger counts).
 
 Work functions submitted to :class:`ProcessExecutor` must be picklable
 (module-level functions).

@@ -4,11 +4,13 @@ import gzip as stdlib_gzip
 
 import pytest
 
-from repro.core.pugz import pugz_decompress, pugz_decompress_payload
+from repro.core.pugz import PugzReport, pugz_decompress, pugz_decompress_payload
 from repro.data import fastq_like, random_dna, synthetic_fastq
 from repro.deflate.deflate import gzip_compress
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.errors import GzipFormatError
+from repro.parallel.executor import SerialExecutor, make_executor
+from repro.parallel.supervision import SupervisionPolicy
 
 
 class TestExactness:
@@ -99,6 +101,49 @@ class TestMultiMember:
         assert pugz_decompress(gz, n_chunks=2, verify=True) == fastq_small
 
 
+@pytest.fixture(scope="module")
+def three_members(fastq_medium):
+    third = len(fastq_medium) // 3
+    parts = [fastq_medium[:third], fastq_medium[third : 2 * third], fastq_medium[2 * third :]]
+    return parts, b"".join(stdlib_gzip.compress(p, 6, mtime=0) for p in parts)
+
+
+class _CountingExecutor(SerialExecutor):
+    """Serial executor that counts its ``map`` calls (``map_outcomes``
+    without a policy goes through ``map``)."""
+
+    def __init__(self) -> None:
+        self.maps = 0
+
+    def map(self, fn, items):
+        self.maps += 1
+        return super().map(fn, items)
+
+
+class TestPass2Placement:
+    """Pass 2 translates in the calling process: the pool only ever
+    sees pass 1."""
+
+    def test_one_executor_map_per_member(self, three_members):
+        parts, gz = three_members
+        ex = _CountingExecutor()
+        out = pugz_decompress(gz, n_chunks=3, executor=ex)
+        assert out == b"".join(parts)
+        assert ex.maps == len(parts)
+
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_output_identical_across_executors(self, three_members, kind, supervised):
+        parts, gz = three_members
+        policy = SupervisionPolicy(deadline_s=60.0, max_retries=1) if supervised else None
+        out, report = pugz_decompress(
+            gz, n_chunks=2, executor=make_executor(kind, 2), supervision=policy,
+            return_report=True,
+        )
+        assert out == b"".join(parts)
+        assert report.pass2_seconds > 0
+
+
 class TestReport:
     def test_report_shape(self, fastq_medium, fastq_medium_gz6):
         out, report = pugz_decompress(fastq_medium_gz6, n_chunks=4, return_report=True)
@@ -109,6 +154,29 @@ class TestReport:
         if len(report.chunks) > 1:
             assert any(c > 0 for c in report.chunk_marker_counts[1:])
         assert report.total_seconds > 0
+
+    def test_chunk_tables_cover_every_member(self, three_members):
+        parts, gz = three_members
+        # Chunks per member, each from a fresh report (planning spans
+        # the rest of the file, so members are not planned standalone).
+        per_member = []
+        offset = 0
+        for _ in parts:
+            start, *_ = parse_gzip_header(gz, offset)
+            rep = PugzReport(n_chunks_requested=3)
+            pugz_decompress_payload(gz, 8 * start, 8 * (len(gz) - 8), 3, report=rep)
+            per_member.append(len(rep.chunks))
+            offset = (rep.end_bit + 7) // 8 + 8
+        _, report = pugz_decompress(gz, n_chunks=3, return_report=True)
+        n = sum(per_member)
+        assert n > len(parts)  # some member was really chunked
+        assert len(report.chunks) == n
+        assert len(report.chunk_outcomes) == len(report.chunk_details) == n
+        assert len(report.chunk_output_sizes) == len(report.chunk_marker_counts) == n
+        assert sum(report.chunk_output_sizes) == sum(map(len, parts))
+        assert [c.index for c in report.chunks] == [
+            i for count in per_member for i in range(count)
+        ]
 
     def test_report_end_bit_is_payload_end(self, fastq_medium_gz6):
         out, report = pugz_decompress(fastq_medium_gz6, n_chunks=2, return_report=True)

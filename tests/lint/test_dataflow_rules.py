@@ -92,6 +92,17 @@ class TestREP009UnitConfusion:
         (f,) = findings_for(bad, "REP009")
         assert f.line == 4
 
+    def test_byte_value_as_screen_start_bit(self):
+        bad = (
+            "def f(data, fh):\n"
+            "    off = fh.tell()\n"
+            "    return screen_candidates(data, off, 8 * len(data))\n"
+        )
+        (f,) = findings_for(bad, "REP009")
+        assert "screen_candidates" in f.message
+        good = bad.replace("data, off,", "data, 8 * off,")
+        assert findings_for(good, "REP009") == []
+
     def test_bit_value_compared_to_buffer_len(self):
         bad = (
             "def f(reader, data):\n"

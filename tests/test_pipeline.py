@@ -158,3 +158,11 @@ class TestRunPipeline:
         for n in (1, 2, 7):
             result = run_fastq_pipeline(gz, [LengthHistogram], n_chunks=n)
             assert result.reads == len(parse_fastq(text))
+
+    def test_multi_member_file(self, data):
+        """The chunk sizes the pipeline splits on cover every member."""
+        text, _ = data
+        cut = text.index(b"\n@", len(text) // 2) + 1
+        gz = gzip_zlib(text[:cut], 6) + gzip_zlib(text[cut:], 6)
+        result = run_fastq_pipeline(gz, [LengthHistogram], n_chunks=3)
+        assert result.reads == len(parse_fastq(text))
