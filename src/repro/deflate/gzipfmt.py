@@ -219,7 +219,7 @@ def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
     member are checked.  ``kernel`` selects the decode kernel (see
     :mod:`repro.perf.kernels`); output is kernel-independent.
     """
-    out = bytearray()
+    members = []
     offset = 0
     while offset < len(data):
         payload_start, *_ = parse_gzip_header(data, offset)
@@ -250,9 +250,10 @@ def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
                     bit_offset=8 * (payload_end + 4),
                     stage="trailer",
                 )
-        out += result.data
+        members.append(result.data)
         offset = payload_end + 8
-    return bytes(out)
+    # join returns a lone bytes member itself: one member is never copied.
+    return b"".join(members)
 
 
 # ---------------------------------------------------------------------------

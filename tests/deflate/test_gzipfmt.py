@@ -118,6 +118,24 @@ class TestTrailerVerification:
         g[-5] ^= 0xFF
         assert gzip_unwrap(bytes(g), verify=False) == fastq_small
 
+    def test_one_bit_crc_error_in_large_member(self):
+        # Over a MiB: the checksum runs on the lane-parallel path.
+        data = bytes(range(256)) * 4500
+        g = bytearray(stdlib_gzip.compress(data, 1))
+        g[-8] ^= 0x01  # low bit of the stored CRC
+        with pytest.raises(GzipFormatError, match="CRC") as err:
+            gzip_unwrap(bytes(g))
+        assert err.value.stage == "trailer"
+
+    def test_header_crc_checked(self):
+        header = b"\x1f\x8b\x08\x02" + b"\x00" * 4 + b"\x00\xff"  # FHCRC
+        stored = struct.pack("<H", zlib.crc32(header) & 0xFFFF)
+        body = stdlib_gzip.compress(b"header crc", 6)[10:]
+        assert gzip_unwrap(header + stored + body) == b"header crc"
+        bad = struct.pack("<H", (zlib.crc32(header) ^ 0x0100) & 0xFFFF)
+        with pytest.raises(GzipFormatError, match="header CRC"):
+            gzip_unwrap(header + bad + body)
+
     def test_truncated_trailer(self):
         g = gzip_compress(b"abc", 6)
         with pytest.raises(GzipFormatError):
@@ -149,6 +167,16 @@ class TestMultiMember:
     def test_unwrap_multi_member(self, fastq_small):
         g = stdlib_gzip.compress(fastq_small[:700]) + gzip_compress(fastq_small[700:], 6)
         assert gzip_unwrap(g) == fastq_small
+
+    @pytest.mark.parametrize("n_members", [1, 3])
+    def test_unwrap_returns_bytes_like_stdlib(self, fastq_small, n_members):
+        cuts = [len(fastq_small) * i // n_members for i in range(n_members + 1)]
+        g = b"".join(
+            stdlib_gzip.compress(fastq_small[a:b], 6) for a, b in zip(cuts, cuts[1:])
+        )
+        out = gzip_unwrap(g)
+        assert type(out) is bytes
+        assert out == stdlib_gzip.decompress(g)
 
     def test_member_payload_fields(self, fastq_small):
         g = gzip_compress(fastq_small, 6)
