@@ -54,7 +54,7 @@ from repro.core.marker_inflate import marker_inflate  # noqa: E402
 from repro.core.pugz import pugz_decompress_payload  # noqa: E402
 from repro.deflate.inflate import inflate  # noqa: E402
 from repro.index.seekable import SeekableGzipReader  # noqa: E402
-from repro.index.zran import build_index  # noqa: E402
+from repro.index.zran import DEFAULT_SPAN, build_index  # noqa: E402
 
 SEED = 0x5EED5
 DEFAULT_MB = float(os.environ.get("BENCH_CORPUS_MB", "2.0"))
@@ -132,7 +132,7 @@ def run_workloads(corpus: bytes, repeats: int, kernel: str) -> dict[str, float]:
 
     results["seek_cold"] = n_out / 1e6 / _time_best(cold, repeats)
 
-    idx = build_index(gz, span=1 << 18)
+    idx = build_index(gz, span=DEFAULT_SPAN)
     import random
 
     rng = random.Random(SEED + 1)

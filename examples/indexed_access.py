@@ -35,7 +35,7 @@ def main() -> None:
     # one full sequential pass.
     gz = gzip_zlib(text, 6)
     t0 = time.perf_counter()
-    idx = build_index(gz, span=1 << 20)
+    idx = build_index(gz)
     t_build = time.perf_counter() - t0
     t0 = time.perf_counter()
     got = idx.read_at(gz, target, 200)

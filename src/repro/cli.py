@@ -237,6 +237,15 @@ def _source_arg(path: str):
     return path
 
 
+def _span(args) -> int:
+    """``--span``, or the library default when it was not given (the
+    default lives with the index code, which the parser does not
+    import)."""
+    from repro.index import DEFAULT_SPAN
+
+    return DEFAULT_SPAN if args.span is None else args.span
+
+
 def _cmd_index(args) -> int:
     from repro.index import GzipIndex, build_index, load_or_rebuild
 
@@ -252,12 +261,15 @@ def _cmd_index(args) -> int:
         print(f"uncompressed:    {idx.usize} bytes")
         print(f"compressed:      {idx.csize or 'unknown (v1 index)'} bytes")
         print(f"span:            {idx.span} bytes")
+        offs = [cp.uoffset for cp in idx.checkpoints] + [idx.usize]
+        gap = max((b - a for a, b in zip(offs, offs[1:])), default=idx.usize)
+        print(f"max gap:         {gap} bytes (largest checkpoint interval)")
         return 0
 
     source = _source_arg(args.input)
     if args.mode == "extract":
         if args.auto_rebuild:
-            idx, rebuilt = load_or_rebuild(args.index_file, source, span=args.span)
+            idx, rebuilt = load_or_rebuild(args.index_file, source, span=_span(args))
             if rebuilt:
                 print(
                     f"index: {args.index_file} was missing or damaged; "
@@ -275,10 +287,10 @@ def _cmd_index(args) -> int:
         from repro.core.parallel_index import pugz_build_index
 
         _, idx = pugz_build_index(
-            source, n_chunks=args.threads, executor=args.executor
+            source, n_chunks=args.threads, executor=args.executor, span=_span(args)
         )
     else:
-        idx = build_index(source, span=args.span)
+        idx = build_index(source, span=_span(args))
     idx.save(args.index_file)
     print(
         f"index: {len(idx.checkpoints)} checkpoints over "
@@ -295,7 +307,7 @@ def _cmd_cat(args) -> int:
     reader = SeekableGzipReader(
         _source_arg(args.input),
         index_path=args.index,
-        span=args.span,
+        span=_span(args),
         backend=args.backend,
         n_chunks=args.threads,
         executor=args.executor,
@@ -527,12 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     xb = xsub.add_parser("build", help="build and export an index sidecar")
     xb.add_argument("input")
     xb.add_argument("index_file", help="index sidecar path")
-    xb.add_argument("--span", type=int, default=1 << 20,
-                    help="bytes between checkpoints (sequential builder)")
+    xb.add_argument("--span", type=int, default=None,
+                    help="bytes between checkpoints, at most, unless one "
+                         "block is larger (default 262144); both builders")
     xb.add_argument("--builder", choices=("sequential", "pugz"),
                     default="sequential",
-                    help="sequential: exact --span spacing; pugz: checkpoints "
-                         "from the parallel first pass (denser with -t)")
+                    help="sequential: one decoding pass; pugz: the parallel "
+                         "two-pass decompressor (faster with -e process). "
+                         "Both give the same index")
     xb.add_argument("-t", "--threads", type=int, default=8,
                     help="pugz builder: number of chunks")
     xb.add_argument("-e", "--executor", choices=("serial", "thread", "process"),
@@ -547,8 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     xe.add_argument("--extract", "--offset", type=int, required=True,
                     dest="extract", help="uncompressed offset to extract")
     xe.add_argument("--size", type=int, default=1024)
-    xe.add_argument("--span", type=int, default=1 << 20,
-                    help="checkpoint spacing if --auto-rebuild rebuilds")
+    xe.add_argument("--span", type=int, default=None,
+                    help="checkpoint spacing if --auto-rebuild rebuilds "
+                         "(default 262144)")
     xe.add_argument("--auto-rebuild", action="store_true",
                     help="if the index file is missing or fails its "
                          "integrity check, rebuild it in place (atomic rename)")
@@ -567,7 +582,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "after a cold start")
     ct.add_argument("--backend", choices=("bgzf", "zran"), default=None,
                     help="force a backend instead of sniffing the stream")
-    ct.add_argument("--span", type=int, default=1 << 20)
+    ct.add_argument("--span", type=int, default=None,
+                    help="checkpoint spacing of a cold-start index "
+                         "(default 262144)")
     ct.add_argument("-t", "--threads", type=int, default=8,
                     help="cold start: number of pugz chunks")
     ct.add_argument("-e", "--executor", choices=("serial", "thread", "process"),

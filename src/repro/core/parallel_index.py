@@ -2,10 +2,18 @@
 
 Ref [11]'s checkpoint index requires "an initial sequential
 decompression of the whole file".  But the two-pass decompressor
-produces, as a by-product, everything an index needs — confirmed block
-starts at every chunk boundary and their fully *resolved* 32 KiB
-contexts.  So on a multi-core machine the index can be built at pugz
-speed rather than gunzip speed, with zero extra decompression work.
+produces, as a by-product, everything an index needs: pass 1 decodes
+every DEFLATE block and records where each starts (its bit offset and
+output offset), and pass 2 resolves the whole output, so the 32 KiB
+window before any block is known.  So on a multi-core machine the
+index can be built at pugz speed rather than gunzip speed, with zero
+extra decompression work.
+
+Checkpoints are placed by the same ``span`` rule as the sequential
+:func:`repro.index.zran.build_index`
+(:func:`~repro.index.zran.block_checkpoints`), over the block
+boundaries pass 1 found — so the index is identical to the sequential
+builder's at the same ``span``, whatever the chunk count.
 
 This is the "cold start" path of
 :class:`repro.index.seekable.SeekableGzipReader`: the first touch of an
@@ -23,11 +31,18 @@ This module glues :mod:`repro.core.pugz` to :mod:`repro.index`.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.pugz import PugzReport, pugz_decompress_payload
-from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.errors import GzipFormatError
-from repro.index.zran import CHECKPOINT_BLOCK, CHECKPOINT_MEMBER, Checkpoint, GzipIndex
+from repro.index.zran import (
+    CHECKPOINT_MEMBER,
+    DEFAULT_SPAN,
+    Checkpoint,
+    GzipIndex,
+    block_checkpoints,
+)
 from repro.io.source import ByteSource
 from repro.parallel.executor import Executor, make_executor
 from repro.units import BitOffset, ByteOffset
@@ -40,16 +55,20 @@ def pugz_build_index(
     n_chunks: int = 8,
     executor: Executor | str = "serial",
     kernel: str | None = None,
+    span: int = DEFAULT_SPAN,
 ) -> tuple[bytes, GzipIndex]:
     """Decompress in parallel and return ``(data, index)`` together.
 
-    The index checkpoints are the chunk boundaries the planner found;
-    their windows come from the decompressed output, which the caller
-    gets anyway.  More chunks = denser index.  ``gz_data`` may be
-    bytes, a path, a binary file object, or a
+    The index has checkpoints at most ``span`` output bytes apart,
+    placed at the block boundaries pass 1 decoded; their windows come
+    from the decompressed output, which the caller gets anyway.  It
+    equals ``build_index(gz_data, span=span)`` for any ``n_chunks``.
+    ``gz_data`` may be bytes, a path, a binary file object, or a
     :class:`~repro.io.source.ByteSource` (the build decodes every byte
     once by definition, so the whole stream is read either way).
     """
+    if span <= 0:
+        raise ValueError("span must be positive")
     src = ByteSource.wrap(gz_data)
     data = src.read_all()
     if not data:
@@ -83,22 +102,15 @@ def pugz_build_index(
             report=report,
             kernel=kernel,
         )
-        rel = 0
-        for chunk, size in zip(
-            report.chunks[first_chunk:], report.chunk_output_sizes[first_chunk:]
-        ):
-            if chunk.index > 0:
-                # A confirmed block start whose 32 KiB context pass 2a
-                # just resolved — a free checkpoint.
-                checkpoints.append(
-                    Checkpoint(
-                        bit_offset=chunk.start_bit,
-                        uoffset=ByteOffset(uoffset + rel),
-                        window=member_out[max(0, rel - WINDOW_SIZE) : rel],
-                        kind=CHECKPOINT_BLOCK,
-                    )
-                )
-            rel += size
+        # Pass-1 block tables are chunk-relative: shift each chunk's
+        # output columns by where that chunk starts in the member.
+        tables = report.chunk_blocks[first_chunk:]
+        sizes = report.chunk_output_sizes[first_chunk:]
+        chunk_starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+        blocks = np.concatenate(
+            [t + (0, rel, rel) for t, rel in zip(tables, chunk_starts)]
+        )
+        checkpoints += block_checkpoints(blocks.tolist(), member_out, uoffset, span)
         uoffset += len(member_out)
         out_parts.append(member_out)
         payload_end = (report.end_bit + 7) // 8
@@ -111,14 +123,5 @@ def pugz_build_index(
         offset = payload_end + 8
 
     out = b"".join(out_parts)
-    # The densest honest span: the largest output gap any seek can land
-    # in, i.e. between consecutive checkpoints or after the last one.
-    offs = [cp.uoffset for cp in checkpoints] + [len(out)]
-    span = max(
-        (b - a for a, b in zip(offs, offs[1:])),
-        default=len(out),
-    )
-    index = GzipIndex(
-        checkpoints=checkpoints, usize=len(out), span=max(1, span), csize=n
-    )
+    index = GzipIndex(checkpoints=checkpoints, usize=len(out), span=span, csize=n)
     return out, index

@@ -158,6 +158,11 @@ class PugzReport:
     chunk_output_sizes: list[int] = field(default_factory=list)
     #: Markers remaining in each chunk's output after pass 1.
     chunk_marker_counts: list[int] = field(default_factory=list)
+    #: Each chunk's pass-1 DEFLATE blocks as an ``(n, 3)`` int64 array
+    #: of ``(start_bit, out_start, out_end)``, output offsets relative
+    #: to the chunk's first byte; empty for a salvaged, lost or
+    #: zlib-rescued chunk, whose block boundaries are not known.
+    chunk_blocks: list[np.ndarray] = field(default_factory=list)
     #: Per-chunk outcome: ``ok`` / ``salvaged`` / ``lost``.
     chunk_outcomes: list[str] = field(default_factory=list)
     #: Per-chunk supervision detail (retries, degradation rung, wall
@@ -235,13 +240,28 @@ def _seed_window_array(tail: bytes) -> list[int]:
     return vals
 
 
-def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
+#: Block table of a chunk whose block boundaries are unknown.
+_NO_BLOCKS = np.zeros((0, 3), dtype=np.int64)
+
+
+def _block_table(blocks) -> np.ndarray:
+    """``(start_bit, out_start, out_end)`` of each block as one int64
+    array — a few rows per MiB that pickle as one buffer, not objects."""
+    if not blocks:
+        return _NO_BLOCKS
+    return np.array(
+        [(b.start_bit, b.out_start, b.out_end) for b in blocks], dtype=np.int64
+    )
+
+
+def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarray]:
     """First-pass worker: decode one chunk into the marker domain.
 
     Module-level so :class:`ProcessExecutor` can pickle it.  Returns
-    ``(index, symbols, final_window, end_bit, final_seen, n_blocks)``.
-    A failure is annotated with the chunk index before propagating, so
-    captured outcomes name the chunk that died.
+    ``(index, symbols, final_window, end_bit, final_seen, blocks)``,
+    ``blocks`` being the chunk's :func:`_block_table`.  A failure is
+    annotated with the chunk index before propagating, so captured
+    outcomes name the chunk that died.
     """
     data, chunk_start, chunk_stop, index, budget, kernel = args
     try:
@@ -256,7 +276,14 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
             window_syms = np.asarray(
                 _seed_window_array(result.data[-WINDOW_SIZE:]), dtype=np.int32
             )
-            return 0, symbols, window_syms, result.end_bit, result.final_seen, len(result.blocks)
+            return (
+                0,
+                symbols,
+                window_syms,
+                result.end_bit,
+                result.final_seen,
+                _block_table(result.blocks),
+            )
         result = marker_inflate(
             data, start_bit=chunk_start, window=None, stop_bit=chunk_stop,
             budget=budget, kernel=kernel,
@@ -267,7 +294,7 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, int]:
             result.window,
             result.end_bit,
             result.final_seen,
-            len(result.blocks),
+            _block_table(result.blocks),
         )
     except ReproError as exc:
         annotate(exc, chunk_index=index, stage="pass1", bit_offset=chunk_start)
@@ -508,6 +535,7 @@ def pugz_decompress_payload(
 
     per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
     details: list[ChunkOutcome] = []
+    block_tables: list[np.ndarray] = []
     total_blocks = 0
     for c, oc in zip(chunks, outcomes):
         region_end = c.stop_bit if c.stop_bit is not None else end_bit
@@ -527,8 +555,9 @@ def pugz_decompress_payload(
             except ReproError as exc:
                 err = exc
         if value is not None:
-            index, symbols, window, seg_end, final_seen, n_blocks = value
-            total_blocks += n_blocks
+            index, symbols, window, seg_end, final_seen, blocks = value
+            total_blocks += len(blocks)
+            block_tables.append(blocks)
             per_chunk.append(
                 (
                     [_Segment(index, symbols, window, seg_end, final_seen, True)],
@@ -559,6 +588,7 @@ def pugz_decompress_payload(
                 )
                 report.chunk_output_sizes.append(len(fb_out))
                 report.chunk_marker_counts.append(0)
+                report.chunk_blocks.append(_NO_BLOCKS)
                 report.end_bit = fb_end
                 report.output_size += len(fb_out)
                 report.pass1_seconds += time.perf_counter() - t0
@@ -572,6 +602,7 @@ def pugz_decompress_payload(
         total_blocks += sum(1 for s in segments if len(s.symbols))
         status = "salvaged" if any(len(s.symbols) for s in segments) else "lost"
         per_chunk.append((segments, holes, status))
+        block_tables.append(_NO_BLOCKS)
         details.append(
             ChunkOutcome(
                 c.index,
@@ -592,12 +623,14 @@ def pugz_decompress_payload(
             per_chunk = per_chunk[: k + 1]
             chunks = chunks[: k + 1]
             details = details[: k + 1]
+            block_tables = block_tables[: k + 1]
             break
 
     segments = [s for segs, _, _ in per_chunk for s in segs]
     report.chunks.extend(chunks)
     report.chunk_outcomes.extend(outcome for _, _, outcome in per_chunk)
     report.chunk_details.extend(details)
+    report.chunk_blocks.extend(block_tables)
     for _, holes, _ in per_chunk:
         report.holes.extend(holes)
     report.pass1_seconds += time.perf_counter() - t0

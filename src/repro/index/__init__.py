@@ -10,9 +10,16 @@ block table, and the pugz cold start.
 
 from repro.index.integrity import atomic_write_bytes, seal, unseal
 from repro.index.seekable import SeekableGzipReader, SeekStats, detect_backend
-from repro.index.zran import Checkpoint, GzipIndex, build_index, load_or_rebuild
+from repro.index.zran import (
+    DEFAULT_SPAN,
+    Checkpoint,
+    GzipIndex,
+    build_index,
+    load_or_rebuild,
+)
 
 __all__ = [
+    "DEFAULT_SPAN",
     "build_index",
     "GzipIndex",
     "Checkpoint",

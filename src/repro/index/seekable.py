@@ -20,11 +20,12 @@ backend   when / what a seek costs
 ========  ===========================================================
 
 A plain gzip file with *no* index gets the pugz cold start: the first
-access runs the two-pass parallel decompressor once, and the chunk
-boundaries plus resolved 32 KiB contexts of that very pass become the
-checkpoints (:func:`repro.core.parallel_index.pugz_build_index`) — so
-the index costs nothing beyond the decompression the first touch needed
-anyway, and every later seek is checkpoint-driven.  Give ``index_path``
+access runs the two-pass parallel decompressor once, and the block
+boundaries its first pass decoded, with the 32 KiB of resolved output
+before each, become checkpoints ``span`` bytes apart
+(:func:`repro.core.parallel_index.pugz_build_index`) — so the index
+costs nothing beyond the decompression the first touch needed anyway,
+and every later seek decodes at most ``span`` bytes.  Give ``index_path``
 to persist it (sealed + atomic, see :mod:`repro.index.integrity`) and
 the cold start happens once per file, not once per process.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from repro.deflate.constants import GZIP_MAGIC
 from repro.errors import GzipFormatError, IndexIntegrityError, RandomAccessError
-from repro.index.zran import GzipIndex, build_index
+from repro.index.zran import DEFAULT_SPAN, GzipIndex, build_index
 from repro.io.source import ByteSource
 
 __all__ = [
@@ -118,9 +119,9 @@ class SeekableGzipReader(io.RawIOBase):
         cold-start build.  Ignored by the BGZF backend, whose block
         table is cheap to re-scan.
     span:
-        Checkpoint spacing for a cold-start sequential build — the
-        warm-seek cost ceiling.  Ignored when an index is loaded (the
-        loaded index's own span applies).
+        Checkpoint spacing of a cold-start index, pugz or sequential —
+        the warm-seek cost ceiling.  Ignored when an index is loaded
+        (the loaded index's own span applies).
     backend:
         Force ``"bgzf"`` or ``"zran"`` instead of sniffing.
     index:
@@ -128,8 +129,8 @@ class SeekableGzipReader(io.RawIOBase):
     cold_start:
         ``"pugz"`` (default) builds a cold index with the parallel
         two-pass decompressor — the first touch *is* the index build;
-        ``"sequential"`` uses the ref-[11] sequential build with exact
-        ``span`` spacing.
+        ``"sequential"`` uses the ref-[11] sequential build.  Both
+        produce the same index.
     n_chunks / executor / kernel:
         Cold-start pugz parameters (parallelism and decode kernel).
     verify:
@@ -141,7 +142,7 @@ class SeekableGzipReader(io.RawIOBase):
         source,
         *,
         index_path: str | None = None,
-        span: int = 1 << 20,
+        span: int = DEFAULT_SPAN,
         backend: str | None = None,
         index: GzipIndex | None = None,
         cold_start: str = "pugz",
@@ -205,6 +206,7 @@ class SeekableGzipReader(io.RawIOBase):
                     n_chunks=self._n_chunks,
                     executor=self._executor,
                     kernel=self._kernel,
+                    span=self._span,
                 )
             else:
                 self._index = build_index(self._src, span=self._span)

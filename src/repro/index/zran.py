@@ -60,6 +60,8 @@ __all__ = [
     "CHECKPOINT_MEMBER",
     "Checkpoint",
     "GzipIndex",
+    "DEFAULT_SPAN",
+    "block_checkpoints",
     "build_index",
     "load_or_rebuild",
 ]
@@ -76,6 +78,12 @@ _KIND_V2 = b"ZRN2"
 
 CHECKPOINT_BLOCK = "block"
 CHECKPOINT_MEMBER = "member"
+
+#: Default checkpoint spacing (uncompressed bytes) for every builder
+#: and reader: a warm 4 KiB read decodes ~span/2 bytes on average,
+#: while the sidecar grows by one compressed 32 KiB window per span
+#: (see docs/PERFORMANCE.md "Span-honouring cold start").
+DEFAULT_SPAN = 256 * 1024
 
 _KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
@@ -373,7 +381,41 @@ class GzipIndex:
         return cls.from_bytes(unseal(blob, _KIND_V2))
 
 
-def build_index(source, span: int = 1 << 20) -> GzipIndex:
+def block_checkpoints(
+    blocks, member_out: bytes, uoffset: int, span: int
+) -> list[Checkpoint]:
+    """The ``"block"`` checkpoints of one member, ``span`` bytes apart.
+
+    ``blocks`` yields ``(start_bit, out_start, out_end)`` per DEFLATE
+    block in stream order, output offsets relative to the member's
+    first byte; ``member_out`` is the member's decompressed output and
+    ``uoffset`` where it starts in the file's.  A checkpoint lands at a
+    block start whenever finishing that block would leave the previous
+    checkpoint (the member start at first) more than ``span`` bytes
+    behind — so consecutive checkpoints are <= ``span`` apart as long
+    as no single block exceeds ``span``, which is the warm-seek bound.
+    Every builder shares this rule, so indexes agree checkpoint for
+    checkpoint whichever pass found the blocks.
+    """
+    checkpoints: list[Checkpoint] = []
+    last_rel = 0
+    for start_bit, out_start, out_end in blocks:
+        if out_start <= last_rel:
+            continue
+        if out_end - last_rel > span:
+            checkpoints.append(
+                Checkpoint(
+                    bit_offset=BitOffset(start_bit),
+                    uoffset=ByteOffset(uoffset + out_start),
+                    window=member_out[max(0, out_start - WINDOW_SIZE) : out_start],
+                    kind=CHECKPOINT_BLOCK,
+                )
+            )
+            last_rel = out_start
+    return checkpoints
+
+
+def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
     """Build an index with checkpoints at most ``span`` output bytes apart.
 
     Performs the full sequential decompression the technique requires
@@ -416,26 +458,12 @@ def build_index(source, span: int = 1 << 20) -> GzipIndex:
                 stage="zran",
             )
         mdata = result.data
-        # Emit a block checkpoint whenever finishing the next block
-        # would leave the previous checkpoint more than ``span`` bytes
-        # behind — so consecutive checkpoints are <= span apart as long
-        # as no single block exceeds span, which is the warm-seek bound.
-        last_rel = 0
-        for block in result.blocks:
-            if block.out_start <= last_rel:
-                continue
-            if block.out_end - last_rel > span:
-                checkpoints.append(
-                    Checkpoint(
-                        bit_offset=block.start_bit,
-                        uoffset=ByteOffset(uoffset + block.out_start),
-                        window=mdata[
-                            max(0, block.out_start - WINDOW_SIZE) : block.out_start
-                        ],
-                        kind=CHECKPOINT_BLOCK,
-                    )
-                )
-                last_rel = block.out_start
+        checkpoints += block_checkpoints(
+            ((b.start_bit, b.out_start, b.out_end) for b in result.blocks),
+            mdata,
+            uoffset,
+            span,
+        )
         uoffset += len(mdata)
         payload_end = (result.end_bit + 7) // 8
         if n - payload_end < 8:
@@ -449,7 +477,7 @@ def build_index(source, span: int = 1 << 20) -> GzipIndex:
 
 
 def load_or_rebuild(
-    path: str, source, span: int = 1 << 20
+    path: str, source, span: int = DEFAULT_SPAN
 ) -> tuple[GzipIndex, bool]:
     """Load the index at ``path``, rebuilding it if missing or damaged.
 

@@ -2,12 +2,14 @@
 
 import gzip as stdlib_gzip
 
+import numpy as np
 import pytest
 
 from repro.core.pugz import PugzReport, pugz_decompress, pugz_decompress_payload
 from repro.data import fastq_like, random_dna, synthetic_fastq
 from repro.deflate.deflate import gzip_compress
 from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.inflate import inflate
 from repro.errors import GzipFormatError
 from repro.parallel.executor import SerialExecutor, make_executor
 from repro.parallel.supervision import SupervisionPolicy
@@ -173,10 +175,33 @@ class TestReport:
         assert len(report.chunks) == n
         assert len(report.chunk_outcomes) == len(report.chunk_details) == n
         assert len(report.chunk_output_sizes) == len(report.chunk_marker_counts) == n
+        assert len(report.chunk_blocks) == n
         assert sum(report.chunk_output_sizes) == sum(map(len, parts))
         assert [c.index for c in report.chunks] == [
             i for count in per_member for i in range(count)
         ]
+
+    @pytest.mark.parametrize("n_chunks", [1, 4])
+    def test_chunk_blocks_tile_each_chunk(self, fastq_medium, fastq_medium_gz6, n_chunks):
+        """Pass 1's block tables: one int64 row per DEFLATE block, in
+        chunk-relative output coordinates, tiling each chunk's output
+        from its first bit and matching the sequential decode."""
+        _, report = pugz_decompress(fastq_medium_gz6, n_chunks=n_chunks, return_report=True)
+        assert len(report.chunk_blocks) == len(report.chunks)
+        rows = []
+        rel = 0
+        for chunk, size, table in zip(
+            report.chunks, report.chunk_output_sizes, report.chunk_blocks
+        ):
+            assert table.dtype == np.int64 and table.shape[1] == 3 and len(table)
+            assert table[0, 0] == chunk.start_bit
+            assert table[0, 1] == 0 and table[-1, 2] == size
+            assert (table[1:, 1] == table[:-1, 2]).all()
+            rows += [(s, o + rel, e + rel) for s, o, e in table.tolist()]
+            rel += size
+        start, *_ = parse_gzip_header(fastq_medium_gz6)
+        clean = inflate(fastq_medium_gz6, start_bit=8 * start)
+        assert rows == [(b.start_bit, b.out_start, b.out_end) for b in clean.blocks]
 
     def test_report_end_bit_is_payload_end(self, fastq_medium_gz6):
         out, report = pugz_decompress(fastq_medium_gz6, n_chunks=2, return_report=True)

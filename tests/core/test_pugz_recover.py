@@ -53,6 +53,12 @@ class TestRecoverMode:
         assert isinstance(hole, PugzHole)
         assert not report.is_complete
         assert "salvaged" in report.chunk_outcomes
+        # Block tables stay parallel to the chunks; a salvaged chunk's
+        # is empty (it contributes no checkpoints).
+        assert len(report.chunk_blocks) == len(report.chunks)
+        for outcome, table in zip(report.chunk_outcomes, report.chunk_blocks):
+            assert table.shape[1] == 3
+            assert (len(table) > 0) == (outcome == "ok")
 
         # Every byte decoded before the fault comes back exactly: sum
         # the clean stream's block sizes up to the fault bit and demand

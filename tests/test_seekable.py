@@ -16,9 +16,10 @@ import pytest
 
 import repro.index.zran as zran_mod
 from repro.bgzf.format import bgzf_compress
-from repro.deflate.gzipfmt import gzip_wrap
+from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
+from repro.deflate.inflate import inflate
 from repro.errors import GzipFormatError, RandomAccessError
-from repro.index import GzipIndex, build_index
+from repro.index import DEFAULT_SPAN, GzipIndex, build_index
 from repro.index.seekable import SeekableGzipReader, detect_backend
 from repro.io.source import ByteSource
 from tests.deflate.test_differential_fuzz import SEEDS, SHAPES, compress_shape, make_text
@@ -185,6 +186,37 @@ class TestSpanGuarantee:
         for max_output, decoded in calls:
             assert max_output is not None and max_output <= span + 1
             assert decoded <= span + 1 + block
+
+    @pytest.mark.parametrize(
+        "shape, span", [("sync8k", 16384), ("sync8k", 65536), ("plain", 131072)]
+    )
+    def test_pugz_cold_start_honours_span(self, text, gz, shape, span):
+        """The cold start's index is the sequential builder's at the
+        requested span: gaps <= span + one block, and a warm 4 KiB read
+        decodes <= span + one block."""
+        if shape == "sync8k":
+            gz = _sync_flush_gzip(text, 8192)
+        start, *_ = parse_gzip_header(gz)
+        largest = max(
+            b.out_end - b.out_start for b in inflate(gz, start_bit=8 * start).blocks
+        )
+        assert largest <= span  # else the floor is the block, not the span
+        reader = SeekableGzipReader(gz, n_chunks=4, span=span)
+        assert reader.pread(0, 16) == text[:16]
+        idx = reader.index
+        assert idx.span == span
+        assert idx == build_index(gz, span=span)
+        offs = [cp.uoffset for cp in idx.checkpoints] + [idx.usize]
+        assert max(b - a for a, b in zip(offs, offs[1:])) <= span + largest
+        for off in range(1000, len(text) - 4096, len(text) // 13):
+            reader.stats.reset_counters()
+            assert reader.pread(off, 4096) == text[off : off + 4096]
+            assert 0 < reader.stats.decoded_bytes <= span + largest
+
+    def test_cold_start_default_span(self, text, gz):
+        reader = SeekableGzipReader(gz, n_chunks=4)
+        assert reader.pread(0, 16) == text[:16]
+        assert reader.index.span == DEFAULT_SPAN
 
     def test_stats_track_decode_cost(self, gz, indexed, text):
         reader = SeekableGzipReader(gz, index=indexed)
