@@ -19,7 +19,7 @@ from repro.bgzf.format import (
 )
 from repro.errors import GzipFormatError, RandomAccessError
 from repro.io.source import ByteSource
-from repro.parallel.executor import Executor, make_executor
+from repro.parallel.executor import Executor, owned_executor
 
 __all__ = ["BgzfReader", "bgzf_decompress_parallel"]
 
@@ -134,8 +134,7 @@ def bgzf_decompress_parallel(
     second pass — the comparison benchmark quantifies what the format
     buys (and what its extra per-block overhead costs in ratio).
     """
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_workers)
     blocks = [b for b in scan_blocks(data) if not b.is_eof]
-    parts = executor.map(_read_one, [(data, b, verify) for b in blocks])
+    with owned_executor(executor, n_workers) as ex:
+        parts = ex.map(_read_one, [(data, b, verify) for b in blocks])
     return b"".join(parts)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro.core.pugz import PugzReport, pugz_decompress
 from repro.errors import ReproError
-from repro.parallel.executor import Executor, make_executor
+from repro.parallel.executor import Executor, owned_executor
 
 __all__ = ["BatchResult", "FileOutcome", "decompress_batch"]
 
@@ -59,23 +59,22 @@ def decompress_batch(
     Failures are collected per file (a corrupt archive in a 100-file
     sweep must not abort the other 99) unless ``stop_on_error``.
     """
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_chunks)
     result = BatchResult()
-    for name, gz in files:
-        try:
-            out, report = pugz_decompress(
-                gz, n_chunks=n_chunks, executor=executor,
-                verify=verify, return_report=True,
+    with owned_executor(executor, n_chunks) as ex:
+        for name, gz in files:
+            try:
+                out, report = pugz_decompress(
+                    gz, n_chunks=n_chunks, executor=ex,
+                    verify=verify, return_report=True,
+                )
+            except ReproError as exc:
+                outcome = FileOutcome(name=name, ok=False, error=str(exc))
+                result.outcomes.append(outcome)
+                if stop_on_error:
+                    raise
+                continue
+            sink(name, out)
+            result.outcomes.append(
+                FileOutcome(name=name, ok=True, output_size=len(out), report=report)
             )
-        except ReproError as exc:
-            outcome = FileOutcome(name=name, ok=False, error=str(exc))
-            result.outcomes.append(outcome)
-            if stop_on_error:
-                raise
-            continue
-        sink(name, out)
-        result.outcomes.append(
-            FileOutcome(name=name, ok=True, output_size=len(out), report=report)
-        )
     return result

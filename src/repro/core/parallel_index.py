@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pugz import PugzReport, pugz_decompress_payload
-from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
 from repro.errors import GzipFormatError
 from repro.index.zran import (
     CHECKPOINT_MEMBER,
@@ -44,7 +44,7 @@ from repro.index.zran import (
     block_checkpoints,
 )
 from repro.io.source import ByteSource
-from repro.parallel.executor import Executor, make_executor
+from repro.parallel.executor import Executor, owned_executor
 from repro.units import BitOffset, ByteOffset
 
 __all__ = ["pugz_build_index"]
@@ -65,7 +65,10 @@ def pugz_build_index(
     equals ``build_index(gz_data, span=span)`` for any ``n_chunks``.
     ``gz_data`` may be bytes, a path, a binary file object, or a
     :class:`~repro.io.source.ByteSource` (the build decodes every byte
-    once by definition, so the whole stream is read either way).
+    once by definition, so the whole stream is read either way).  Each
+    member's CRC32 and ISIZE are checked before the index is built; a
+    mismatch raises :class:`~repro.errors.GzipFormatError`
+    (``stage="trailer"``).
     """
     if span <= 0:
         raise ValueError("span must be positive")
@@ -73,8 +76,6 @@ def pugz_build_index(
     data = src.read_all()
     if not data:
         raise GzipFormatError("empty input", bit_offset=0, stage="parallel_index")
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_chunks)
 
     report = PugzReport(n_chunks_requested=n_chunks)
     out_parts: list[bytes] = []
@@ -82,45 +83,41 @@ def pugz_build_index(
     uoffset = 0
     offset = 0
     n = len(data)
-    while offset < n:
-        payload_start, *_ = parse_gzip_header(data, offset)
-        checkpoints.append(
-            Checkpoint(
-                bit_offset=BitOffset(8 * payload_start),
-                uoffset=ByteOffset(uoffset),
-                window=b"",
-                kind=CHECKPOINT_MEMBER,
+    with owned_executor(executor, n_chunks) as ex:
+        while offset < n:
+            payload_start, *_ = parse_gzip_header(data, offset)
+            checkpoints.append(
+                Checkpoint(
+                    bit_offset=BitOffset(8 * payload_start),
+                    uoffset=ByteOffset(uoffset),
+                    window=b"",
+                    kind=CHECKPOINT_MEMBER,
+                )
             )
-        )
-        first_chunk = len(report.chunks)
-        member_out = pugz_decompress_payload(
-            data,
-            8 * payload_start,
-            8 * (n - 8),
-            n_chunks,
-            executor,
-            report=report,
-            kernel=kernel,
-        )
-        # Pass-1 block tables are chunk-relative: shift each chunk's
-        # output columns by where that chunk starts in the member.
-        tables = report.chunk_blocks[first_chunk:]
-        sizes = report.chunk_output_sizes[first_chunk:]
-        chunk_starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-        blocks = np.concatenate(
-            [t + (0, rel, rel) for t, rel in zip(tables, chunk_starts)]
-        )
-        checkpoints += block_checkpoints(blocks.tolist(), member_out, uoffset, span)
-        uoffset += len(member_out)
-        out_parts.append(member_out)
-        payload_end = (report.end_bit + 7) // 8
-        if n - payload_end < 8:
-            raise GzipFormatError(
-                "truncated gzip trailer",
-                bit_offset=8 * payload_end,
-                stage="trailer",
+            first_chunk = len(report.chunks)
+            member_out = pugz_decompress_payload(
+                data,
+                8 * payload_start,
+                8 * (n - 8),
+                n_chunks,
+                ex,
+                report=report,
+                kernel=kernel,
             )
-        offset = payload_end + 8
+            payload_end = (report.end_bit + 7) // 8
+            check_trailer(data, payload_end, member_out)
+            # Pass-1 block tables are chunk-relative: shift each chunk's
+            # output columns by where that chunk starts in the member.
+            tables = report.chunk_blocks[first_chunk:]
+            sizes = report.chunk_output_sizes[first_chunk:]
+            chunk_starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
+            blocks = np.concatenate(
+                [t + (0, rel, rel) for t, rel in zip(tables, chunk_starts)]
+            )
+            checkpoints += block_checkpoints(blocks.tolist(), member_out, uoffset, span)
+            uoffset += len(member_out)
+            out_parts.append(member_out)
+            offset = payload_end + 8
 
     out = b"".join(out_parts)
     index = GzipIndex(checkpoints=checkpoints, usize=len(out), span=span, csize=n)

@@ -27,7 +27,7 @@ from repro.deflate.crc32 import crc32, crc32_combine
 from repro.deflate.deflate import compress_tokens
 from repro.deflate.gzipfmt import gzip_wrap
 from repro.deflate.lz77 import parse_lz77
-from repro.parallel.executor import Executor, make_executor
+from repro.parallel.executor import Executor, owned_executor
 
 __all__ = ["pigz_compress", "DEFAULT_CHUNK_SIZE"]
 
@@ -67,8 +67,6 @@ def pigz_compress(
     """
     if chunk_size < 1024:
         raise ValueError("chunk_size must be >= 1 KiB")
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_workers)
     data = bytes(data)
 
     jobs = []
@@ -79,7 +77,8 @@ def pigz_compress(
         dictionary = data[max(0, start - WINDOW_SIZE) : start]
         jobs.append((k, chunk, dictionary, level, k == len(starts) - 1))
 
-    results = executor.map(_compress_chunk, jobs)
+    with owned_executor(executor, n_workers) as ex:
+        results = ex.map(_compress_chunk, jobs)
     results.sort(key=lambda r: r[0])
     payload = b"".join(r[1] for r in results)
 

@@ -14,7 +14,15 @@ The algorithm, exactly as in the paper (Figure 3):
    markers (:mod:`repro.core.translate`).  The paper runs translation
    in parallel; here it runs in the calling process, which already
    holds every symbol array — one vectorised gather per chunk costs
-   less than shipping the int32 symbols to a worker and the bytes back.
+   less than shipping the symbols to a worker and the bytes back.
+
+The paper's threads share memory, so pass-1 output never crosses a
+process boundary.  Here it does, and two things keep that cheap: a
+:class:`~repro.parallel.executor.ProcessExecutor` keeps one pool for
+its lifetime (start-up is paid once, not per map), and each chunk's
+symbols travel at their natural width — ``uint8`` for a marker-free
+chunk, ``uint16`` otherwise — instead of the decoder's ``int32``
+(measurements in docs/PERFORMANCE.md, "Pass-1 transport").
 
 The result is byte-exact for *any* input whose stream is well-formed,
 with no heuristics — verified against :func:`gzip.decompress`
@@ -67,7 +75,7 @@ from repro.deflate.crc32 import crc32, crc32_combine
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.deflate.inflate import inflate
 from repro.errors import GzipFormatError, ReproError, annotate
-from repro.parallel.executor import Executor, make_executor
+from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.supervision import SupervisionPolicy, is_execution_fault
 from repro.units import BitOffset, ByteOffset
 
@@ -259,9 +267,12 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarr
 
     Module-level so :class:`ProcessExecutor` can pickle it.  Returns
     ``(index, symbols, final_window, end_bit, final_seen, blocks)``,
-    ``blocks`` being the chunk's :func:`_block_table`.  A failure is
-    annotated with the chunk index before propagating, so captured
-    outcomes name the chunk that died.
+    ``blocks`` being the chunk's :func:`_block_table`.  ``symbols``
+    comes back at its natural width (:func:`repro.core.marker.narrow`:
+    ``uint8`` for a marker-free chunk, else ``uint16``), so the trip to
+    the parent costs 1-2 bytes per output byte, not the decoder's 4.
+    A failure is annotated with the chunk index before propagating, so
+    captured outcomes name the chunk that died.
     """
     data, chunk_start, chunk_stop, index, budget, kernel = args
     try:
@@ -272,7 +283,7 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarr
                 data, start_bit=chunk_start, stop_at_final=True, budget=budget,
                 kernel=kernel,
             )
-            symbols = np.frombuffer(result.data, dtype=np.uint8).astype(np.int32)
+            symbols = np.frombuffer(result.data, dtype=np.uint8)
             window_syms = np.asarray(
                 _seed_window_array(result.data[-WINDOW_SIZE:]), dtype=np.int32
             )
@@ -290,7 +301,7 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarr
         )
         return (
             index,
-            result.symbols,
+            marker.narrow(result.symbols),
             result.window,
             result.end_bit,
             result.final_seen,
@@ -485,7 +496,8 @@ def pugz_decompress_payload(
     at ``start_bit`` and certainly ends by ``end_bit`` (an upper bound
     is fine — decoding stops at the BFINAL block).  ``executor``
     selects the backend (``serial`` / ``thread`` / ``process`` or an
-    :class:`~repro.parallel.executor.Executor` instance).
+    :class:`~repro.parallel.executor.Executor` instance); one built
+    from a name is closed before the call returns.
 
     ``on_error="recover"`` salvages around corrupted regions instead of
     raising (see the module docstring); lost spans are recorded in the
@@ -510,8 +522,6 @@ def pugz_decompress_payload(
     """
     if on_error not in ("raise", "recover"):
         raise ValueError(f"on_error must be 'raise' or 'recover', got {on_error!r}")
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_chunks)
     if report is None:
         report = PugzReport(n_chunks_requested=n_chunks)
     if end_bit <= start_bit or start_bit >= 8 * len(data):
@@ -531,7 +541,8 @@ def pugz_decompress_payload(
     for c in chunks:
         stop = c.stop_bit if c.stop_bit is not None else None
         jobs.append((data, c.start_bit, stop, c.index, budget, kernel))
-    outcomes = executor.map_outcomes(_pass1_chunk, jobs, supervision)
+    with owned_executor(executor, n_chunks) as ex:
+        outcomes = ex.map_outcomes(_pass1_chunk, jobs, supervision)
 
     per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
     details: list[ChunkOutcome] = []
@@ -716,6 +727,10 @@ def pugz_decompress(
         Number of parallel chunks ("threads" in the paper's terms).
     executor:
         ``serial`` / ``thread`` / ``process`` or an Executor instance.
+        An executor built from a name is closed before the call
+        returns; an instance stays open, so a
+        :class:`~repro.parallel.executor.ProcessExecutor` passed to
+        several calls keeps one pool across them.
     verify:
         Check each member's CRC32/ISIZE trailer; per-part CRCs are
         computed through the executor and folded with
@@ -758,74 +773,73 @@ def pugz_decompress(
         )
     if supervision is None and (deadline_s is not None or max_retries):
         supervision = SupervisionPolicy(deadline_s=deadline_s, max_retries=max_retries)
-    if isinstance(executor, str):
-        executor = make_executor(executor, n_chunks)
     report = PugzReport(n_chunks_requested=n_chunks)
     if not gz_data:
         raise GzipFormatError("empty input", bit_offset=0, stage="container")
     out_parts: list[bytes] = []
     offset = 0
     n = len(gz_data)
-    while offset < n:
-        try:
-            payload_start, *_ = parse_gzip_header(gz_data, offset)
-        except GzipFormatError as exc:
-            if offset == 0:
-                raise
-            if allow_trailing_garbage or on_error == "recover":
-                warnings.warn(
-                    f"ignoring {n - offset} bytes of trailing garbage after the "
-                    f"last gzip member (byte offset {offset}): {exc.message}",
-                    stacklevel=2,
-                )
-                report.trailing_garbage_offset = offset
-                break
-            raise GzipFormatError(
-                f"trailing garbage after last gzip member: {n - offset} bytes "
-                f"at byte offset {offset} are not a gzip header ({exc.message})",
-                bit_offset=8 * offset,
-                stage="container",
-            ) from exc
-        member_out = pugz_decompress_payload(
-            gz_data,
-            8 * payload_start,
-            8 * (n - 8),
-            n_chunks,
-            executor,
-            confirm_blocks=confirm_blocks,
-            report=report,
-            on_error=on_error,
-            max_resync_search_bits=max_resync_search_bits,
-            budget=budget,
-            supervision=supervision,
-            kernel=kernel,
-        )
-        payload_end = (report.end_bit + 7) // 8
-        if n - payload_end < 8:
-            if on_error == "recover":
-                report.verify_failures.append(
-                    f"member {report.members}: truncated trailer at byte {payload_end}"
-                )
-                out_parts.append(member_out)
-                report.members += 1
-                break
-            raise GzipFormatError(
-                "truncated gzip trailer",
-                bit_offset=8 * payload_end,
-                stage="trailer",
-            )
-        if verify:
+    with owned_executor(executor, n_chunks) as ex:
+        while offset < n:
             try:
-                _verify_member(gz_data, payload_end, member_out, executor)
+                payload_start, *_ = parse_gzip_header(gz_data, offset)
             except GzipFormatError as exc:
-                if on_error != "recover":
+                if offset == 0:
                     raise
-                report.verify_failures.append(
-                    f"member {report.members}: {exc}"
+                if allow_trailing_garbage or on_error == "recover":
+                    warnings.warn(
+                        f"ignoring {n - offset} bytes of trailing garbage after the "
+                        f"last gzip member (byte offset {offset}): {exc.message}",
+                        stacklevel=2,
+                    )
+                    report.trailing_garbage_offset = offset
+                    break
+                raise GzipFormatError(
+                    f"trailing garbage after last gzip member: {n - offset} bytes "
+                    f"at byte offset {offset} are not a gzip header ({exc.message})",
+                    bit_offset=8 * offset,
+                    stage="container",
+                ) from exc
+            member_out = pugz_decompress_payload(
+                gz_data,
+                8 * payload_start,
+                8 * (n - 8),
+                n_chunks,
+                ex,
+                confirm_blocks=confirm_blocks,
+                report=report,
+                on_error=on_error,
+                max_resync_search_bits=max_resync_search_bits,
+                budget=budget,
+                supervision=supervision,
+                kernel=kernel,
+            )
+            payload_end = (report.end_bit + 7) // 8
+            if n - payload_end < 8:
+                if on_error == "recover":
+                    report.verify_failures.append(
+                        f"member {report.members}: truncated trailer at byte {payload_end}"
+                    )
+                    out_parts.append(member_out)
+                    report.members += 1
+                    break
+                raise GzipFormatError(
+                    "truncated gzip trailer",
+                    bit_offset=8 * payload_end,
+                    stage="trailer",
                 )
-        out_parts.append(member_out)
-        offset = payload_end + 8
-        report.members += 1
+            if verify:
+                try:
+                    _verify_member(gz_data, payload_end, member_out, ex)
+                except GzipFormatError as exc:
+                    if on_error != "recover":
+                        raise
+                    report.verify_failures.append(
+                        f"member {report.members}: {exc}"
+                    )
+            out_parts.append(member_out)
+            offset = payload_end + 8
+            report.members += 1
     out = b"".join(out_parts)
     if return_report:
         return out, report

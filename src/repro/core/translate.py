@@ -35,9 +35,9 @@ def final_window(symbols: np.ndarray, initial_window: np.ndarray | None = None) 
     If the chunk produced fewer than 32 KiB of output, the remainder
     comes from its *own* initial context (which must then be supplied).
     """
-    symbols = np.asarray(symbols, dtype=np.int32)
     if len(symbols) >= WINDOW_SIZE:
-        return symbols[-WINDOW_SIZE:]
+        return np.asarray(symbols[-WINDOW_SIZE:], dtype=np.int32)
+    symbols = np.asarray(symbols, dtype=np.int32)
     if initial_window is None:
         raise ReproError(
             f"chunk produced {len(symbols)} < {WINDOW_SIZE} symbols and no "
@@ -81,7 +81,9 @@ def translate_chunk(
     positions as holes instead.
 
     Fully vectorized: one LUT gather (:func:`repro.core.marker.resolve`)
-    plus one ``astype(uint8)`` pass — no per-symbol branching.
+    plus one ``astype(uint8)`` pass — no per-symbol branching.  The
+    gather reads ``uint8``/``uint16`` pass-1 arrays at their own width;
+    a ``uint8`` chunk is already bytes and skips it.
     """
     resolved = marker.resolve(symbols, context)
     return marker.to_bytes(resolved, placeholder=placeholder)

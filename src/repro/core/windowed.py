@@ -23,9 +23,9 @@ from repro.core import marker
 from repro.core.chunking import plan_chunks
 from repro.core.pugz import _pass1_chunk
 from repro.core.translate import resolve_contexts
-from repro.deflate.gzipfmt import parse_gzip_header
-from repro.errors import GzipFormatError, ReproError
-from repro.parallel.executor import Executor, make_executor
+from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
+from repro.errors import ReproError
+from repro.parallel.executor import Executor, owned_executor
 
 __all__ = ["WindowedReport", "pugz_decompress_windowed", "iter_pugz"]
 
@@ -53,25 +53,49 @@ def iter_pugz(
 ):
     """Generator form: yield decompressed chunks in stream order.
 
-    Single-member files only (multi-member files are already blocked;
-    use :func:`repro.core.pugz.pugz_decompress`).  Pass a
-    :class:`WindowedReport` to collect instrumentation.  ``kernel``
-    selects the decode kernel by name (must stay picklable for process
-    executors); ``None`` defers to ``$REPRO_KERNEL`` or the auto gate.
+    Multi-member files are decoded member by member, like
+    :func:`repro.core.pugz.pugz_decompress`: each member is planned
+    into up to ``n_chunks`` chunks and striped on its own, starting
+    from an empty context.  Pass a :class:`WindowedReport` to collect
+    instrumentation (``chunks`` and ``stripes`` count every member).
+    ``kernel`` selects the decode kernel by name (must stay picklable
+    for process executors); ``None`` defers to ``$REPRO_KERNEL`` or the
+    auto gate.  An executor built here from a name is closed when the
+    generator finishes or is closed.
     """
-    if isinstance(executor, str):
-        executor = make_executor(executor, stripe_chunks)
     if stripe_chunks < 1:
         raise ValueError("stripe_chunks must be >= 1")
     if report is None:
         report = WindowedReport()
+    offset = 0
+    with owned_executor(executor, stripe_chunks) as ex:
+        while offset < len(gz_data):
+            payload_start, *_ = parse_gzip_header(gz_data, offset)
+            end_bit = yield from _iter_member(
+                gz_data, 8 * payload_start, n_chunks, stripe_chunks, ex,
+                confirm_blocks, report, kernel,
+            )
+            payload_end = (end_bit + 7) // 8
+            check_trailer(gz_data, payload_end, None)
+            offset = payload_end + 8
 
-    payload_start, *_ = parse_gzip_header(gz_data, 0)
-    start_bit = 8 * payload_start
+
+def _iter_member(
+    gz_data: bytes,
+    start_bit: int,
+    n_chunks: int,
+    stripe_chunks: int,
+    executor: Executor,
+    confirm_blocks: int,
+    report: WindowedReport,
+    kernel: str | None,
+):
+    """Yield one member's output stripe by stripe; return the bit just
+    past its BFINAL block."""
     end_bit = 8 * (len(gz_data) - 8)
     chunks = plan_chunks(gz_data, start_bit, end_bit, n_chunks,
                          confirm_blocks=confirm_blocks)
-    report.chunks = len(chunks)
+    report.chunks += len(chunks)
 
     # The resolved 32 KiB of text preceding the next stripe.
     carry_context: np.ndarray | None = None  # None = true stream start
@@ -82,6 +106,11 @@ def iter_pugz(
                 for c in stripe]
         results = executor.map(_pass1_chunk, jobs)
         results.sort(key=lambda r: r[0])
+        # A BFINAL chunk ends the member; chunks planned past it belong
+        # to whatever follows (the next member).
+        final = next((k for k, r in enumerate(results) if r[4]), None)
+        if final is not None:
+            results = results[: final + 1]
         symbol_arrays = [r[1] for r in results]
         windows = [r[2] for r in results]
 
@@ -114,9 +143,9 @@ def iter_pugz(
             report.output_size += len(out)
             yield out
 
-        # A BFINAL chunk ends the member.
-        if any(r[4] for r in results):
+        if final is not None:
             break
+    return results[-1][3]
 
 
 def pugz_decompress_windowed(

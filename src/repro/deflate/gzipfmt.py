@@ -24,6 +24,7 @@ __all__ = [
     "parse_gzip_header",
     "gzip_wrap",
     "gzip_unwrap",
+    "check_trailer",
     "split_members",
     "member_payload",
     "zlib_wrap",
@@ -212,6 +213,36 @@ def split_members(data: bytes) -> list[GzipMember]:
     return members
 
 
+def check_trailer(data, payload_end: int, output: bytes | None) -> None:
+    """Check the 8-byte member trailer that starts at byte ``payload_end``.
+
+    Raises :class:`GzipFormatError` (``stage="trailer"``) when the
+    trailer is cut short, or when its CRC32 or ISIZE disagrees with
+    ``output``, the member's decompressed bytes.  ``output=None`` checks
+    only that the trailer is there.
+    """
+    if len(data) - payload_end < 8:
+        raise GzipFormatError(
+            "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
+        )
+    if output is None:
+        return
+    crc, isize = struct.unpack_from("<II", data, payload_end)
+    actual_crc = crc32(output)
+    if actual_crc != crc:
+        raise GzipFormatError(
+            f"CRC mismatch: stored {crc:#010x}, computed {actual_crc:#010x}",
+            bit_offset=8 * payload_end,
+            stage="trailer",
+        )
+    if isize != len(output) & 0xFFFFFFFF:
+        raise GzipFormatError(
+            f"ISIZE mismatch: stored {isize}, actual {len(output)}",
+            bit_offset=8 * (payload_end + 4),
+            stage="trailer",
+        )
+
+
 def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
     """Decompress a gzip file (all members) with our own inflate.
 
@@ -231,25 +262,7 @@ def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
             stage="inflate",
         )
         payload_end = (result.end_bit + 7) // 8
-        if len(data) - payload_end < 8:
-            raise GzipFormatError(
-            "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
-        )
-        crc, isize = struct.unpack_from("<II", data, payload_end)
-        if verify:
-            actual_crc = crc32(result.data)
-            if actual_crc != crc:
-                raise GzipFormatError(
-                    f"CRC mismatch: stored {crc:#010x}, computed {actual_crc:#010x}",
-                    bit_offset=8 * payload_end,
-                    stage="trailer",
-                )
-            if isize != len(result.data) & 0xFFFFFFFF:
-                raise GzipFormatError(
-                    f"ISIZE mismatch: stored {isize}, actual {len(result.data)}",
-                    bit_offset=8 * (payload_end + 4),
-                    stage="trailer",
-                )
+        check_trailer(data, payload_end, result.data if verify else None)
         members.append(result.data)
         offset = payload_end + 8
     # join returns a lone bytes member itself: one member is never copied.

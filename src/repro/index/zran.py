@@ -43,7 +43,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.deflate.constants import WINDOW_SIZE
-from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
 from repro.deflate.inflate import inflate
 from repro.errors import (
     DeflateError,
@@ -426,6 +426,9 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
     Multi-member ("blocked") files are walked member by member —
     trailer-aware, with ``uoffset`` kept continuous — and every member
     start becomes a ``"member"`` checkpoint, including empty members.
+    Each member's CRC32 and ISIZE are checked against its output
+    (:func:`~repro.deflate.gzipfmt.check_trailer`), so a corrupt file
+    raises instead of yielding an index that serves wrong bytes.
     """
     if span <= 0:
         raise ValueError("span must be positive")
@@ -466,12 +469,7 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
         )
         uoffset += len(mdata)
         payload_end = (result.end_bit + 7) // 8
-        if n - payload_end < 8:
-            raise GzipFormatError(
-                "truncated gzip trailer",
-                bit_offset=8 * payload_end,
-                stage="trailer",
-            )
+        check_trailer(data, payload_end, mdata)
         offset = payload_end + 8
     return GzipIndex(checkpoints=checkpoints, usize=uoffset, span=span, csize=n)
 

@@ -78,6 +78,11 @@ class PugzStream(io.RawIOBase):
     def tell(self) -> int:
         return self._pos
 
+    def close(self) -> None:
+        # Closing the generator closes an executor it built from a name.
+        self._source.close()
+        super().close()
+
     # -- line iteration -------------------------------------------------
 
     def readline(self, size: int = -1) -> bytes:

@@ -191,14 +191,14 @@ class Linter:
         if self.jobs > 1 and len(modules) > 1:
             from repro.parallel import make_executor
 
-            executor = make_executor("process", self.jobs)
             paths = [str(m.path) for m in modules]
             step = -(-len(paths) // self.jobs)
             tasks = [
                 (tuple(paths[i:i + step]), str(self.root), rule_ids)
                 for i in range(0, len(paths), step)
             ]
-            per_batch = executor.map(_lint_batch_task, tasks)
+            with make_executor("process", self.jobs) as executor:
+                per_batch = executor.map(_lint_batch_task, tasks)
             return [f for batch in per_batch for f in batch], self.jobs
         out: list[Finding] = []
         for module in modules:

@@ -13,6 +13,22 @@ Three interchangeable strategies behind one ``map``-shaped interface:
 Work functions submitted to :class:`ProcessExecutor` must be picklable
 (module-level functions).
 
+Lifetime
+--------
+
+A :class:`ProcessExecutor` starts its process pool on the first map
+with more than one item and reuses it for every later map, so a
+decompression pays pool start-up once, not once per pass or per
+member.  Workers start then (forked, on Linux): they see the
+environment (variables such as ``REPRO_KERNEL``, monkeypatched
+globals) as it was at that first map, not as it is at later ones.  A map that loses a worker
+(``BrokenProcessPool``) drops the pool, and the next map starts a
+fresh one.  :meth:`Executor.close` stops the workers; every executor
+is also a context manager that closes on exit.  Library functions
+that build an executor from a name (``executor="process"``) close it
+before they return, so no worker outlives the call; an executor passed
+in as an instance stays open for its owner to close.
+
 Supervision
 -----------
 
@@ -29,6 +45,8 @@ import os
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 __all__ = [
@@ -38,6 +56,7 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
+    "owned_executor",
     "EXECUTOR_KINDS",
 ]
 
@@ -121,6 +140,15 @@ class Executor(ABC):
     def parallelism(self) -> int:
         """Number of workers this executor can run concurrently."""
 
+    def close(self) -> None:
+        """Release any workers this executor holds (idempotent)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 class SerialExecutor(Executor):
     """Run everything inline, in order.
@@ -157,16 +185,31 @@ class ThreadExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Process-pool execution (true parallelism on multi-core hosts)."""
+    """Process-pool execution (true parallelism on multi-core hosts).
+
+    One pool serves every map from the first multi-item map until
+    :meth:`close` (see the module docstring's *Lifetime*).
+    """
 
     def __init__(self, n_workers: int | None = None) -> None:
         self.n_workers = n_workers or (os.cpu_count() or 1)
+        self._pool: ProcessPoolExecutor | None = None
 
     def map(self, fn, items: list) -> list:
         if len(items) <= 1:
             return [fn(item) for item in items]
-        with ProcessPoolExecutor(max_workers=self.n_workers) as pool:
-            return list(pool.map(fn, items))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+        try:
+            return list(self._pool.map(fn, items))
+        except BrokenProcessPool:
+            self.close()
+            raise
+
+    def close(self) -> None:
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     @property
     def parallelism(self) -> int:
@@ -194,3 +237,16 @@ def make_executor(kind: str = "serial", n_workers: int | None = None) -> Executo
     raise ValueError(
         f"unknown executor kind {kind!r}; valid kinds: {', '.join(EXECUTOR_KINDS)}"
     )
+
+
+@contextmanager
+def owned_executor(executor: Executor | str, n_workers: int | None = None):
+    """Yield ``executor``, building it with :func:`make_executor` when it
+    is a name — and closing what was built here on exit.  An
+    :class:`Executor` instance is yielded as is and left open: its
+    owner closes it."""
+    if isinstance(executor, str):
+        with make_executor(executor, n_workers) as built:
+            yield built
+    else:
+        yield executor

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.parallel_index import pugz_build_index
 from repro.data import gzip_zlib
+from repro.errors import GzipFormatError
 from repro.index.zran import build_index
 
 SPAN = 65536
@@ -105,3 +106,40 @@ class TestSpanRule:
         _, files = span_inputs
         with pytest.raises(ValueError):
             pugz_build_index(files["single"], span=0)
+
+
+@pytest.fixture(scope="module")
+def two_members(fastq_medium):
+    half = len(fastq_medium) // 2
+    first = stdlib_gzip.compress(fastq_medium[:half], 6, mtime=0)
+    second = stdlib_gzip.compress(fastq_medium[half:], 6, mtime=0)
+    return first, second
+
+
+def _sequential(gz):
+    return build_index(gz, span=SPAN)
+
+
+def _parallel(gz):
+    return pugz_build_index(gz, n_chunks=3, span=SPAN)[1]
+
+
+class TestTrailerChecks:
+    """Both index builders refuse a member whose CRC32 or ISIZE
+    disagrees with its output: an index sealed over such a file would
+    serve bytes its own trailer says are wrong."""
+
+    @pytest.mark.parametrize("builder", [_sequential, _parallel])
+    @pytest.mark.parametrize("field,offset", [("CRC", 8), ("ISIZE", 4)])
+    def test_one_flipped_bit_raises(self, two_members, builder, field, offset):
+        first, second = two_members
+        bad = bytearray(first)
+        bad[len(first) - offset] ^= 0x01  # the first member's trailer
+        with pytest.raises(GzipFormatError, match=field) as excinfo:
+            builder(bytes(bad) + second)
+        assert excinfo.value.stage == "trailer"
+
+    @pytest.mark.parametrize("builder", [_sequential, _parallel])
+    def test_clean_file_builds(self, two_members, builder):
+        gz = b"".join(two_members)
+        assert builder(gz).usize == len(stdlib_gzip.decompress(gz))

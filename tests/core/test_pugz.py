@@ -1,17 +1,26 @@
 """The two-pass parallel decompressor: exactness above all."""
 
 import gzip as stdlib_gzip
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.core.pugz import PugzReport, pugz_decompress, pugz_decompress_payload
+from repro.core.chunking import plan_chunks
+from repro.core.marker import MARKER_BASE, narrow
+from repro.core.pugz import (
+    PugzReport,
+    _pass1_chunk,
+    pugz_decompress,
+    pugz_decompress_payload,
+)
 from repro.data import fastq_like, random_dna, synthetic_fastq
+from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.deflate import gzip_compress
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.deflate.inflate import inflate
-from repro.errors import GzipFormatError
-from repro.parallel.executor import SerialExecutor, make_executor
+from repro.errors import GzipFormatError, ReproError
+from repro.parallel.executor import ProcessExecutor, SerialExecutor, make_executor
 from repro.parallel.supervision import SupervisionPolicy
 
 
@@ -138,12 +147,76 @@ class TestPass2Placement:
     def test_output_identical_across_executors(self, three_members, kind, supervised):
         parts, gz = three_members
         policy = SupervisionPolicy(deadline_s=60.0, max_retries=1) if supervised else None
-        out, report = pugz_decompress(
-            gz, n_chunks=2, executor=make_executor(kind, 2), supervision=policy,
-            return_report=True,
-        )
+        with make_executor(kind, 2) as ex:
+            out, report = pugz_decompress(
+                gz, n_chunks=2, executor=ex, supervision=policy, return_report=True,
+            )
         assert out == b"".join(parts)
         assert report.pass2_seconds > 0
+
+
+class _FailOneChunk(SerialExecutor):
+    """Serial executor whose pass 1 reports a data error for chunk 1,
+    so the engine salvages that chunk in-process (``int32`` pieces)
+    between pass-1 results that arrived narrow."""
+
+    def map(self, fn, items):
+        packed = super().map(fn, items)
+        error = ReproError("injected", chunk_index=1, stage="pass1")
+        packed[1] = (False, error, packed[1][2])
+        return packed
+
+
+class TestPass1Transport:
+    """Pass-1 symbols cross the process boundary at their natural
+    width: ``uint8`` without markers, ``uint16`` with them."""
+
+    def _jobs(self, gz, n_chunks):
+        start, *_ = parse_gzip_header(gz, 0)
+        chunks = plan_chunks(gz, 8 * start, 8 * (len(gz) - 8), n_chunks)
+        assert len(chunks) == n_chunks
+        return [(gz, c.start_bit, c.stop_bit, c.index, None, None) for c in chunks]
+
+    def test_widths(self, fastq_medium, fastq_medium_gz6):
+        first, second = (_pass1_chunk(job) for job in self._jobs(fastq_medium_gz6, 2))
+        # Chunk 0 starts at the stream start: marker-free, one byte each.
+        assert first[1].dtype == np.uint8
+        # Chunk 1 references the unknown context: markers need 16 bits.
+        assert second[1].dtype == np.uint16
+        assert int(second[1].max()) >= MARKER_BASE
+        assert len(first[1]) + len(second[1]) == len(fastq_medium)
+
+    def test_sole_chunk_is_bytes(self, fastq_small):
+        gz = stdlib_gzip.compress(fastq_small, 6)
+        (job,) = self._jobs(gz, 1)
+        result = _pass1_chunk(job)
+        assert result[1].dtype == np.uint8
+        assert result[1].tobytes() == fastq_small
+
+    def test_narrow_bounds(self):
+        assert narrow(np.array([0, 255], np.int32)).dtype == np.uint8
+        top = narrow(np.array([0, MARKER_BASE + WINDOW_SIZE - 1], np.int32))
+        assert top.dtype == np.uint16 and int(top[-1]) == 33023
+        assert narrow(np.zeros(0, np.int32)).dtype == np.uint8
+
+    def test_multi_member_matches_stdlib(self, three_members):
+        _, gz = three_members
+        with ProcessExecutor(2) as ex:
+            assert pugz_decompress(gz, n_chunks=3, executor=ex) == stdlib_gzip.decompress(gz)
+
+    def test_salvaged_int32_pieces_mix_with_narrow_chunks(self, fastq_medium, fastq_medium_gz6):
+        out, report = pugz_decompress(
+            fastq_medium_gz6, n_chunks=3, executor=_FailOneChunk(),
+            on_error="recover", return_report=True,
+        )
+        assert report.chunk_outcomes == ["ok", "salvaged", "ok"]
+        assert out == stdlib_gzip.decompress(fastq_medium_gz6) == fastq_medium
+        assert report.is_complete
+
+    def test_process_call_leaves_no_worker(self, fastq_small):
+        gz = stdlib_gzip.compress(fastq_small * 3, 6)
+        assert pugz_decompress(gz, n_chunks=2, executor="process") == fastq_small * 3
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:

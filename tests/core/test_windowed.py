@@ -1,11 +1,16 @@
 """Memory-bounded (striped) parallel decompression."""
 
 import gzip as stdlib_gzip
+import multiprocessing
 
 import pytest
 
-from repro.core.windowed import pugz_decompress_windowed
+from repro.cli import main
+from repro.core.windowed import WindowedReport, iter_pugz, pugz_decompress_windowed
 from repro.data import gzip_zlib
+from repro.errors import GzipFormatError
+from repro.io import PugzStream
+from repro.robustness import default_corpora
 
 
 class TestExactness:
@@ -78,3 +83,52 @@ class TestValidation:
             fastq_medium_gz6, parts2.append, n_chunks=6, stripe_chunks=2
         )
         assert b"".join(parts2) == fastq_medium
+
+
+def _members(kind: str) -> bytes:
+    _, gz = default_corpora()["fastq-multiblock"]
+    if kind == "gz+gz":
+        return gz + gz
+    return gz + stdlib_gzip.compress(b"", 6, mtime=0) + gz
+
+
+class TestMultiMember:
+    """Every member is decoded, not just the first: each is planned and
+    striped on its own, from an empty context."""
+
+    @pytest.mark.parametrize("kind", ["gz+gz", "gz+empty+gz"])
+    @pytest.mark.parametrize("stripe", [1, 2, 8])
+    def test_iter_pugz(self, kind, stripe):
+        data = _members(kind)
+        report = WindowedReport()
+        out = b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=stripe, report=report))
+        assert out == stdlib_gzip.decompress(data)
+        assert report.output_size == len(out)
+
+    def test_iter_pugz_process_executor_leaves_no_worker(self):
+        data = _members("gz+gz")
+        out = b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=2, executor="process"))
+        assert out == stdlib_gzip.decompress(data)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind", ["gz+gz", "gz+empty+gz"])
+    def test_stream_command(self, kind, tmp_path):
+        data = _members(kind)
+        src = tmp_path / "in.gz"
+        src.write_bytes(data)
+        out = tmp_path / "out"
+        rc = main(["stream", str(src), "-o", str(out), "--chunks", "4", "--stripe", "2"])
+        assert rc == 0
+        assert out.read_bytes() == stdlib_gzip.decompress(data)
+
+    @pytest.mark.parametrize("kind", ["gz+gz", "gz+empty+gz"])
+    def test_pugz_stream(self, kind):
+        data = _members(kind)
+        with PugzStream(data, n_chunks=4, stripe_chunks=2) as stream:
+            assert stream.read() == stdlib_gzip.decompress(data)
+
+    def test_truncated_second_trailer_raises(self):
+        data = _members("gz+gz")[:-3]
+        with pytest.raises(GzipFormatError) as excinfo:
+            b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=2))
+        assert excinfo.value.stage == "trailer"

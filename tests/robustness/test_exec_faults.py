@@ -71,8 +71,8 @@ class TestSabotageExecutor:
     def test_rejects_process_inner(self):
         from repro.parallel import ProcessExecutor
 
-        with pytest.raises(ValueError):
-            SabotageExecutor(ProcessExecutor(2), ExecutionFault("crash", 0))
+        with ProcessExecutor(2) as inner, pytest.raises(ValueError):
+            SabotageExecutor(inner, ExecutionFault("crash", 0))
 
 
 class TestSupervisedPugz:

@@ -1,6 +1,8 @@
 """Execution backends."""
 
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.parallel import (
     ThreadExecutor,
     make_executor,
 )
+from repro.parallel.executor import owned_executor
 
 
 def square(x):
@@ -45,19 +48,81 @@ class TestThreadExecutor:
             ThreadExecutor(2).map(boom, [1, 2])
 
 
+def worker_pid(_):
+    return os.getpid()
+
+
+def exit_in_worker(x):
+    if x == 1:
+        os._exit(3)
+    return x
+
+
 class TestProcessExecutor:
     def test_order_preserved(self):
-        assert ProcessExecutor(2).map(square, [4, 3]) == [16, 9]
+        with ProcessExecutor(2) as ex:
+            assert ex.map(square, [4, 3]) == [16, 9]
 
     def test_parallelism_reported(self):
-        assert ProcessExecutor(3).parallelism == 3
+        with ProcessExecutor(3) as ex:
+            assert ex.parallelism == 3
+
+    def test_no_pool_before_first_map(self):
+        with ProcessExecutor(2):
+            assert multiprocessing.active_children() == []
+
+    def test_maps_share_one_pool(self):
+        with ProcessExecutor(2) as ex:
+            first = set(ex.map(worker_pid, range(8)))
+            second = set(ex.map(worker_pid, range(8)))
+        assert os.getpid() not in first
+        assert second <= first
+
+    def test_pool_rebuilt_after_worker_dies(self):
+        with ProcessExecutor(2) as ex:
+            with pytest.raises(BrokenProcessPool):
+                ex.map(exit_in_worker, [0, 1, 2])
+            assert ex.map(square, [2, 3]) == [4, 9]
+
+    def test_close_is_idempotent_and_reaps_workers(self):
+        ex = ProcessExecutor(2)
+        assert ex.map(square, [1, 2]) == [1, 4]
+        assert multiprocessing.active_children()
+        ex.close()
+        ex.close()
+        assert multiprocessing.active_children() == []
+        # A closed executor starts a fresh pool if used again.
+        assert ex.map(square, [3, 4]) == [9, 16]
+        ex.close()
+        assert multiprocessing.active_children() == []
+
+
+class TestClose:
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    def test_in_process_kinds_close_as_no_op(self, kind):
+        with make_executor(kind, 2) as ex:
+            assert ex.map(square, [2, 3]) == [4, 9]
+        ex.close()
+        assert ex.map(square, [5]) == [25]
+
+    def test_owned_executor_closes_only_what_it_built(self):
+        with owned_executor("process", 2) as built:
+            assert built.map(square, [1, 2]) == [1, 4]
+        assert multiprocessing.active_children() == []
+        with ProcessExecutor(2) as mine:
+            with owned_executor(mine) as ex:
+                assert ex is mine
+                ex.map(worker_pid, [0, 1])
+            assert multiprocessing.active_children()  # still the owner's
+        assert multiprocessing.active_children() == []
 
 
 class TestFactory:
     def test_kinds(self):
         assert isinstance(make_executor("serial"), SerialExecutor)
         assert isinstance(make_executor("thread", 2), ThreadExecutor)
-        assert isinstance(make_executor("process", 2), ProcessExecutor)
+        with make_executor("process", 2) as ex:
+            assert isinstance(ex, ProcessExecutor)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -79,7 +144,8 @@ def raise_repro(x):
 class TestMapOutcomes:
     @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
     def test_captures_per_item_errors(self, kind):
-        outcomes = make_executor(kind, 2).map_outcomes(boom_on_three, [1, 3, 5])
+        with make_executor(kind, 2) as ex:
+            outcomes = ex.map_outcomes(boom_on_three, [1, 3, 5])
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert outcomes[0].ok and outcomes[0].value == 10
         assert not outcomes[1].ok
@@ -95,7 +161,8 @@ class TestMapOutcomes:
         assert SerialExecutor().map_outcomes(square, []) == []
 
     def test_repro_error_context_survives_process_boundary(self):
-        outcomes = ProcessExecutor(2).map_outcomes(raise_repro, [11, 22])
+        with ProcessExecutor(2) as ex:
+            outcomes = ex.map_outcomes(raise_repro, [11, 22])
         for o, bit in zip(outcomes, [11, 22]):
             assert not o.ok
             assert o.error.bit_offset == bit

@@ -265,6 +265,22 @@ class TestSidecarLifecycle:
         assert reader.stats.decoded_bytes <= reader.index.span + 300_000
 
 
+class TestCorruptTrailer:
+    @pytest.mark.parametrize("cold_start", ["pugz", "sequential"])
+    def test_cold_start_leaves_no_sidecar(self, tmp_path, gz, cold_start):
+        bad = bytearray(gz)
+        bad[-8] ^= 0x01  # one CRC32 bit
+        sidecar = tmp_path / "reads.idx"
+        reader = SeekableGzipReader(
+            bytes(bad), index_path=str(sidecar), n_chunks=4, cold_start=cold_start
+        )
+        with pytest.raises(GzipFormatError, match="CRC") as excinfo:
+            reader.pread(0, 64)
+        assert excinfo.value.stage == "trailer"
+        assert not sidecar.exists()
+        assert reader.index is None
+
+
 class TestSources:
     def test_path_file_bytes_identical(self, tmp_path, text, gz, indexed):
         path = tmp_path / "reads.gz"

@@ -157,9 +157,10 @@ class TestSupervisedMap:
     def test_broken_process_pool_recovers(self, tmp_path):
         marker = str(tmp_path / "die.marker")
         policy = SupervisionPolicy(max_retries=2, backoff_base_s=0.0)
-        outcomes = ProcessExecutor(2).map_outcomes(
-            _die_once, [(marker, "revived"), (str(tmp_path / "x"), "fine")], policy
-        )
+        with ProcessExecutor(2) as ex:
+            outcomes = ex.map_outcomes(
+                _die_once, [(marker, "revived"), (str(tmp_path / "x"), "fine")], policy
+            )
         assert sorted(o.value for o in outcomes) == ["fine", "revived"]
         assert max(o.retries for o in outcomes) >= 1
 
