@@ -330,6 +330,7 @@ def _cmd_cat(args) -> int:
         s = reader.stats
         print(
             f"cat: backend={s.backend} inflate_calls={s.inflate_calls} "
+            f"cache_hits={s.cache_hits} served={s.served_bytes} "
             f"decoded={s.decoded_bytes} compressed_read={s.compressed_bytes_read} "
             f"index_builds={s.index_builds} index_loaded={s.index_loaded}",
             file=sys.stderr,
@@ -547,8 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sequential: one decoding pass; pugz: the parallel "
                          "two-pass decompressor (faster with -e process). "
                          "Both give the same index")
-    xb.add_argument("-t", "--threads", type=int, default=8,
-                    help="pugz builder: number of chunks")
+    xb.add_argument("-t", "--threads", type=int, default=None,
+                    help="pugz builder: number of chunks (default: one per "
+                         "executor worker, so 1 on serial)")
     xb.add_argument("-e", "--executor", choices=("serial", "thread", "process"),
                     default="serial", help="pugz builder: executor backend")
     xb.set_defaults(func=_cmd_index)
@@ -585,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     ct.add_argument("--span", type=int, default=None,
                     help="checkpoint spacing of a cold-start index "
                          "(default 262144)")
-    ct.add_argument("-t", "--threads", type=int, default=8,
-                    help="cold start: number of pugz chunks")
+    ct.add_argument("-t", "--threads", type=int, default=None,
+                    help="cold start: number of pugz chunks (default: one "
+                         "per executor worker, so 1 on serial)")
     ct.add_argument("-e", "--executor", choices=("serial", "thread", "process"),
                     default="serial")
     ct.add_argument("--stats", action="store_true",

@@ -52,7 +52,7 @@ __all__ = ["pugz_build_index"]
 
 def pugz_build_index(
     gz_data,
-    n_chunks: int = 8,
+    n_chunks: int | None = None,
     executor: Executor | str = "serial",
     kernel: str | None = None,
     span: int = DEFAULT_SPAN,
@@ -63,6 +63,10 @@ def pugz_build_index(
     placed at the block boundaries pass 1 decoded; their windows come
     from the decompressed output, which the caller gets anyway.  It
     equals ``build_index(gz_data, span=span)`` for any ``n_chunks``.
+    ``n_chunks=None`` plans one chunk per worker of the executor
+    (:attr:`~repro.parallel.executor.Executor.parallelism`): a serial
+    build is then one chunk, with no block-start search and no marker
+    pass.
     ``gz_data`` may be bytes, a path, a binary file object, or a
     :class:`~repro.io.source.ByteSource` (the build decodes every byte
     once by definition, so the whole stream is read either way).  Each
@@ -77,13 +81,15 @@ def pugz_build_index(
     if not data:
         raise GzipFormatError("empty input", bit_offset=0, stage="parallel_index")
 
-    report = PugzReport(n_chunks_requested=n_chunks)
     out_parts: list[bytes] = []
     checkpoints: list[Checkpoint] = []
     uoffset = 0
     offset = 0
     n = len(data)
     with owned_executor(executor, n_chunks) as ex:
+        if n_chunks is None:
+            n_chunks = ex.parallelism
+        report = PugzReport(n_chunks_requested=n_chunks)
         while offset < n:
             payload_start, *_ = parse_gzip_header(data, offset)
             checkpoints.append(

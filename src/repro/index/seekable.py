@@ -20,29 +20,35 @@ backend   when / what a seek costs
 ========  ===========================================================
 
 A plain gzip file with *no* index gets the pugz cold start: the first
-access runs the two-pass parallel decompressor once, and the block
-boundaries its first pass decoded, with the 32 KiB of resolved output
-before each, become checkpoints ``span`` bytes apart
+access runs the two-pass parallel decompressor once, with one chunk
+per executor worker (one chunk, and so no block-start search, on the
+default serial executor), and the block boundaries its first pass
+decoded, with the 32 KiB of resolved output before each, become
+checkpoints ``span`` bytes apart
 (:func:`repro.core.parallel_index.pugz_build_index`) — so the index
 costs nothing beyond the decompression the first touch needed anyway,
 and every later seek decodes at most ``span`` bytes.  Give ``index_path``
 to persist it (sealed + atomic, see :mod:`repro.index.integrity`) and
 the cold start happens once per file, not once per process.
 
-All reads are ranged: the compressed file is never materialised for a
-warm seek, whichever backend serves it.
+The reader keeps the last :data:`~repro.index.zran.CACHED_INTERVALS`
+checkpoint intervals it decoded (:class:`~repro.index.zran.IntervalCache`),
+so a read inside an interval an earlier read decoded costs no inflate,
+and sequential reads decode every byte exactly once.
+
+All warm reads are ranged: the compressed file is never materialised
+for a warm seek, whichever backend serves it.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import struct
 from dataclasses import dataclass
 
 from repro.deflate.constants import GZIP_MAGIC
 from repro.errors import GzipFormatError, IndexIntegrityError, RandomAccessError
-from repro.index.zran import DEFAULT_SPAN, GzipIndex, build_index
+from repro.index.zran import DEFAULT_SPAN, GzipIndex, IntervalCache
 from repro.io.source import ByteSource
 
 __all__ = [
@@ -93,6 +99,12 @@ class SeekStats:
     decoded_bytes: int = 0
     #: Compressed bytes fetched with ranged I/O for those invocations.
     compressed_bytes_read: int = 0
+    #: Reads that returned bytes without an inflate call: served from
+    #: the decoded-interval cache (zran backend).
+    cache_hits: int = 0
+    #: Uncompressed bytes returned to callers; ``decoded_bytes /
+    #: served_bytes`` is the seek amplification.
+    served_bytes: int = 0
     #: Cold starts: how many times an index was built from scratch.
     index_builds: int = 0
     #: True when the index came from a sidecar instead of a build.
@@ -103,6 +115,8 @@ class SeekStats:
         self.inflate_calls = 0
         self.decoded_bytes = 0
         self.compressed_bytes_read = 0
+        self.cache_hits = 0
+        self.served_bytes = 0
 
 
 class SeekableGzipReader(io.RawIOBase):
@@ -119,20 +133,18 @@ class SeekableGzipReader(io.RawIOBase):
         cold-start build.  Ignored by the BGZF backend, whose block
         table is cheap to re-scan.
     span:
-        Checkpoint spacing of a cold-start index, pugz or sequential —
-        the warm-seek cost ceiling.  Ignored when an index is loaded
-        (the loaded index's own span applies).
+        Checkpoint spacing of a cold-start index — the warm-seek cost
+        ceiling.  Ignored when an index is loaded (the loaded index's
+        own span applies).
     backend:
         Force ``"bgzf"`` or ``"zran"`` instead of sniffing.
     index:
         Pre-built :class:`~repro.index.zran.GzipIndex` to use directly.
-    cold_start:
-        ``"pugz"`` (default) builds a cold index with the parallel
-        two-pass decompressor — the first touch *is* the index build;
-        ``"sequential"`` uses the ref-[11] sequential build.  Both
-        produce the same index.
     n_chunks / executor / kernel:
         Cold-start pugz parameters (parallelism and decode kernel).
+        ``n_chunks=None`` plans one chunk per executor worker; a
+        one-chunk build is the sequential ref-[11] build, with the
+        same index.
     verify:
         BGZF backend: verify per-block CRC32/ISIZE on decode.
     """
@@ -145,21 +157,15 @@ class SeekableGzipReader(io.RawIOBase):
         span: int = DEFAULT_SPAN,
         backend: str | None = None,
         index: GzipIndex | None = None,
-        cold_start: str = "pugz",
-        n_chunks: int = 8,
+        n_chunks: int | None = None,
         executor: str = "serial",
         kernel: str | None = None,
         verify: bool = True,
     ) -> None:
         super().__init__()
-        if cold_start not in ("pugz", "sequential"):
-            raise ValueError(
-                f"cold_start must be 'pugz' or 'sequential', got {cold_start!r}"
-            )
         self._src = ByteSource.wrap(source)
         self._index_path = index_path
         self._span = span
-        self._cold_start = cold_start
         self._n_chunks = n_chunks
         self._executor = executor
         self._kernel = kernel
@@ -167,6 +173,7 @@ class SeekableGzipReader(io.RawIOBase):
         self._pos = 0
         self._bgzf = None
         self._index = index
+        self._cache = IntervalCache()
         self.stats = SeekStats()
 
         self.backend = backend if backend is not None else detect_backend(self._src)
@@ -196,20 +203,17 @@ class SeekableGzipReader(io.RawIOBase):
     def _ensure_index(self) -> GzipIndex:
         """The zran index, building it on first need (the cold start)."""
         if self._index is None:
-            if self._cold_start == "pugz":
-                # Late import: repro.core.__init__ imports
-                # parallel_index, which imports repro.index back.
-                from repro.core.parallel_index import pugz_build_index
+            # Late import: repro.core.__init__ imports parallel_index,
+            # which imports repro.index back.
+            from repro.core.parallel_index import pugz_build_index
 
-                _, self._index = pugz_build_index(
-                    self._src,
-                    n_chunks=self._n_chunks,
-                    executor=self._executor,
-                    kernel=self._kernel,
-                    span=self._span,
-                )
-            else:
-                self._index = build_index(self._src, span=self._span)
+            _, self._index = pugz_build_index(
+                self._src,
+                n_chunks=self._n_chunks,
+                executor=self._executor,
+                kernel=self._kernel,
+                span=self._span,
+            )
             self.stats.index_builds += 1
             if self._index_path is not None:
                 self._index.save(self._index_path)
@@ -234,11 +238,16 @@ class SeekableGzipReader(io.RawIOBase):
 
     # -- positional reads ---------------------------------------------
 
+    def _check_open(self) -> None:
+        if self.closed:
+            raise ValueError("I/O operation on closed file")
+
     def pread(self, uoffset: int, size: int) -> bytes:
         """Read ``size`` uncompressed bytes at ``uoffset`` without
         moving the cursor.  Reads straddling EOF return short; reads
         entirely past EOF return ``b""``.
         """
+        self._check_open()
         if size < 0:
             raise ValueError("size must be non-negative")
         if uoffset < 0:
@@ -246,13 +255,20 @@ class SeekableGzipReader(io.RawIOBase):
                 f"negative read offset {uoffset}", stage="seekable"
             )
         if self._bgzf is not None:
-            return self._bgzf.read_at(uoffset, size)
-        idx = self._ensure_index()
-        if uoffset >= idx.usize:
-            return b""
-        return idx.read_at(
-            self._src, uoffset, size, stats=self.stats, kernel=self._kernel
-        )
+            out = self._bgzf.read_at(uoffset, size)
+        else:
+            idx = self._ensure_index()
+            if uoffset >= idx.usize:
+                return b""
+            calls = self.stats.inflate_calls
+            out = idx.read_at(
+                self._src, uoffset, size, stats=self.stats, kernel=self._kernel,
+                cache=self._cache,
+            )
+            if out and self.stats.inflate_calls == calls:
+                self.stats.cache_hits += 1
+        self.stats.served_bytes += len(out)
+        return out
 
     # -- io.RawIOBase interface ---------------------------------------
 
@@ -263,6 +279,7 @@ class SeekableGzipReader(io.RawIOBase):
         return True
 
     def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        self._check_open()
         if whence == io.SEEK_SET:
             pos = offset
         elif whence == io.SEEK_CUR:
@@ -282,6 +299,7 @@ class SeekableGzipReader(io.RawIOBase):
         return self._pos
 
     def read(self, size: int = -1) -> bytes:
+        self._check_open()
         if size is None or size < 0:
             size = max(0, self.usize - self._pos)
         out = self.pread(self._pos, size)
@@ -296,4 +314,5 @@ class SeekableGzipReader(io.RawIOBase):
     def close(self) -> None:
         if not self.closed:
             self._src.close()
+            self._cache.clear()
         super().close()

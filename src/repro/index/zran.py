@@ -32,14 +32,27 @@ signature), a filesystem path, a seekable binary file object, or a
 :class:`repro.io.source.ByteSource`.  Extraction reads only the
 compressed range ``[checkpoint.byte_offset, next relevant checkpoint)``
 — the whole file is never materialised for a warm seek.
+
+Decoded-interval cache
+----------------------
+
+A decode from a checkpoint never runs past the next checkpoint; a read
+crossing one continues from it.  Given an :class:`IntervalCache`,
+``read_at`` keeps what it decoded of each interval as
+``(data, end_bit, final_seen)``: a later read inside ``data`` decodes
+nothing, and one past it resumes at ``end_bit`` (always a block
+boundary) with the last 32 KiB of ``window + data`` as history — so
+while an interval stays cached, each of its bytes is decoded once.
 """
 
 from __future__ import annotations
 
 import io
 import struct
+import threading
 import zlib
 from bisect import bisect_left, bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.deflate.constants import WINDOW_SIZE
@@ -60,7 +73,9 @@ __all__ = [
     "CHECKPOINT_MEMBER",
     "Checkpoint",
     "GzipIndex",
+    "CACHED_INTERVALS",
     "DEFAULT_SPAN",
+    "IntervalCache",
     "block_checkpoints",
     "build_index",
     "load_or_rebuild",
@@ -84,6 +99,10 @@ CHECKPOINT_MEMBER = "member"
 #: while the sidecar grows by one compressed 32 KiB window per span
 #: (see docs/PERFORMANCE.md "Span-honouring cold start").
 DEFAULT_SPAN = 256 * 1024
+
+#: Decoded checkpoint intervals an :class:`IntervalCache` keeps: at
+#: most ~4 x (span + one block) of output, ~1.2 MB at the default span.
+CACHED_INTERVALS = 4
 
 _KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
@@ -113,6 +132,47 @@ class Checkpoint:
     def intra_byte_bit(self) -> int:
         """Bit position of the header within :attr:`byte_offset`."""
         return self.bit_offset & 7
+
+
+class IntervalCache:
+    """LRU of decoded checkpoint intervals, keyed by checkpoint index.
+
+    An entry is ``(data, end_bit, final_seen)``: the output decoded so
+    far from the checkpoint, the absolute bit just past its last whole
+    block, and whether that block was the member's BFINAL block.
+    Entries are immutable and replaced whole, so concurrent readers may
+    decode the same blocks twice but never see a torn entry.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[int, tuple[bytes, int, bool]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, index: int) -> tuple[bytes, int, bool] | None:
+        with self._lock:
+            entry = self._entries.get(index)
+            if entry is not None:
+                self._entries.move_to_end(index)
+            return entry
+
+    def put(self, index: int, entry: tuple[bytes, int, bool]) -> None:
+        with self._lock:
+            self._entries[index] = entry
+            self._entries.move_to_end(index)
+            while len(self._entries) > CACHED_INTERVALS:
+                self._entries.popitem(last=False)
+
+    def items(self) -> list[tuple[int, tuple[bytes, int, bool]]]:
+        """Snapshot of the entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 @dataclass
@@ -181,48 +241,73 @@ class GzipIndex:
         return (self.checkpoints[j].bit_offset + 7) >> 3
 
     def _decode_from(
-        self, src: ByteSource, index: int, need: int, stats=None, kernel=None
+        self, src: ByteSource, index: int, need: int, stats=None, kernel=None,
+        cache: IntervalCache | None = None,
     ) -> bytes:
-        """Decode ``need`` output bytes forward from checkpoint ``index``,
-        reading only the compressed range that decode requires."""
+        """Output of checkpoint ``index``'s interval: at least ``need``
+        bytes, unless the interval ends first (at the next checkpoint or
+        the member's BFINAL block).  Reads only the compressed range
+        that decode requires; with a ``cache``, decodes only what the
+        cached entry lacks and stores the longer entry."""
         cp = self.checkpoints[index]
-        start_byte = cp.byte_offset
+        stop = (
+            self.checkpoints[index + 1].uoffset
+            if index + 1 < len(self.checkpoints)
+            else self.usize
+        )
+        need = min(need, stop - cp.uoffset)
+        entry = cache.get(index) if cache is not None else None
+        data, end_bit, final_seen = entry or (b"", cp.bit_offset, False)
+        if len(data) >= need or final_seen:
+            return data
+        window = (cp.window + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
+        start_byte = end_bit >> 3
         end_byte = self._compressed_bound(index, cp.uoffset + need, src)
         while True:
             comp = src.pread(start_byte, max(0, end_byte - start_byte))
             try:
                 result = inflate(
                     comp,
-                    start_bit=cp.intra_byte_bit,
-                    window=cp.window,
-                    max_output=need,
+                    start_bit=end_bit & 7,
+                    window=window,
+                    max_output=need - len(data),
                     kernel=kernel,
                 )
                 break
-            except DeflateError:
+            except DeflateError as exc:
                 # The bound was short (possible only for damaged or
                 # legacy indexes whose checkpoints misplace a block
                 # boundary): widen geometrically, give up only at EOF.
                 total = src.size()
                 if end_byte >= total:
+                    if exc.bit_offset is not None:
+                        # Report the offset from the checkpoint's byte,
+                        # as a decode from the checkpoint itself would.
+                        exc.bit_offset += 8 * (start_byte - cp.byte_offset)
                     raise
                 end_byte = min(total, start_byte + 2 * max(1, end_byte - start_byte))
         if stats is not None:
             stats.inflate_calls += 1
             stats.decoded_bytes += len(result.data)
             stats.compressed_bytes_read += len(comp)
-        return result.data
+        data += result.data
+        if cache is not None:
+            cache.put(index, (data, 8 * start_byte + result.end_bit, result.final_seen))
+        return data
 
     def read_at(
-        self, source, uoffset: ByteOffset, size: int, *, stats=None, kernel=None
+        self, source, uoffset: ByteOffset, size: int, *, stats=None, kernel=None,
+        cache: IntervalCache | None = None,
     ) -> bytes:
         """Extract ``size`` uncompressed bytes starting at ``uoffset``.
 
         ``source`` may be the compressed file as bytes (the historical
         signature), a path, a binary file object, or a
-        :class:`~repro.io.source.ByteSource`.  Spans crossing member
-        seams are stitched from per-member decodes — a member's stale
-        window is never carried into the next member.
+        :class:`~repro.io.source.ByteSource`.  Spans crossing checkpoints
+        are stitched from per-interval decodes — a member's stale window
+        is never carried into the next member.  ``cache`` (owned by the
+        caller, for this index and source only) keeps decoded intervals
+        between calls.
         """
         if size < 0:
             raise ValueError("size must be non-negative")
@@ -243,7 +328,7 @@ class GzipIndex:
             i = self.nearest_index(pos)
             cp = self.checkpoints[i]
             skip = pos - cp.uoffset
-            decoded = self._decode_from(src, i, skip + remaining, stats, kernel)
+            decoded = self._decode_from(src, i, skip + remaining, stats, kernel, cache)
             take = decoded[skip : skip + remaining]
             if not take:
                 # Decoding from the best checkpoint could not reach

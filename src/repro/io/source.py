@@ -15,7 +15,9 @@ normalising the three ways callers hold a compressed stream:
 
 Reads past EOF return short (possibly empty) results, like POSIX
 ``pread`` — range validation is the caller's job, because only the
-caller knows the uncompressed coordinate system.
+caller knows the uncompressed coordinate system.  After :meth:`close`,
+every read raises :class:`~repro.errors.RandomAccessError`, whatever
+the source.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class ByteSource:
         self._path: str | None = None
         self._owns = owns_file
         self._size: int | None = None
+        self._closed = False
         if isinstance(source, (bytes, bytearray, memoryview)):
             self._data = bytes(source)
             self._size = len(self._data)
@@ -69,10 +72,13 @@ class ByteSource:
 
     # -- internals ----------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RandomAccessError("byte source is closed", stage="io")
+
     def _file(self):
+        self._check_open()
         if self._fh is None:
-            if self._path is None:
-                raise RandomAccessError("byte source is closed", stage="io")
             self._fh = open(self._path, "rb")
         return self._fh
 
@@ -92,6 +98,7 @@ class ByteSource:
             raise RandomAccessError(
                 f"negative read size {size}", stage="io"
             )
+        self._check_open()
         if self._data is not None:
             return self._data[offset : offset + size]
         fh = self._file()
@@ -109,6 +116,7 @@ class ByteSource:
     def read_all(self) -> bytes:
         """The entire source as bytes (for whole-stream passes like an
         index build, which must decode everything anyway)."""
+        self._check_open()
         if self._data is not None:
             return self._data
         return self.pread(0, self.size())
@@ -121,13 +129,14 @@ class ByteSource:
     # -- lifecycle ----------------------------------------------------
 
     def close(self) -> None:
-        """Close the owned file handle, if any (idempotent).
-
-        A borrowed file object (``owns_file=False``) is left open and
+        """Close the source (idempotent): later reads raise instead of
+        reopening a path.  The owned file handle, if any, is closed; a
+        borrowed file object (``owns_file=False``) is left open and
         usable — closing it is its owner's job."""
+        self._closed = True
         if self._fh is not None and self._owns:
             self._fh.close()
-            self._fh = None
+        self._fh = None
 
     def __enter__(self) -> "ByteSource":
         return self

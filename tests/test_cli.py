@@ -99,6 +99,21 @@ class TestIndexCommand:
         assert out.read_bytes() == text[200000:200120]
 
 
+class TestCatCommand:
+    def test_whole_file_stats(self, workdir, tmp_path, capsys):
+        d, text = workdir
+        out = tmp_path / "cat.out"
+        assert main(["cat", str(d / "reads.fastq.gz"), "--stats", "-o", str(out)]) == 0
+        assert out.read_bytes() == text
+        line = capsys.readouterr().err.strip().splitlines()[-1]
+        fields = dict(f.split("=", 1) for f in line.split()[1:])
+        assert fields["backend"] == "zran"
+        assert fields["index_builds"] == "1"
+        # A whole-file read decodes every byte exactly once.
+        assert int(fields["served"]) == int(fields["decoded"]) == len(text)
+        assert int(fields["cache_hits"]) == 0
+
+
 class TestBgzfCommand:
     def test_round_trip_and_extract(self, workdir, tmp_path):
         d, text = workdir

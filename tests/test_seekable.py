@@ -4,24 +4,32 @@ Covers the seek edge cases the facade must get right (offset 0, EOF,
 ``usize - 1``, checkpoint boundaries ±1 byte, empty members inside
 multi-member files), the warm-seek cost guarantee (a seek decodes at
 most ``span`` bytes, asserted by instrumenting the inflate call), the
-sidecar cold/warm lifecycle, and a zran-vs-bgzf-vs-full-decode
-differential over the 50-stream fuzz corpus.
+decoded-interval cache (each byte decoded once while its interval is
+cached), the closed-reader contract, the sidecar cold/warm lifecycle,
+and a zran-vs-bgzf-vs-full-decode differential over the 50-stream fuzz
+corpus.
 """
 
 import gzip as stdlib_gzip
 import io
+import random
+import threading
 import zlib
 
 import pytest
 
+import repro.core.parallel_index as parallel_index_mod
 import repro.index.zran as zran_mod
 from repro.bgzf.format import bgzf_compress
+from repro.core.parallel_index import pugz_build_index
 from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
 from repro.deflate.inflate import inflate
-from repro.errors import GzipFormatError, RandomAccessError
+from repro.errors import DeflateError, GzipFormatError, RandomAccessError
 from repro.index import DEFAULT_SPAN, GzipIndex, build_index
 from repro.index.seekable import SeekableGzipReader, detect_backend
+from repro.index.zran import CACHED_INTERVALS
 from repro.io.source import ByteSource
+from repro.parallel.executor import ThreadExecutor
 from tests.deflate.test_differential_fuzz import SEEDS, SHAPES, compress_shape, make_text
 
 SPAN = 65536
@@ -133,7 +141,7 @@ class TestMultiMember:
         assert got == text[195_000:205_000]
 
     def test_full_read_matches(self, multi, text):
-        reader = SeekableGzipReader(multi, cold_start="sequential", span=SPAN)
+        reader = SeekableGzipReader(multi, n_chunks=1, span=SPAN)
         assert reader.read() == text
 
 
@@ -193,7 +201,9 @@ class TestSpanGuarantee:
     def test_pugz_cold_start_honours_span(self, text, gz, shape, span):
         """The cold start's index is the sequential builder's at the
         requested span: gaps <= span + one block, and a warm 4 KiB read
-        decodes <= span + one block."""
+        decodes <= span + one block — and decodes something whenever it
+        touches an interval no earlier read touched (a read inside a
+        touched one may be served from the decoded-interval cache)."""
         if shape == "sync8k":
             gz = _sync_flush_gzip(text, 8192)
         start, *_ = parse_gzip_header(gz)
@@ -208,10 +218,17 @@ class TestSpanGuarantee:
         assert idx == build_index(gz, span=span)
         offs = [cp.uoffset for cp in idx.checkpoints] + [idx.usize]
         assert max(b - a for a, b in zip(offs, offs[1:])) <= span + largest
+        touched = {idx.nearest_index(0)}
         for off in range(1000, len(text) - 4096, len(text) // 13):
             reader.stats.reset_counters()
             assert reader.pread(off, 4096) == text[off : off + 4096]
-            assert 0 < reader.stats.decoded_bytes <= span + largest
+            assert reader.stats.decoded_bytes <= span + largest
+            intervals = set(
+                range(idx.nearest_index(off), idx.nearest_index(off + 4095) + 1)
+            )
+            if not intervals <= touched:
+                assert 0 < reader.stats.decoded_bytes
+            touched |= intervals
 
     def test_cold_start_default_span(self, text, gz):
         reader = SeekableGzipReader(gz, n_chunks=4)
@@ -266,13 +283,13 @@ class TestSidecarLifecycle:
 
 
 class TestCorruptTrailer:
-    @pytest.mark.parametrize("cold_start", ["pugz", "sequential"])
-    def test_cold_start_leaves_no_sidecar(self, tmp_path, gz, cold_start):
+    @pytest.mark.parametrize("n_chunks", [1, 4])
+    def test_cold_start_leaves_no_sidecar(self, tmp_path, gz, n_chunks):
         bad = bytearray(gz)
         bad[-8] ^= 0x01  # one CRC32 bit
         sidecar = tmp_path / "reads.idx"
         reader = SeekableGzipReader(
-            bytes(bad), index_path=str(sidecar), n_chunks=4, cold_start=cold_start
+            bytes(bad), index_path=str(sidecar), n_chunks=n_chunks
         )
         with pytest.raises(GzipFormatError, match="CRC") as excinfo:
             reader.pread(0, 64)
@@ -312,6 +329,218 @@ class TestSources:
         assert reader.pread(off, 512) == text[off : off + 512]
 
 
+def _blocks(gz: bytes):
+    """``(start_bit, out_start, out_end)`` of every block of a
+    single-member gzip, bit offsets absolute in ``gz``."""
+    start, *_ = parse_gzip_header(gz)
+    return [(b.start_bit, b.out_start, b.out_end) for b in inflate(gz, start_bit=8 * start).blocks]
+
+
+def _read_sequentially(reader, size: int = 4096) -> bytes:
+    out = bytearray()
+    while chunk := reader.read(size):
+        out += chunk
+    return bytes(out)
+
+
+class TestIntervalCache:
+    """The reader decodes each byte of a cached checkpoint interval once."""
+
+    @pytest.fixture(scope="class")
+    def multi(self, text):
+        return (
+            stdlib_gzip.compress(text[:200_000], 6)
+            + stdlib_gzip.compress(b"", 6)
+            + stdlib_gzip.compress(text[200_000:], 6)
+        )
+
+    @pytest.mark.parametrize("which", ["single", "multi"])
+    def test_sequential_reads_decode_each_byte_once(self, gz, multi, text, which):
+        blob = gz if which == "single" else multi
+        reader = SeekableGzipReader(blob, index=build_index(blob, span=SPAN))
+        assert _read_sequentially(reader) == text
+        assert reader.stats.decoded_bytes == reader.usize == len(text)
+        assert reader.stats.served_bytes == len(text)
+
+    def test_whole_read_keeps_few_bounded_entries(self, text):
+        gz = _sync_flush_gzip(text, 8192)
+        largest = max(end - start for _, start, end in _blocks(gz))
+        reader = SeekableGzipReader(gz, index=build_index(gz, span=SPAN))
+        assert reader.read() == text
+        entries = reader._cache.items()
+        assert 0 < len(entries) <= CACHED_INTERVALS
+        for _, (data, _, _) in entries:
+            assert len(data) <= SPAN + largest
+
+    def test_scan_reads_after_the_first_do_not_inflate(self, gz, indexed, text):
+        # A scan of four 4 KiB reads inside one (large) block: the first
+        # read decodes through that block, the other three are hits.
+        start_bit, out_start, out_end = next(
+            b for b in _blocks(gz) if b[1] > 0 and b[2] - b[1] > 5 * 4096
+        )
+        reader = SeekableGzipReader(gz, index=indexed)
+        off = out_start + 100
+        reader.seek(off)
+        assert reader.read(4096) == text[off : off + 4096]
+        assert reader.stats.inflate_calls == 1
+        reader.stats.reset_counters()
+        for i in range(1, 4):
+            pos = off + i * 4096
+            assert reader.read(4096) == text[pos : pos + 4096]
+        assert reader.stats.inflate_calls == 0
+        assert reader.stats.decoded_bytes == 0
+        assert reader.stats.cache_hits == 3
+        assert reader.stats.served_bytes == 3 * 4096
+
+    def test_lru_evicts_the_least_recent_interval(self, gz, indexed, text):
+        cps = indexed.checkpoints
+        assert len(cps) > CACHED_INTERVALS + 1
+        reader = SeekableGzipReader(gz, index=indexed)
+
+        def inflates(i):
+            off = cps[i].uoffset
+            before = reader.stats.inflate_calls
+            assert reader.pread(off, 64) == text[off : off + 64]
+            return reader.stats.inflate_calls - before
+
+        # Touching CACHED_INTERVALS + 1 intervals re-decodes the first,
+        # while the others are still cached.
+        assert [inflates(i) for i in range(CACHED_INTERVALS + 1)] == [1] * (
+            CACHED_INTERVALS + 1
+        )
+        assert inflates(1) == 0
+        assert inflates(0) == 1
+        # The hit on 1 made it more recent than 2: re-decoding 0 evicted 2.
+        assert inflates(1) == 0
+        assert inflates(2) == 1
+
+    def test_corrupt_block_raises_the_same_error_and_keeps_entry(self, text):
+        gz = _sync_flush_gzip(text, 8192)
+        idx = build_index(gz, span=SPAN)
+        cp = idx.checkpoints[1]
+        nxt = idx.checkpoints[2].uoffset
+        inside = [b for b in _blocks(gz) if cp.uoffset < b[1] and b[2] <= nxt]
+        start_bit, out_start, _ = inside[len(inside) // 2]
+        bad = bytearray(gz)
+        for bit in (start_bit + 1, start_bit + 2):  # BTYPE = 11 (reserved)
+            bad[bit >> 3] |= 1 << (bit & 7)
+        bad = bytes(bad)
+        reader = SeekableGzipReader(bad, index=idx)
+        assert reader.pread(cp.uoffset, 100) == text[cp.uoffset : cp.uoffset + 100]
+        [(_, entry)] = reader._cache.items()
+        assert len(entry[0]) <= out_start - cp.uoffset
+
+        def error_at(read):
+            with pytest.raises(DeflateError) as excinfo:
+                read(out_start + 10, 100)
+            return type(excinfo.value), excinfo.value.bit_offset
+
+        first = error_at(reader.pread)
+        assert first[1] is not None
+        assert error_at(reader.pread) == first
+        # A decode from the checkpoint itself, with no cache, agrees.
+        assert error_at(lambda off, n: idx.read_at(bad, off, n)) == first
+        assert reader._cache.items() == [(1, entry)]
+        reader.stats.reset_counters()
+        assert reader.pread(cp.uoffset + 50, 50) == text[cp.uoffset + 50 : cp.uoffset + 100]
+        assert reader.stats.cache_hits == 1
+
+    def test_concurrent_preads_are_byte_identical(self, text):
+        gz = _sync_flush_gzip(text, 8192)
+        reader = SeekableGzipReader(gz, index=build_index(gz, span=16384))
+        failures = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(200):
+                off = rng.randrange(len(text))
+                size = rng.choice((1, 100, 4096, 20_000))
+                if reader.pread(off, size) != text[off : off + size]:
+                    failures.append((seed, off, size))
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not failures
+
+
+class TestClosedReader:
+    @pytest.fixture(params=["bytes", "path", "file"])
+    def reader(self, request, tmp_path, gz, indexed):
+        path = tmp_path / "reads.gz"
+        path.write_bytes(gz)
+        if request.param == "bytes":
+            yield SeekableGzipReader(gz, index=indexed)
+        elif request.param == "path":
+            yield SeekableGzipReader(str(path), index=indexed)
+        else:
+            with open(path, "rb") as fh:
+                yield SeekableGzipReader(fh, index=indexed)
+
+    def test_io_after_close_raises(self, reader, text):
+        assert reader.pread(1000, 10) == text[1000:1010]
+        reader.close()
+        assert len(reader._cache) == 0
+        for op in (
+            lambda: reader.read(5),
+            lambda: reader.read(),
+            lambda: reader.pread(0, 5),
+            lambda: reader.readinto(bytearray(5)),
+            lambda: reader.seek(0),
+        ):
+            with pytest.raises(ValueError, match="closed file"):
+                op()
+
+    @pytest.mark.parametrize("kind", ["bytes", "path"])
+    def test_closed_byte_source_raises(self, tmp_path, gz, kind):
+        path = tmp_path / "reads.gz"
+        path.write_bytes(gz)
+        src = ByteSource(gz if kind == "bytes" else str(path))
+        assert src.pread(0, 2) == gz[:2]
+        src.close()
+        with pytest.raises(RandomAccessError, match="closed"):
+            src.pread(0, 2)
+        with pytest.raises(RandomAccessError, match="closed"):
+            src.read_all()
+        assert src._fh is None  # a path is not silently reopened
+
+
+class TestColdStartChunks:
+    """``n_chunks=None`` plans one chunk per executor worker."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        seen = []
+        real = parallel_index_mod.pugz_decompress_payload
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            seen.append((args[3], len(kwargs["report"].chunks)))
+            return out
+
+        monkeypatch.setattr(parallel_index_mod, "pugz_decompress_payload", spy)
+        return seen
+
+    def test_serial_plans_one_chunk(self, gz, text, planned):
+        out, idx = pugz_build_index(gz)
+        assert out == text
+        assert planned == [(1, 1)]
+        assert idx == build_index(gz)
+
+    def test_thread_executor_plans_its_parallelism(self, gz, text, planned):
+        with ThreadExecutor(3) as ex:
+            out, _ = pugz_build_index(gz, executor=ex)
+            assert planned == [(ex.parallelism, 3)]
+        assert out == text
+
+    def test_reader_default_cold_start_is_one_chunk(self, gz, text, planned):
+        reader = SeekableGzipReader(gz)
+        assert reader.pread(0, 16) == text[:16]
+        assert planned == [(1, 1)]
+
+
 class TestDifferentialCorpus:
     """zran vs bgzf vs full decode over the 50-stream fuzz corpus."""
 
@@ -323,7 +552,7 @@ class TestDifferentialCorpus:
         gz_blob = gzip_wrap(payload, body)
         bg_blob = bgzf_compress(body)
 
-        zr = SeekableGzipReader(gz_blob, cold_start="sequential", span=8192)
+        zr = SeekableGzipReader(gz_blob, n_chunks=1, span=8192)
         bg = SeekableGzipReader(bg_blob)
         assert zr.backend == "zran" and bg.backend == "bgzf"
         full = zlib.decompress(payload, -15)
