@@ -1,0 +1,125 @@
+"""Check that the numpy kernel decodes a real corpus on its own.
+
+The differential suites compare output bytes, so they cannot see a
+numpy kernel that stays byte-identical by declining blocks (each
+:class:`~repro.perf.npkernel.Fallback` redoes the block with the pure
+loops) or by building the pure decode tables it should never need.
+This check decodes a seeded :func:`bench_decode.make_corpus` gzip file
+with ``kernel="numpy"`` through
+
+* :func:`repro.deflate.gzipfmt.gzip_unwrap` (CRC verified),
+* :func:`repro.core.marker_inflate.marker_inflate`, and
+* :func:`repro.core.pugz.pugz_decompress` on the serial executor,
+
+byte-compares each output with :func:`gzip.decompress`, and exits 1 if
+any block fell back or any litlen/distance decoder the kernel used had
+its pure table built outside block-start probing (the strict probes in
+:mod:`repro.core.sync` decode purely by design).
+
+Usage::
+
+    python benchmarks/check_kernel_clean.py [--mb 2.0]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gzip
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+import numpy as np  # noqa: E402
+
+from bench_decode import make_corpus  # noqa: E402
+from repro.core import sync  # noqa: E402
+from repro.core.marker_inflate import marker_inflate  # noqa: E402
+from repro.core.pugz import pugz_decompress  # noqa: E402
+from repro.deflate.gzipfmt import gzip_unwrap, parse_gzip_header  # noqa: E402
+from repro.deflate.huffman import HuffmanDecoder  # noqa: E402
+from repro.perf import npkernel  # noqa: E402
+
+
+class _Spy:
+    """Count kernel fallbacks and pure-table builds while installed."""
+
+    def __init__(self) -> None:
+        self.fallbacks = 0
+        self.kernel_decoders: dict[int, HuffmanDecoder] = {}
+        self.built: dict[int, HuffmanDecoder] = {}
+        self.probing = 0
+
+    def install(self) -> None:
+        decode = npkernel.StreamKernel.decode_block
+        build = HuffmanDecoder._build_table
+        probe = sync.inflate
+        spy = self
+
+        def decode_block(kern, h_bit, litlen, dist, *a, **kw):
+            for d in (litlen, dist):
+                if d is not None:
+                    spy.kernel_decoders[id(d)] = d
+            try:
+                return decode(kern, h_bit, litlen, dist, *a, **kw)
+            except npkernel.Fallback:
+                spy.fallbacks += 1
+                raise
+
+        def build_table(dec):
+            if not spy.probing:
+                spy.built[id(dec)] = dec
+            return build(dec)
+
+        def probe_inflate(*a, **kw):
+            spy.probing += 1
+            try:
+                return probe(*a, **kw)
+            finally:
+                spy.probing -= 1
+
+        npkernel.StreamKernel.decode_block = decode_block
+        HuffmanDecoder._build_table = build_table
+        sync.inflate = probe_inflate
+
+    def pure_tables(self) -> int:
+        return len(self.built.keys() & self.kernel_decoders.keys())
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--mb", type=float, default=2.0, help="corpus size in MB")
+    args = ap.parse_args(argv)
+
+    corpus = make_corpus(int(args.mb * 1_000_000))
+    gz = gzip.compress(corpus, 6, mtime=0)
+    if gzip.decompress(gz) != corpus:
+        raise SystemExit("gzip.decompress does not round-trip the corpus")
+    payload_bit = 8 * parse_gzip_header(gz, 0)[0]
+
+    spy = _Spy()
+    spy.install()
+    outputs = {
+        "gzip_unwrap": lambda: gzip_unwrap(gz, verify=True, kernel="numpy"),
+        "marker_inflate": lambda: marker_inflate(gz, payload_bit, kernel="numpy")
+        .symbols.astype(np.uint8)
+        .tobytes(),
+        "pugz_decompress": lambda: pugz_decompress(gz, executor="serial", kernel="numpy"),
+    }
+    failed = False
+    for name, run in outputs.items():
+        before = (spy.fallbacks, spy.pure_tables())
+        same = bytes(run()) == corpus
+        fallbacks = spy.fallbacks - before[0]
+        tables = spy.pure_tables() - before[1]
+        ok = same and not fallbacks and not tables
+        failed |= not ok
+        print(
+            f"{name:16s} {'ok' if ok else 'FAIL'}: output {'matches' if same else 'DIFFERS'},"
+            f" {fallbacks} kernel fallbacks, {tables} pure tables built"
+        )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

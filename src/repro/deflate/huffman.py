@@ -106,6 +106,13 @@ class HuffmanDecoder:
     windows sharing a code reference the *same* tuple, so the table
     costs one tuple per symbol plus C-speed slice fills to build.
 
+    Every validation runs at construction, so a bad header raises where
+    it is parsed.  The table itself is built on first access to
+    :attr:`table` (or the first :meth:`decode`): the vectorized kernel
+    reads only ``lengths``/``np_luts``, so a block it decodes never pays
+    for the pure table.  Two threads racing the first access build
+    identical lists and store them in one attribute write.
+
     Parameters
     ----------
     lengths:
@@ -117,7 +124,7 @@ class HuffmanDecoder:
         everywhere except that case.
     """
 
-    __slots__ = ("table", "max_bits", "num_symbols", "complete", "lengths", "np_luts")
+    __slots__ = ("_table", "max_bits", "num_symbols", "complete", "lengths", "np_luts")
 
     def __init__(self, lengths, allow_incomplete: bool = False) -> None:
         lengths = list(lengths)
@@ -126,6 +133,7 @@ class HuffmanDecoder:
         #: :func:`cached_decoder` are shared, so the tables amortize
         #: across every stream reusing the same code lengths.
         self.np_luts = None
+        self._table = None
         #: Code length per symbol as given (the vectorized kernel
         #: rebuilds its canonical tables from these).
         self.lengths = lengths
@@ -148,11 +156,23 @@ class HuffmanDecoder:
         self.complete = ksum == full
         if not self.complete and not allow_incomplete:
             raise HuffmanError("incomplete code lengths", stage="huffman")
+        if min(lengths) < 0:
+            raise HuffmanError(f"negative code length {min(lengths)}", stage="huffman")
 
-        codes = canonical_codes(lengths)
+    @property
+    def table(self) -> list:
+        """The ``1 << max_bits``-entry window table, built on first use."""
+        table = self._table
+        if table is None:
+            table = self._table = self._build_table()
+        return table
+
+    def _build_table(self) -> list:
+        max_bits = self.max_bits
+        codes = canonical_codes(self.lengths)
         size = 1 << max_bits
         table = [_INVALID] * size
-        for sym, l in enumerate(lengths):
+        for sym, l in enumerate(self.lengths):
             if l == 0:
                 continue
             # Every nonzero length is <= max_bits by construction; the
@@ -162,7 +182,7 @@ class HuffmanDecoder:
             rev = reverse_bits(codes[sym], l)
             step = 1 << l
             table[rev::step] = [(l, sym)] * (size >> l)
-        self.table = table
+        return table
 
     def decode(self, reader: BitReader) -> int:
         """Decode one symbol from ``reader``."""

@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 #: Below this payload size auto-detection keeps the pure kernel: the
-#: numpy kernel pays ~2 ms of fixed numpy-dispatch cost per DEFLATE
-#: block, which the pure loop beats outright on short streams.
+#: numpy kernel pays ~3 ms of fixed numpy-dispatch cost per DEFLATE
+#: block, which the pure loop beats outright on short streams (2-vCPU
+#: Xeon VM: a one-block 200-byte DNA stream takes 3.2 ms against
+#: 0.13 ms pure; at 16 KB of output per block, 5.1 ms against 4.1 ms).
 MIN_AUTO_NUMPY_BYTES = 1 << 14
 
 _ENV_VAR = "REPRO_KERNEL"

@@ -213,50 +213,48 @@ def _dist_luts(decoder) -> dict:
     return luts
 
 
-def _build_b16(payload: bytes) -> np.ndarray:
-    """Bit windows of the payload at 2-byte granularity.
+def _region_b16(data, lo16: int, nwin: int) -> np.ndarray:
+    """Bit windows of ``data`` at 2-byte granularity from bit ``16 lo16``.
 
-    ``b16[j]`` holds payload bits ``[16 j, 16 j + 64)`` LSB-first, so
-    the window of bits at any position ``p`` is
+    ``b16[j]`` holds bits ``[16 (lo16 + j), 16 (lo16 + j) + 64)``
+    LSB-first, so the window at region-relative bit ``p`` is
     ``b16[p >> 4] >> (p & 15)`` — at least 49 valid bits, which covers
     the worst-case 48-bit footprint of one full DEFLATE symbol
-    (15+5 length + 15+13 distance bits).  Built in four strided passes
-    over the buffer's uint64 view, then reinterpreted as int64 (the
+    (15+5 length + 15+13 distance bits).  Bytes past the end of
+    ``data`` read as zero.  Built as one stride-2 unaligned
+    little-endian uint64 view of the slice and one cast to int64 (the
     arithmetic right shifts downstream never reach the sign bit: all
-    consumers mask below bit 49).
+    consumers mask below bit 49); the copy holds no reference to
+    ``data``.
     """
-    pad = bytes(payload) + b"\0" * 64
-    if len(pad) % 8:
-        pad += b"\0" * (8 - len(pad) % 8)
-    au = np.frombuffer(pad, np.uint8).view(np.uint64)
-    n2 = (len(pad) - 8) // 2
-    out = np.empty(n2, np.uint64)
-    for r in (0, 1, 2, 3):  # windows starting at byte 2r of each word
-        if r == 0:
-            out[0::4] = au[: len(out[0::4])]
-        else:
-            seg = (au[:-1] >> np.uint64(16 * r)) | (au[1:] << np.uint64(64 - 16 * r))
-            out[r::4] = seg[: len(out[r::4])]
-    return out.view(I64)
+    lo = 2 * lo16
+    need = 2 * nwin + 6
+    if lo + need > len(data):
+        pad = np.zeros(need, np.uint8)
+        tail = np.frombuffer(data, np.uint8)[lo : lo + need]
+        pad[: len(tail)] = tail
+        data, lo = pad, 0
+    return np.ndarray((nwin,), "<u8", data, lo, (2,)).astype(I64)
 
 
-def _wavefront(B16, h0, span, ll, dl):
+def _wavefront(B16, h0, span, ll, dl, check_from):
     """Advance W speculative lanes from bit ``h0`` across ``span`` bits.
 
-    Returns ``(V, starts, targets)``: ``V[t, k]`` is lane ``k``'s bit
-    position after ``t`` symbol steps.  Lane 0 starts exactly at ``h0``
-    (its whole path is trusted); lane ``k > 0`` starts ``PREROLL_BITS``
+    Returns ``(V, targets)``: ``V[t, k]`` is lane ``k``'s bit position
+    after ``t`` symbol steps.  Lane 0 starts exactly at ``h0`` (its
+    whole path is trusted); lane ``k > 0`` starts ``PREROLL_BITS``
     before its segment so it has re-synchronized by the time the
     predecessor's hand-off position arrives.  A lane that decodes EOB
     or an invalid window advances by 0 — it freezes stably, which the
-    stitch pass detects.
+    stitch pass detects.  The every-4-steps exit test starts at step
+    ``check_from`` (the caller's estimate of the steps a call needs):
+    stepping past the exit only adds rows the stitch ignores.
     """
     W = max(1, min(_MAX_LANES, span // SEG_BITS))
     starts = h0 + SEG_BITS * np.arange(W, dtype=I64)
     targets = starts + SEG_BITS
     lane0 = starts - PREROLL_BITS
-    np.maximum(lane0, 0, out=lane0)
-    lane0[0] = h0
+    np.maximum(lane0, h0, out=lane0)
     cap = (SEG_BITS + PREROLL_BITS) // 6 + 8 + _CAP_EXTRA
     P = np.empty((cap + 1, W), I64)
     P[0] = lane0
@@ -292,10 +290,10 @@ def _wavefront(B16, h0, span, ll, dl):
         np.add(p, adv, out=P[t + 1])
         p = P[t + 1]
         t += 1
-        if t % 4 == 0 or t >= cap:
+        if t >= check_from and t % 4 == 0:
             if not np.logical_and(p < targets, adv > 0).any():
                 break
-    return P[: t + 1], starts, targets
+    return P[: t + 1], targets
 
 
 def _scalar_step(B16, pos, ll, dl, fshl):
@@ -307,18 +305,31 @@ def _scalar_step(B16, pos, ll, dl, fshl):
     return base + int(dl["cons2"][i2])
 
 
-def _stitch(V, starts, targets, h0, ll, dl, B16, nbits):
+def _runs(V, lo, hi, sync_idx, cross_idx):
+    """Rows ``sync_idx[k] <= t < cross_idx[k]`` of lanes ``lo..hi-1``, lane by lane."""
+    if hi - lo == 1:
+        return V[sync_idx[lo] : cross_idx[lo], lo]
+    rows = np.arange(V.shape[0])[:, None]
+    msk = (rows >= sync_idx[None, lo:hi]) & (rows < cross_idx[None, lo:hi])
+    return np.ascontiguousarray(V[:, lo:hi].T)[msk.T]
+
+
+def _stitch(V, targets, h0, ll, dl, B16, nbits):
     """Walk the trust chain over the wavefront's visited positions.
 
     Returns ``(flat_positions, eob_seen, resume_pos)`` where
     ``flat_positions`` are the trusted symbol start bits in stream
     order.  Lane ``k``'s entry position is the predecessor's first
     visited position at/after segment start; the lane is trusted from
-    the row where it visited exactly that position.  Anomalies — a
-    lane that never recorded its entry position, or a trusted lane
-    that froze (EOB / invalid) or straggled — drop to a scalar walk
-    over the same tables, bounded by a guard that falls back to the
-    pure kernel rather than chase a runaway speculation.
+    the row where it visited exactly that position.  Each run of lanes
+    trusted that way is extracted with one vectorized mask.  Anomalies
+    drop to a scalar walk over the same tables from the trusted
+    position: a lane that never recorded its entry is walked until the
+    walk reaches a position the lane itself visited (trusted from that
+    row on) or its segment ends; a trusted lane that froze (EOB /
+    invalid) ends the block; a trusted straggler is walked on from its
+    last visited row.  Every walk is bounded by a guard that falls
+    back to the pure kernel rather than chase a runaway speculation.
     """
     T1, W = V.shape
     ar = np.arange(W)
@@ -332,66 +343,74 @@ def _stitch(V, starts, targets, h0, ll, dl, B16, nbits):
     sync_idx = np.argmax(V == entry[None, :], axis=0)
     found = V[sync_idx, ar] == entry
     found[0] = True
-    anom = (~found) | (~any_crossed)
-    if not anom.any():
-        rows = np.arange(T1)[:, None]
-        msk = (rows >= sync_idx[None, :]) & (rows < cross_idx[None, :])
-        fp = np.ascontiguousarray(V.T)[msk.T]
-        return fp, False, int(cp[W - 1])
-    k = int(anom.argmax())
-    parts = []
-    if k > 0:
-        rows = np.arange(T1)[:, None]
-        msk = (rows >= sync_idx[None, :k]) & (rows < cross_idx[None, :k])
-        parts.append(np.ascontiguousarray(V[:, :k].T)[msk.T])
+    ok = found & any_crossed
     fshl = ll["fsh"][dl["M"]]
-    e = int(entry[k])
-    while k < W:
-        tgt = int(targets[k])
+    parts = []
+    k = 0
+    while True:
+        rest = ok[k:]
+        j = W if rest.all() else k + int(rest.argmin())
+        if j > k:
+            parts.append(_runs(V, k, j, sync_idx, cross_idx))
+        if j == W:
+            return _cat(parts), False, int(cp[W - 1])
+        # Lane j is anomalous; its entry position is trusted.
+        k = j
         vis = V[:, k]
-        if found[k]:
-            si = int(sync_idx[k])
-            if any_crossed[k]:
-                ci = int(cross_idx[k])
-                parts.append(vis[si:ci])
-                e = int(vis[ci])
-                k += 1
-                continue
-            # Trusted but never crossed: frozen (EOB/invalid) or straggler.
-            d = np.diff(vis[si:])
-            if (d == 0).any():
-                fz = int((d == 0).argmax()) + si
-                parts.append(vis[si : fz + 1])  # include the frozen position
-                return np.concatenate(parts), True, -1
-            # Straggler: re-walk its segment below.
-        patch = []
-        pos = e
-        guard = 0
-        while pos < tgt:
-            if guard > 4096 or pos > nbits + 48:
-                # Checked *before* indexing: on truncated streams a
-                # speculative entry position can already sit past the
-                # padded bit-window array.
-                raise Fallback("runaway patch walk")
-            adv = _scalar_step(B16, pos, ll, dl, fshl)
-            patch.append(pos)
-            if adv == 0:  # EOB or invalid window: block ends here
-                return np.concatenate(parts + [np.asarray(patch, I64)]), True, -1
-            pos += adv
-            guard += 1
-        parts.append(np.asarray(patch, I64))
-        e = pos
+        tgt = int(targets[k])
+        pos = int(entry[k])
+        row = int(sync_idx[k]) if found[k] else -1
+        seen = None
+        while True:
+            if row >= 0:  # the lane is trusted from ``row`` on
+                if any_crossed[k]:
+                    parts.append(vis[row : cross_idx[k]])
+                    e = int(cp[k])
+                    break
+                d = np.diff(vis[row:])
+                if (d == 0).any():  # froze on EOB / invalid: block ends
+                    fz = int((d == 0).argmax()) + row
+                    parts.append(vis[row : fz + 1])  # include the frozen position
+                    return np.concatenate(parts), True, -1
+                # Straggler: walk on from its last visited row.
+                parts.append(vis[row : T1 - 1])
+                pos = int(vis[T1 - 1])
+                seen = {}
+            elif seen is None:
+                # First visit of each position (a frozen lane repeats one).
+                seen = dict(zip(reversed(vis.tolist()), range(T1 - 1, -1, -1)))
+            patch = []
+            row = -1
+            guard = 0
+            while pos < tgt:
+                if guard > 4096 or pos > nbits + 48:
+                    # Checked *before* indexing: on truncated streams a
+                    # speculative entry position can already sit past the
+                    # padded bit-window array.
+                    raise Fallback("runaway patch walk")
+                row = seen.get(pos, -1)
+                if row >= 0:  # merged with the lane's own path
+                    break
+                adv = _scalar_step(B16, pos, ll, dl, fshl)
+                patch.append(pos)
+                if adv == 0:  # EOB or invalid window: block ends here
+                    return np.concatenate(parts + [np.asarray(patch, I64)]), True, -1
+                pos += adv
+                guard += 1
+            parts.append(np.asarray(patch, I64))
+            if row < 0:
+                e = pos
+                break
         k += 1
-        if k < W:
+        if k == W:
+            return np.concatenate(parts), False, e
+        if e != entry[k]:
             # Re-derive the next lane's trust from the corrected entry.
-            hit = np.nonzero(V[:, k] == e)[0]
             entry[k] = e
-            if len(hit):
-                found[k] = True
-                sync_idx[k] = hit[0]
-            else:
-                found[k] = False
-    return np.concatenate(parts), False, e
+            hit = np.flatnonzero(V[:, k] == e)
+            found[k] = len(hit) > 0
+            sync_idx[k] = hit[0] if len(hit) else 0
+            ok[k] = found[k] and any_crossed[k]
 
 
 def _bulk_tokens(fp, B16, ll, dl):
@@ -421,18 +440,20 @@ def _bulk_tokens(fp, B16, ll, dl):
 class StreamKernel:
     """Stage-1 driver for one compressed buffer.
 
-    Owns the bit-window array (shared by every block of the stream and
-    cached across the chunks of a parallel run over the same buffer)
-    and the per-stream block-size estimate the wavefront spans adapt
-    to.
+    Holds the buffer and two per-stream estimates the wavefront adapts
+    to: the block size in bits (the span of a call) and the steps a
+    call takes (where its exit test starts).  Each wavefront call
+    builds bit windows over only the bits it can read, so no window
+    array outlives a call and none is shared between buffers.
     """
 
-    __slots__ = ("b16", "nbits", "est_bits")
+    __slots__ = ("data", "nbits", "est_bits", "est_steps")
 
     def __init__(self, data) -> None:
-        self.b16 = _cached_b16(data)
+        self.data = data
         self.nbits = 8 * len(data)
         self.est_bits = 140_000.0
+        self.est_steps = 0
 
     def decode_block(self, h_bit: int, litlen, dist, max_out: int | None = None):
         """Decode one fixed/dynamic block body starting at ``h_bit``.
@@ -461,9 +482,17 @@ class StreamKernel:
         fp_l: list[np.ndarray] = []
         while True:
             span = int(min(est * 1.25 + 2048, max(4096, nbits + 48 - pos)))
-            V, starts, tgts = _wavefront(self.b16, pos, span, ll, dl)
-            fp, eob, resume = _stitch(V, starts, tgts, pos, ll, dl, self.b16, nbits)
-            off, val, nb, lv = _bulk_tokens(fp, self.b16, ll, dl)
+            # Positions are relative to ``base`` inside the call: the
+            # windows cover ``pos`` through ``pos + span`` plus 128 bits
+            # (entry positions overshoot a segment by <= 48 bits).
+            base = pos & ~15
+            rel = pos - base
+            b16 = _region_b16(self.data, pos >> 4, ((rel + span + 128) >> 4) + 1)
+            V, tgts = _wavefront(b16, rel, span, ll, dl, self.est_steps - 12)
+            self.est_steps = len(V) - 1
+            fp, eob, resume = _stitch(V, tgts, rel, ll, dl, b16, nbits - base)
+            off, val, nb, lv = _bulk_tokens(fp, b16, ll, dl)
+            fp = fp + base
             if eob:
                 if not len(fp) or int(lv[-1]) != -1:
                     raise Fallback("froze without EOB")
@@ -491,6 +520,7 @@ class StreamKernel:
                 out_est += int(np.where(off > 0, val, 1).sum())
                 if out_est > max_out:
                     raise Fallback("block output exceeds the resource budget")
+            resume += base
             if resume <= pos or resume > nbits + 48:
                 raise Fallback("wavefront made no progress")
             pos = resume
@@ -499,22 +529,6 @@ class StreamKernel:
 
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-#: Single-slot window cache: the chunks of a parallel decompression all
-#: index the same buffer, so they share one window array.  The strong
-#: reference to the data object keeps its ``id`` valid while cached.
-_B16_SLOT: list = [None, None]
-
-
-def _cached_b16(data) -> np.ndarray:
-    key = (id(data), len(data))
-    if _B16_SLOT[0] is not None and _B16_SLOT[0][0] is data and len(data) == _B16_SLOT[0][1]:
-        return _B16_SLOT[1]
-    b16 = _build_b16(data)
-    _B16_SLOT[0] = (data, len(data))
-    _B16_SLOT[1] = b16
-    return b16
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Canonical Huffman construction, decoding tables, package-merge."""
 
+import zlib
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.deflate.bitio import BitReader, BitWriter
+from repro.deflate import huffman
+from repro.deflate.bitio import BitReader, BitWriter, reverse_bits
 from repro.deflate.constants import fixed_dist_lengths, fixed_litlen_lengths
 from repro.deflate.huffman import (
     HuffmanDecoder,
@@ -13,7 +17,9 @@ from repro.deflate.huffman import (
     kraft_sum,
     limited_code_lengths,
 )
+from repro.deflate.inflate import inflate
 from repro.errors import HuffmanError
+from repro.perf import npkernel
 
 
 class TestCanonicalCodes:
@@ -111,6 +117,61 @@ class TestHuffmanDecoder:
         enc = HuffmanEncoder([1, 1, 0])
         with pytest.raises(HuffmanError):
             enc.write(BitWriter(), 2)
+
+
+class TestLazyTable:
+    """Validation stays eager; the pure table is built on first use."""
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([1, 1, 1], "over-subscribed"),
+            ([1, 0, 0], "incomplete"),
+            ([16, 1] + [0] * 10, "exceeds the DEFLATE cap"),
+        ],
+    )
+    def test_bad_lengths_raise_at_construction(self, lengths, message):
+        with pytest.raises(HuffmanError, match=message):
+            HuffmanDecoder(lengths)
+
+    def test_table_built_on_first_use_and_kept(self):
+        lengths = [3, 3, 3, 3, 3, 2, 4, 4]
+        dec = HuffmanDecoder(lengths)
+        assert dec._table is None
+        table = dec.table
+        assert dec.table is table
+        codes = canonical_codes(lengths)
+        for window in range(1 << dec.max_bits):
+            nbits, sym = table[window]
+            assert lengths[sym] == nbits
+            assert window & ((1 << nbits) - 1) == reverse_bits(codes[sym], nbits)
+
+    def test_decode_builds_the_table(self):
+        dec = HuffmanDecoder([1, 0, 0], allow_incomplete=True)
+        w = BitWriter()
+        w.write(0, 1)
+        assert dec.decode(BitReader(w.getvalue())) == 0
+        assert dec._table is not None
+        assert dec.table[1] == (0, 0)  # the unassigned pattern
+
+    def test_numpy_decode_builds_no_pure_table(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        text = bytes(rng.choice(np.frombuffer(b"ACGTN\n", np.uint8), 50_000))
+        co = zlib.compressobj(6, zlib.DEFLATED, -15, 4)
+        payload = co.compress(text) + co.flush()
+        huffman._cached_decoder.cache_clear()  # no table left by other tests
+        used = []
+        decode = npkernel.StreamKernel.decode_block
+
+        def spy(self, h_bit, litlen, dist, **kw):
+            used.extend(d for d in (litlen, dist) if d is not None)
+            return decode(self, h_bit, litlen, dist, **kw)
+
+        monkeypatch.setattr(npkernel.StreamKernel, "decode_block", spy)
+        res = inflate(payload, kernel="numpy")
+        assert res.data == text
+        assert len(res.blocks) > 1 and all(b.btype == 2 for b in res.blocks)
+        assert used and all(d._table is None for d in used)
 
 
 class TestLimitedCodeLengths:
