@@ -11,10 +11,15 @@ with ``kernel="numpy"`` through
 * :func:`repro.core.marker_inflate.marker_inflate`, and
 * :func:`repro.core.pugz.pugz_decompress` on the serial executor,
 
-byte-compares each output with :func:`gzip.decompress`, and exits 1 if
-any block fell back or any litlen/distance decoder the kernel used had
-its pure table built outside block-start probing (the strict probes in
-:mod:`repro.core.sync` decode purely by design).
+byte-compares each output with :func:`gzip.decompress`, and runs
+:func:`repro.core.sync.find_block_start` from 1/4, 1/2 and 3/4 of the
+payload, whose results must be block starts of the stream's block
+table (the search picks its kernel as a default ``inflate`` call does,
+so run it without ``REPRO_KERNEL=pure``).  Exits 1 if any leg is wrong,
+never entered the kernel, had a block fall back, or built the pure
+table of a litlen/distance decoder the kernel used outside block-start
+probing (a strict probe decodes each block's first KiB purely by
+design, building that block's pure tables).
 
 Usage::
 
@@ -38,6 +43,7 @@ from repro.core.marker_inflate import marker_inflate  # noqa: E402
 from repro.core.pugz import pugz_decompress  # noqa: E402
 from repro.deflate.gzipfmt import gzip_unwrap, parse_gzip_header  # noqa: E402
 from repro.deflate.huffman import HuffmanDecoder  # noqa: E402
+from repro.deflate.inflate import inflate  # noqa: E402
 from repro.perf import npkernel  # noqa: E402
 
 
@@ -45,6 +51,7 @@ class _Spy:
     """Count kernel fallbacks and pure-table builds while installed."""
 
     def __init__(self) -> None:
+        self.calls = 0
         self.fallbacks = 0
         self.kernel_decoders: dict[int, HuffmanDecoder] = {}
         self.built: dict[int, HuffmanDecoder] = {}
@@ -57,6 +64,7 @@ class _Spy:
         spy = self
 
         def decode_block(kern, h_bit, litlen, dist, *a, **kw):
+            spy.calls += 1
             for d in (litlen, dist):
                 if d is not None:
                     spy.kernel_decoders[id(d)] = d
@@ -96,27 +104,37 @@ def main(argv: list[str] | None = None) -> int:
     if gzip.decompress(gz) != corpus:
         raise SystemExit("gzip.decompress does not round-trip the corpus")
     payload_bit = 8 * parse_gzip_header(gz, 0)[0]
+    blocks = inflate(gz, payload_bit, kernel="numpy").blocks
+    starts = {b.start_bit for b in blocks}
+    span = blocks[-1].end_bit - payload_bit
 
     spy = _Spy()
     spy.install()
-    outputs = {
-        "gzip_unwrap": lambda: gzip_unwrap(gz, verify=True, kernel="numpy"),
+    checks = {
+        "gzip_unwrap": lambda: bytes(gzip_unwrap(gz, verify=True, kernel="numpy")) == corpus,
         "marker_inflate": lambda: marker_inflate(gz, payload_bit, kernel="numpy")
         .symbols.astype(np.uint8)
-        .tobytes(),
-        "pugz_decompress": lambda: pugz_decompress(gz, executor="serial", kernel="numpy"),
+        .tobytes()
+        == corpus,
+        "pugz_decompress": lambda: bytes(pugz_decompress(gz, executor="serial", kernel="numpy"))
+        == corpus,
+        "find_block_start": lambda: all(
+            sync.find_block_start(gz, payload_bit + q * span // 4).bit_offset in starts
+            for q in (1, 2, 3)
+        ),
     }
     failed = False
-    for name, run in outputs.items():
-        before = (spy.fallbacks, spy.pure_tables())
-        same = bytes(run()) == corpus
-        fallbacks = spy.fallbacks - before[0]
-        tables = spy.pure_tables() - before[1]
-        ok = same and not fallbacks and not tables
+    for name, run in checks.items():
+        before = (spy.calls, spy.fallbacks, spy.pure_tables())
+        right = run()
+        calls = spy.calls - before[0]
+        fallbacks = spy.fallbacks - before[1]
+        tables = spy.pure_tables() - before[2]
+        ok = right and calls and not fallbacks and not tables
         failed |= not ok
         print(
-            f"{name:16s} {'ok' if ok else 'FAIL'}: output {'matches' if same else 'DIFFERS'},"
-            f" {fallbacks} kernel fallbacks, {tables} pure tables built"
+            f"{name:16s} {'ok' if ok else 'FAIL'}: result {'right' if right else 'WRONG'},"
+            f" {calls} kernel blocks, {fallbacks} kernel fallbacks, {tables} pure tables built"
         )
     return 1 if failed else 0
 

@@ -268,11 +268,26 @@ class SyncResult:
     elapsed: float
 
 
+def _confirmed(result, confirm_blocks: int, total_bits: int) -> bool:
+    """Does a strict decode from a candidate confirm it as a block start?
+
+    Yes if ``1 + confirm_blocks`` blocks decoded, or, near the end of
+    the stream, if the candidate's block decoded and the confirmation
+    run then reached the genuine BFINAL block (``hit_final_probe``) or
+    the end of the data: the best confirmation available there.
+    """
+    n = len(result.blocks)
+    return n >= 1 + confirm_blocks or (
+        n >= 1 and (result.hit_final_probe or result.end_bit >= total_bits - 7)
+    )
+
+
 def probe_block(data, bit_offset: BitOffset, confirm_blocks: int = 5) -> bool:
     """Check whether a DEFLATE block plausibly starts at ``bit_offset``.
 
     Decodes up to ``1 + confirm_blocks`` blocks in strict mode; any
-    format violation means "no block here".
+    format violation means "no block here".  Accepts exactly the
+    candidates :func:`find_block_start` accepts.
     """
     try:
         result = inflate(
@@ -283,7 +298,7 @@ def probe_block(data, bit_offset: BitOffset, confirm_blocks: int = 5) -> bool:
         )
     except DeflateError:
         return False
-    return len(result.blocks) >= 1 + confirm_blocks
+    return _confirmed(result, confirm_blocks, 8 * len(data))
 
 
 def find_block_start(
@@ -335,15 +350,7 @@ def find_block_start(
                 )
             except DeflateError:
                 continue
-            confirmed = (
-                len(result.blocks) >= 1 + confirm_blocks
-                # Near the end of the stream, running into the genuine
-                # BFINAL block (or the end of data) while confirming is
-                # the best possible confirmation.
-                or (len(result.blocks) >= 1 and result.hit_final_probe)
-                or (len(result.blocks) >= 1 and result.end_bit >= total_bits - 7)
-            )
-            if confirmed:
+            if _confirmed(result, confirm_blocks, total_bits):
                 return SyncResult(
                     bit_offset=BitOffset(bit),
                     candidates_tried=bit - start_bit + 1,

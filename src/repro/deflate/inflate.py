@@ -287,9 +287,12 @@ def inflate(
         name (``"pure"`` / ``"numpy"`` / ``"auto"``), or a resolved
         :class:`~repro.perf.kernels.KernelSpec`.  The vectorized kernel
         is only ever an *optimization*: any block it declines is
-        re-decoded by the pure loop, and strict (probe) decodes always
-        run pure, so outputs, errors, and bit positions are identical
-        across kernels (pinned by the differential fuzz suite).
+        re-decoded by the pure loop, so outputs, errors, and bit
+        positions are identical across kernels (pinned by the
+        differential fuzz suites).  A strict (probe) decode runs each
+        Huffman block's first KiB of output in the pure loop, which
+        rejects a false candidate within a few symbols, and hands the
+        rest of the block to the kernel (:func:`_finish_probe_block`).
 
     Returns
     -------
@@ -303,8 +306,8 @@ def inflate(
     # this module back (cycle is only at import time, not at call time).
     from repro.perf.kernels import resolve_kernel
 
-    spec = resolve_kernel(kernel)
-    if spec.use_vectorized(len(data)) and not strict:
+    vectorized = resolve_kernel(kernel).use_vectorized(len(data))
+    if vectorized and not strict:
         return _inflate_numpy(
             data, start_bit, window, capture_tokens,
             max_blocks, max_output, stop_at_final, budget,
@@ -323,6 +326,10 @@ def inflate(
     lextra = C.LENGTH_EXTRA_BITS
     dbase = C.DIST_BASE
     dextra = C.DIST_EXTRA_BITS
+    # Strict Huffman blocks pause past their first KiB for the kernel;
+    # one StreamKernel per call lets its estimates adapt across blocks.
+    pause_at = C.PROBE_MIN_BLOCK if strict and vectorized else None
+    kern = None
 
     while True:
         if max_blocks is not None and len(blocks) >= max_blocks:
@@ -361,10 +368,16 @@ def inflate(
                 for b in chunk:
                     tokens.add_literal(b)
         elif strict or tokens is not None:
-            _decode_huffman_block(
+            paused = _decode_huffman_block(
                 reader, header, out, tokens, ascii_mask, lbase, lextra, dbase, dextra,
-                strict=strict,
+                strict=strict, pause_at=pause_at,
             )
+            if paused:
+                if kern is None:
+                    from repro.perf.npkernel import StreamKernel
+
+                    kern = StreamKernel(data)
+                _finish_probe_block(kern, reader, header, out, tokens, out_start)
         else:
             _decode_huffman_block_fast(reader, header, out, hard_cap)
 
@@ -548,6 +561,50 @@ def _inflate_numpy(
     )
 
 
+def _finish_probe_block(
+    kern,
+    reader: BitReader,
+    header: BlockHeader,
+    out: bytearray,
+    tokens: TokenStream | None,
+    block_start: int,
+) -> None:
+    """Finish a paused strict Huffman block with the numpy kernel.
+
+    The kernel decodes the rest of the block, from the reader's bit, to
+    token arrays; :func:`repro.perf.npkernel.check_probe_rules` applies
+    the strict content rules to them, and they are replayed over the
+    last 32 KiB of ``out`` under a ``?`` prefix — the placeholder the
+    pure loop writes for references into the unknown context.  Any
+    kernel :class:`~repro.perf.npkernel.Fallback` or rule violation
+    resumes the pure strict loop at the same bit (``block_start`` keeps
+    the size bound counting from the block's first byte), which yields
+    the reference's exact error or bytes: nothing is committed before
+    every check has passed.
+    """
+    from repro.perf import npkernel
+
+    produced = len(out) - block_start
+    try:
+        offs, vals, _fp, end_bit = kern.decode_block(
+            reader.tell_bits(), header.litlen, header.dist,
+            max_out=C.PROBE_MAX_BLOCK - produced,
+        )
+        npkernel.check_probe_rules(offs, vals, len(out), produced)
+        tail = bytes(out[-C.WINDOW_SIZE:])
+        block_out = npkernel.replay_bytes(offs, vals, b"?" * (C.WINDOW_SIZE - len(tail)) + tail)
+    except npkernel.Fallback:
+        _decode_huffman_block(
+            reader, header, out, tokens, C.ASCII_MASK, C.LENGTH_BASE, C.LENGTH_EXTRA_BITS,
+            C.DIST_BASE, C.DIST_EXTRA_BITS, strict=True, block_start=block_start,
+        )
+        return
+    reader.seek_bits(BitOffset(end_bit))
+    out += block_out
+    if tokens is not None:
+        tokens.add_columnar(offs, vals)
+
+
 def _decode_huffman_block(
     reader: BitReader,
     header: BlockHeader,
@@ -559,11 +616,19 @@ def _decode_huffman_block(
     dbase,
     dextra,
     strict: bool,
-) -> None:
+    block_start: int | None = None,
+    pause_at: int | None = None,
+) -> bool:
     """Decode the symbol stream of one fixed/dynamic block into ``out``.
 
     This is the hot loop of the whole library; it reaches into the
     reader's internals to avoid method-call overhead per symbol.
+
+    Returns ``False`` at end-of-block.  A strict decode with
+    ``pause_at`` returns ``True`` instead as soon as the block has
+    produced more than ``pause_at`` bytes, with the reader at the next
+    symbol; ``block_start`` (default: ``len(out)`` on entry) is where
+    the block's output began, for a decode resumed mid-block.
     """
     litlen = header.litlen
     dist = header.dist
@@ -572,12 +637,15 @@ def _decode_huffman_block(
     dist_table = dist.table if dist is not None else None
     dist_bits = dist.max_bits if dist is not None else 0
 
-    block_start = len(out)
+    if block_start is None:
+        block_start = len(out)
     # In strict probing mode the decoder assumes an (unknown) 32 KiB
     # context exists before the block, exactly like the paper's checks:
     # a back-reference is invalid only if it exceeds window + history.
     history_bonus = C.WINDOW_SIZE if strict else 0
-    max_block = C.PROBE_MAX_BLOCK
+    # One per-symbol size comparison serves both the 4 MiB probe bound
+    # and the pause point below it.
+    max_block = C.PROBE_MAX_BLOCK if pause_at is None else pause_at
 
     while True:
         # -- decode litlen symbol (inlined HuffmanDecoder.decode) --
@@ -606,13 +674,15 @@ def _decode_huffman_block(
             if tokens is not None:
                 tokens.add_literal(sym)
             if strict and len(out) - block_start > max_block:
+                if pause_at is not None:
+                    return True
                 raise BlockSizeError(
                 "block exceeds 4 MiB probe limit",
                 bit_offset=reader.tell_bits(), stage="inflate",
             )
             continue
         if sym == C.END_OF_BLOCK:
-            return
+            return False
 
         # -- match length --
         if sym > C.MAX_USED_LITLEN:
@@ -682,6 +752,8 @@ def _decode_huffman_block(
             for _ in range(remaining):
                 out.append(out[-distance])
         if strict and len(out) - block_start > max_block:
+            if pause_at is not None:
+                return True
             raise BlockSizeError(
                 "block exceeds 4 MiB probe limit",
                 bit_offset=reader.tell_bits(), stage="inflate",

@@ -44,6 +44,7 @@ from repro.deflate import constants as C
 __all__ = [
     "Fallback",
     "StreamKernel",
+    "check_probe_rules",
     "replay_bytes",
     "replay_symbols",
 ]
@@ -529,6 +530,31 @@ class StreamKernel:
 
 def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def check_probe_rules(offs, vals, history: int, produced: int) -> None:
+    """The strict probe's content rules (Appendix X-A) on token arrays.
+
+    ``offs``/``vals`` are the rest of one block, as
+    :meth:`StreamKernel.decode_block` returns them; the block has
+    already produced ``produced`` bytes, and ``history`` bytes of output
+    (seeded window included) precede its first token here.  Literals
+    must be ASCII text, each match distance must stay within the output
+    before it plus the assumed 32 KiB context, and the whole block
+    within the 4 MiB probe bound.  Raises :class:`Fallback` on any
+    violation: the caller re-decodes purely for the exact error.
+    """
+    is_m = offs > 0
+    sizes = np.where(is_m, vals, 1)
+    ends = np.cumsum(sizes, dtype=I64)
+    if len(ends) and produced + int(ends[-1]) > C.PROBE_MAX_BLOCK:
+        raise Fallback("block exceeds the probe size bound")
+    if not C.ASCII_MASK[vals[~is_m]].all():
+        raise Fallback("non-ASCII literal")
+    # Never fires on a decodable distance code (at most 32 KiB); kept
+    # so the rules match the pure strict loop's one for one.
+    if (offs[is_m] > (ends - sizes)[is_m] + (history + C.WINDOW_SIZE)).any():
+        raise Fallback("match reaches past the assumed context")
 
 
 # ---------------------------------------------------------------------------

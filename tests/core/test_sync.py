@@ -8,10 +8,13 @@ import pytest
 
 from repro.core.sync import find_block_start, prescreen, probe_block, screen_candidates
 from repro.data import synthetic_fastq
+from repro.deflate import constants as C
+from repro.deflate.bitio import BitReader
 from repro.deflate.deflate import compress_tokens
-from repro.deflate.inflate import inflate
+from repro.deflate.inflate import _decode_huffman_block, inflate, read_block_header
 from repro.deflate.tokens import TokenStream
 from repro.errors import DeflateError, SyncError
+from repro.perf import npkernel
 from tests.conftest import zlib_raw
 
 
@@ -38,6 +41,18 @@ class TestProbeBlock:
     def test_final_block_rejected(self, stream):
         raw, full = stream
         assert not probe_block(raw, full.blocks[-1].start_bit)
+
+    def test_agrees_with_find_block_start_on_every_block(self, stream):
+        """The probe accepts a true block start exactly when a search
+        from that bit returns it — also for the last blocks, whose
+        confirmation runs into the final block."""
+        raw, full = stream
+        for b in full.blocks:
+            try:
+                found = find_block_start(raw, start_bit=b.start_bit).bit_offset
+            except SyncError:
+                found = None
+            assert probe_block(raw, b.start_bit) == (found == b.start_bit), b.start_bit
 
 
 class TestFindBlockStart:
@@ -166,7 +181,8 @@ def _scalar_find_block_start(
 ):
     """The one-offset-at-a-time search loop :func:`find_block_start` ran
     before the vectorised screen: the reference its results must equal.
-    Returns ``(bit_offset, candidates_tried, blocks_confirmed)`` or
+    Its strict decodes run the pure kernel, so the kernel-backed search
+    is checked against the pure probe.  Returns ``(bit_offset, candidates_tried, blocks_confirmed)`` or
     ``("error", candidates_tried)``."""
     total_bits = 8 * len(data)
     limit = total_bits if end_bit is None else min(end_bit, total_bits)
@@ -181,7 +197,8 @@ def _scalar_find_block_start(
             continue
         try:
             result = inflate(
-                data, start_bit=bit, strict=True, max_blocks=1 + confirm_blocks
+                data, start_bit=bit, strict=True, max_blocks=1 + confirm_blocks,
+                kernel="pure",
             )
         except DeflateError:
             bit += 1
@@ -206,7 +223,7 @@ def _search(data, start_bit, **kw):
 
 def _strict_one_block_ok(data, bit):
     try:
-        inflate(data, start_bit=bit, strict=True, max_blocks=1)
+        inflate(data, start_bit=bit, strict=True, max_blocks=1, kernel="pure")
     except DeflateError:
         return False
     return True
@@ -377,3 +394,60 @@ class TestFindBlockStartMatchesScalarLoop:
         assert _search(noise, 0, max_search_bits=20000) == _scalar_find_block_start(
             noise, 0, max_search_bits=20000
         )
+
+
+# -- the strict probe's hand-off to the numpy kernel -------------------------
+
+
+def _pure_prefix_survives(data, bit):
+    """Does the pure strict loop decode more than the first KiB of the
+    Huffman block at ``bit`` without an error or its end-of-block?  The
+    loop appends a symbol's bytes only after its checks pass, so the
+    output left after a complete decode (or its error) tells."""
+    reader = BitReader(data, bit)
+    try:
+        header = read_block_header(reader, strict=True)
+    except DeflateError:
+        return False
+    if header.btype == C.BTYPE_STORED:
+        return False
+    out = bytearray()
+    try:
+        _decode_huffman_block(
+            reader, header, out, None, C.ASCII_MASK, C.LENGTH_BASE,
+            C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS, strict=True,
+        )
+    except DeflateError:
+        pass
+    return len(out) > C.PROBE_MIN_BLOCK
+
+
+class TestProbeFailsFast:
+    @pytest.mark.parametrize("name", ["fixed-only", "sync-flush"])
+    def test_kernel_entered_only_past_the_pure_prefix(self, screen_inputs, name, monkeypatch):
+        """Every bit offset of the first 2500 bytes, strictly decoded on
+        the numpy kernel: the kernel runs exactly at the offsets whose
+        block survives its first KiB in the pure loop, so a false
+        candidate never pays a wavefront."""
+        data = screen_inputs[name]
+        entered = []
+        decode = npkernel.StreamKernel.decode_block
+
+        def spy(kern, h_bit, *a, **kw):
+            entered.append(h_bit)
+            return decode(kern, h_bit, *a, **kw)
+
+        monkeypatch.setattr(npkernel.StreamKernel, "decode_block", spy)
+        used, survivors = [], []
+        for bit in range(8 * 2500):
+            entered.clear()
+            try:
+                inflate(data, start_bit=bit, strict=True, max_blocks=1, kernel="numpy")
+            except DeflateError:
+                pass
+            if entered:
+                used.append(bit)
+            if _pure_prefix_survives(data, bit):
+                survivors.append(bit)
+        assert used == survivors
+        assert len(used) >= 2  # the true block starts in the range

@@ -22,6 +22,13 @@ must agree on output bytes/symbols, final bit position, block table,
 captured tokens, and the marker window — including through the
 recovery paths (pugz salvage around deliberately smashed blocks).
 
+Strict (probing) decodes get the same treatment: under ``kernel="numpy"``
+a Huffman block's first KiB runs in the pure loop and the kernel
+finishes the block, so at every true block start, at the offsets
+around it, and on truncated and smashed copies, both kernels must raise
+the same error at the same bit or return the same bytes and blocks —
+also on blocks built to break the probe's rules after their first KiB.
+
 ~50 streams: 10 seeds x 5 stream shapes (stored blocks, fixed-Huffman,
 dynamic at two levels, sync-flush seams), over random-DNA and
 FASTQ-like corpora.  Runs in tier-1 (small inputs, a few seconds).
@@ -37,7 +44,12 @@ import pytest
 
 from repro.core.marker_inflate import marker_inflate
 from repro.core.pugz import pugz_decompress_payload
+from repro.deflate import constants as C
+from repro.deflate.bitio import BitWriter
+from repro.deflate.huffman import HuffmanEncoder
 from repro.deflate.inflate import inflate
+from repro.errors import AsciiCheckError, BlockSizeError, DeflateError, HuffmanError
+from repro.perf import npkernel
 
 SEEDS = range(10)
 
@@ -58,20 +70,21 @@ def make_text(seed: int, n: int = 24_000) -> bytes:
     return bytes(out[:n])
 
 
-def compress_shape(text: bytes, shape: str) -> bytes:
-    """Raw DEFLATE stream of ``text`` in the requested block shape."""
-    if shape == "stored":
-        co = zlib.compressobj(0, zlib.DEFLATED, -15)
-        return co.compress(text) + co.flush()
-    if shape == "fixed":
-        co = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_FIXED)
-        return co.compress(text) + co.flush()
-    if shape == "dynamic_fast":
-        co = zlib.compressobj(1, zlib.DEFLATED, -15)
-        return co.compress(text) + co.flush()
-    if shape == "dynamic_best":
-        co = zlib.compressobj(9, zlib.DEFLATED, -15)
-        return co.compress(text) + co.flush()
+_SHAPE_ARGS = {
+    "stored": (0, zlib.DEFLATED, -15),
+    "fixed": (6, zlib.DEFLATED, -15, 8, zlib.Z_FIXED),
+    "dynamic_fast": (1, zlib.DEFLATED, -15),
+    "dynamic_best": (9, zlib.DEFLATED, -15),
+}
+
+
+def compress_shape(text: bytes, shape: str, pieces: int = 1) -> bytes:
+    """Raw DEFLATE stream of ``text`` in the requested block shape.
+
+    ``pieces > 1`` ends a block (``Z_BLOCK``) after each but the last of
+    that many equal pieces of ``text``, so every shape has non-final
+    blocks; the sync-flush shape keeps its own three seams.
+    """
     if shape == "sync_flush":
         co = zlib.compressobj(6, zlib.DEFLATED, -15)
         third = len(text) // 3
@@ -83,7 +96,12 @@ def compress_shape(text: bytes, shape: str) -> bytes:
             + co.compress(text[2 * third :])
             + co.flush()
         )
-    raise AssertionError(shape)
+    co = zlib.compressobj(*_SHAPE_ARGS[shape])
+    cut = [len(text) * i // pieces for i in range(pieces + 1)]
+    head = b"".join(
+        co.compress(text[a:b]) + co.flush(zlib.Z_BLOCK) for a, b in zip(cut[:-2], cut[1:-1])
+    )
+    return head + co.compress(text[cut[-2] :]) + co.flush()
 
 
 SHAPES = ("stored", "fixed", "dynamic_fast", "dynamic_best", "sync_flush")
@@ -203,3 +221,91 @@ def test_kernel_differential_recovery(seed: int):
             report.unresolved_markers,
         )
     assert results["pure"] == results["numpy"]
+
+
+def _strict(data, bit: int, kernel: str):
+    """A strict six-block decode, reduced to what must match across kernels."""
+    try:
+        r = inflate(data, start_bit=bit, strict=True, max_blocks=6, kernel=kernel)
+    except DeflateError as exc:
+        return type(exc), exc.bit_offset, str(exc)
+    return r.data, r.end_bit, _block_tuples(r.blocks), r.hit_final_probe
+
+
+def _assert_strict_kernels_agree(data, starts):
+    total = 8 * len(data)
+    for bit in sorted({s + d for s in starts for d in range(-8, 9) if 0 <= s + d < total}):
+        assert _strict(data, bit, "numpy") == _strict(data, bit, "pure"), bit
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_strict_kernel_differential(seed: int, shape: str):
+    """Strict decodes agree between kernels at every true block start
+    and +-1..8 bits around it, on the stream, a truncated copy and a
+    copy with three bytes smashed mid-stream."""
+    payload = compress_shape(make_text(seed), shape, pieces=3)
+    starts = [b.start_bit for b in inflate(payload).blocks]
+    mid = len(payload) // 2
+    smashed = payload[:mid] + b"\xff\x00\xff" + payload[mid + 3 :]
+    for data in (payload, payload[: mid + 5], smashed):
+        _assert_strict_kernels_agree(data, starts)
+
+
+_FIXED_LIT = HuffmanEncoder(C.fixed_litlen_lengths())
+_FIXED_DIST = HuffmanEncoder(C.fixed_dist_lengths())
+_TEXT = list(b"ACGTN\n" * 300)  # 1800 ASCII literals
+
+
+def _fixed_stream(blocks) -> tuple[bytes, list[int]]:
+    """Raw DEFLATE of fixed-Huffman blocks, the last one final, and the
+    blocks' start bits.  A block lists literal bytes, ``"run"`` (a
+    distance-1, length-258 match) and ``"bad-dist"`` (a length-3 match
+    with distance symbol 30)."""
+    w = BitWriter()
+    starts = []
+    for i, toks in enumerate(blocks):
+        starts.append(w.tell_bits())
+        w.write(int(i == len(blocks) - 1), 1)
+        w.write(C.BTYPE_FIXED, 2)
+        for t in toks:
+            if t == "run":
+                _FIXED_LIT.write(w, 285)
+                _FIXED_DIST.write(w, 0)
+            elif t == "bad-dist":
+                _FIXED_LIT.write(w, 257)
+                _FIXED_DIST.write(w, 30)
+            else:
+                _FIXED_LIT.write(w, t)
+        _FIXED_LIT.write(w, C.END_OF_BLOCK)
+    return w.getvalue(), starts
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (_TEXT[:1500] + [0xC3] + _TEXT[:200], AsciiCheckError),
+        (_TEXT[:1200] + ["run"] * 16_300, BlockSizeError),
+        (_TEXT[:1500] + ["bad-dist"] + _TEXT[:100], HuffmanError),
+    ],
+    ids=["ascii", "4MiB", "distance"],
+)
+def test_strict_kernel_violation_past_first_kib(bad, error, monkeypatch):
+    """A probe rule broken after a block's first KiB is caught on the
+    kernel's side of the hand-off, and the pure resume raises exactly
+    the pure decoder's error, from the block and from a block before."""
+    data, starts = _fixed_stream([_TEXT, bad, _TEXT, _TEXT])
+    entered = []
+    decode = npkernel.StreamKernel.decode_block
+
+    def spy(kern, h_bit, *a, **kw):
+        entered.append(h_bit)
+        return decode(kern, h_bit, *a, **kw)
+
+    monkeypatch.setattr(npkernel.StreamKernel, "decode_block", spy)
+    for bit in starts[:2]:
+        entered.clear()
+        with pytest.raises(error) as exc:
+            inflate(data, start_bit=bit, strict=True, max_blocks=6, kernel="numpy")
+        assert starts[1] < entered[-1] < exc.value.bit_offset < starts[2]
+    _assert_strict_kernels_agree(data, starts)
