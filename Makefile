@@ -1,6 +1,6 @@
 # Convenience targets (plain pytest works too; see CONTRIBUTING.md).
 
-.PHONY: install test fuzz fuzz-quick lint lint-sarif check bench bench-quick bench-report examples all clean
+.PHONY: install test fuzz fuzz-quick lint lint-sarif kernel-clean check bench bench-quick bench-report examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -35,7 +35,14 @@ lint:
 lint-sarif:
 	PYTHONPATH=src python -m repro lint src/repro --format sarif --jobs 2 > lint-report.sarif
 
-check: test fuzz lint
+# The numpy kernel must decode a 2 MB bench corpus on its own: exit 1
+# if a leg (gzip_unwrap, marker_inflate, serial pugz, block-start
+# searches) never enters the kernel, has a block fall back to the pure
+# loop, or builds a pure decode table the kernel should not need.
+kernel-clean:
+	python benchmarks/check_kernel_clean.py --mb 2
+
+check: test fuzz lint kernel-clean
 
 bench:
 	pytest benchmarks/ --benchmark-only

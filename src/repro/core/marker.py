@@ -48,13 +48,10 @@ MARKER_BASE = 256
 NUM_SYMBOLS = MARKER_BASE + WINDOW_SIZE
 
 
-def undetermined_window() -> list[int]:
-    """The fully-undetermined initial context ``[U_0, ..., U_32767]``.
-
-    Returned as a Python list because the decoder's window/output buffer
-    is list-based (see :mod:`repro.core.marker_inflate`).
-    """
-    return list(range(MARKER_BASE, MARKER_BASE + WINDOW_SIZE))
+def undetermined_window() -> np.ndarray:
+    """The fully-undetermined initial context ``[U_0, ..., U_32767]``,
+    as the ``int32`` array the decoder replays against."""
+    return np.arange(MARKER_BASE, MARKER_BASE + WINDOW_SIZE, dtype=np.int32)
 
 
 def _as_symbols(symbols) -> np.ndarray:

@@ -30,13 +30,8 @@ import numpy as np
 from repro.core import marker
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
-from repro.deflate.inflate import BlockInfo, read_block_header
+from repro.deflate.inflate import _UNLIMITED_CAP, BlockInfo, read_block_header
 from repro.errors import BitstreamError, HuffmanError, BackrefError, ResourceLimitError
-
-# Mirrors repro.robustness.limits.UNLIMITED_CAP without importing the
-# robustness package (which transitively imports this module); the
-# ``budget`` parameter is duck-typed for the same reason.
-_UNLIMITED_CAP = 1 << 62
 from repro.units import BitOffset
 
 __all__ = ["MarkerInflateResult", "marker_inflate"]
@@ -61,8 +56,8 @@ class MarkerInflateResult:
     blocks: list[BlockInfo] = field(default_factory=list)
 
 
-def _seed_window(window) -> list[int]:
-    """Build the initial 32 KiB symbol window from caller input.
+def _seed_window(window) -> np.ndarray:
+    """Build the initial 32 KiB ``int32`` symbol window from caller input.
 
     ``None`` -> fully undetermined; bytes/array shorter than 32 KiB are
     right-aligned (they are the *most recent* history) with markers
@@ -71,15 +66,15 @@ def _seed_window(window) -> list[int]:
     if window is None:
         return marker.undetermined_window()
     if isinstance(window, (bytes, bytearray, memoryview)):
-        vals = list(bytes(window)[-C.WINDOW_SIZE:])
+        vals = np.frombuffer(bytes(window[-C.WINDOW_SIZE:]), np.uint8).astype(np.int32)
     else:
-        vals = [int(v) for v in window][-C.WINDOW_SIZE:]
-    for v in vals:
-        if not 0 <= v < marker.NUM_SYMBOLS:
-            raise ValueError(f"symbol {v} outside marker alphabet")
+        vals = np.asarray(window, dtype=np.int64)[-C.WINDOW_SIZE:]
+        if len(vals) and (vals.min() < 0 or vals.max() >= marker.NUM_SYMBOLS):
+            raise ValueError("window symbol outside marker alphabet")
+        vals = vals.astype(np.int32)
     missing = C.WINDOW_SIZE - len(vals)
     if missing:
-        vals = list(range(marker.MARKER_BASE, marker.MARKER_BASE + missing)) + vals
+        vals = np.concatenate([marker.undetermined_window()[:missing], vals])
     return vals
 
 
@@ -133,171 +128,34 @@ def marker_inflate(
         push the symbol count past ``budget.marker_symbol_cap()``
         *before* copying (one int comparison per match).
     kernel:
-        Decode-kernel selection (see :mod:`repro.perf.kernels`); the
-        vectorized kernel runs Algorithm 2 as token decode plus an
-        int32 symbol replay, falling back to this pure loop per block
-        (and for exact soft/hard limit truncation), so symbol streams,
-        errors, and bit positions are kernel-independent.
+        Decode-kernel selection (see :mod:`repro.perf.kernels`).  The
+        kernel is a per-block strategy of this one block loop, which
+        owns the stop conditions, budget checks, block table and sink
+        flushes for both: with the vectorized kernel a compressed block
+        runs Algorithm 2 as token decode plus an ``int32`` symbol
+        replay, and any block it declines, or that crosses the soft or
+        hard limit, is re-decoded by the pure symbol loop
+        (:func:`_symbol_block`), so symbol streams, errors, and bit
+        positions are kernel-independent.
     """
     from repro.perf.kernels import resolve_kernel
 
-    spec = resolve_kernel(kernel)
-    if spec.use_vectorized(len(data)):
-        return _marker_inflate_numpy(
-            data, start_bit, window,
-            sink=sink, flush_symbols=flush_symbols,
-            max_output=max_output, max_blocks=max_blocks,
-            stop_bit=stop_bit, stop_at_final=stop_at_final, budget=budget,
-        )
+    vectorized = resolve_kernel(kernel).use_vectorized(len(data))
+    kern = None  # built at the first block that reaches the kernel
     reader = BitReader(data, start_bit)
-    out: list[int] = _seed_window(window)
-    hist0 = len(out)  # 32768
-    out_offset = -hist0  # output position of out[0]
-    emitted = 0  # symbols already flushed to sink
-    blocks: list[BlockInfo] = []
-    final_seen = False
-    truncated = False
-
-    lbase = C.LENGTH_BASE
-    lextra = C.LENGTH_EXTRA_BITS
-    dbase = C.DIST_BASE
-    dextra = C.DIST_EXTRA_BITS
-    sym_cap = budget.marker_symbol_cap() if budget is not None else _UNLIMITED_CAP
-
-    def _flush(final: bool = False) -> None:
-        nonlocal out, out_offset, emitted
-        if sink is None:
-            return
-        start_k = emitted - out_offset
-        chunk = out[start_k:]
-        if chunk:
-            sink(chunk, emitted)
-            emitted += len(chunk)
-        if not final and len(out) > C.WINDOW_SIZE:
-            drop = len(out) - C.WINDOW_SIZE
-            out = out[drop:]
-            out_offset += drop
-
-    while True:
-        total = out_offset + len(out)
-        if max_blocks is not None and len(blocks) >= max_blocks:
-            break
-        if max_output is not None and total >= max_output:
-            truncated = True
-            break
-        if stop_bit is not None and reader.tell_bits() >= stop_bit:
-            break
-        if reader.bits_remaining() < 3:
-            break
-
-        block_start_bit = reader.tell_bits()
-        header = read_block_header(reader)
-        out_start = out_offset + len(out)
-
-        if header.btype == C.BTYPE_STORED:
-            chunk = reader.read_bytes(header.stored_len)
-            out.extend(chunk)
-        else:
-            truncated = _decode_block_symbols(
-                reader, header, out,
-                lbase, lextra, dbase, dextra,
-                soft_limit=None if max_output is None else max_output - out_start,
-                hard_limit=sym_cap - out_start,
-            )
-
-        out_end = out_offset + len(out)
-        if budget is not None:
-            budget.check_block(
-                out_end,
-                reader.tell_bits() - start_bit,
-                stage="marker_inflate",
-                bit_offset=block_start_bit,
-                marker_buffer_bytes=4 * len(out),
-            )
-        blocks.append(
-            BlockInfo(
-                start_bit=block_start_bit,
-                end_bit=reader.tell_bits(),
-                out_start=out_start,
-                out_end=out_end,
-                btype=header.btype,
-                bfinal=header.bfinal,
-            )
-        )
-        if sink is not None and len(out) - (emitted - out_offset) >= flush_symbols:
-            _flush()
-        if truncated:
-            break
-        if header.bfinal:
-            final_seen = True
-            if stop_at_final:
-                break
-
-    total_output = out_offset + len(out)
-    window_arr = np.asarray(out[-C.WINDOW_SIZE:], dtype=np.int32)
-    if sink is not None:
-        _flush(final=True)
-        symbols = None
-    else:
-        symbols = np.asarray(out[hist0:], dtype=np.int32)
-    return MarkerInflateResult(
-        symbols=symbols,
-        end_bit=reader.tell_bits(),
-        final_seen=final_seen,
-        truncated=truncated,
-        total_output=total_output,
-        window=window_arr,
-        blocks=blocks,
-    )
-
-
-def _marker_inflate_numpy(
-    data,
-    start_bit,
-    window,
-    *,
-    sink,
-    flush_symbols: int,
-    max_output: int | None,
-    max_blocks: int | None,
-    stop_bit,
-    stop_at_final: bool,
-    budget,
-) -> MarkerInflateResult:
-    """Vectorized-kernel twin of :func:`marker_inflate`'s main loop.
-
-    Compressed blocks run through the two-stage kernel: stage 1 token
-    decode (identical to the byte domain — the bitstream does not
-    change between domains), stage 2 an **int32** symbol replay seeded
-    with the current marker window, so markers survive match copies
-    untouched.  Three events drop a block to the pure loop for exact
-    reference behaviour: the kernel declining it (:class:`Fallback`),
-    the block crossing the soft ``max_output`` truncation point (the
-    pure loop stops mid-block at the exact token and reader position),
-    and the block crossing the budget's symbol cap (the pure loop
-    raises at the exact match copy).  Output accumulates as immutable
-    int32 chunks; sinks still receive plain lists.
-    """
-    import numpy as np  # noqa: F811 - local alias mirrors module import
-
-    from repro.perf import npkernel
-
-    reader = BitReader(data, start_bit)
-    win = np.asarray(_seed_window(window), dtype=np.int32)
+    win = _seed_window(window)
     blocks: list[BlockInfo] = []
     final_seen = False
     truncated = False
     sym_cap = budget.marker_symbol_cap() if budget is not None else _UNLIMITED_CAP
-
-    kern = npkernel.StreamKernel(data)
-    chunks: list[np.ndarray] = []  # all produced symbols (sink=None) or pending flush
+    # Output accumulates as immutable int32 blocks: all of them without
+    # a sink, the ones not yet flushed with one.
+    chunks: list[np.ndarray] = []
     produced = 0
     emitted = 0
 
-    def _flush_np(final: bool = False) -> None:
+    def _flush() -> None:
         nonlocal chunks, emitted
-        if sink is None:
-            return
         if chunks:
             pending = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
             chunks = []
@@ -323,34 +181,15 @@ def _marker_inflate_numpy(
             raw = reader.read_bytes(header.stored_len)
             block_sym = np.frombuffer(raw, np.uint8).astype(np.int32)
         else:
-            soft_rem = None if max_output is None else max_output - out_start
-            hard_rem = sym_cap - out_start
-            try:
-                offs, vals, _fp, end_bit = kern.decode_block(
-                    reader.tell_bits(), header.litlen, header.dist,
-                    max_out=min(
-                        hard_rem,
-                        _UNLIMITED_CAP if soft_rem is None
-                        else soft_rem + C.MAX_MATCH,
-                    ),
-                )
-                total = int(np.where(offs > 0, vals, 1).sum())
-                if (soft_rem is not None and total >= soft_rem) or total > hard_rem:
-                    raise npkernel.Fallback("block crosses an output limit")
-                block_sym = npkernel.replay_symbols(offs, vals, win)
-            except npkernel.Fallback:
-                local = win.tolist()
-                lprefix = len(local)
-                truncated = _decode_block_symbols(
-                    reader, header, local,
-                    C.LENGTH_BASE, C.LENGTH_EXTRA_BITS,
-                    C.DIST_BASE, C.DIST_EXTRA_BITS,
-                    soft_limit=soft_rem,
-                    hard_limit=hard_rem,
-                )
-                block_sym = np.asarray(local[lprefix:], dtype=np.int32)
-            else:
-                reader.seek_bits(BitOffset(end_bit))
+            if vectorized and kern is None:
+                from repro.perf.npkernel import StreamKernel
+
+                kern = StreamKernel(data)
+            block_sym, truncated = _symbol_block(
+                kern, reader, header, win,
+                soft_limit=None if max_output is None else max_output - out_start,
+                hard_limit=sym_cap - out_start,
+            )
 
         chunks.append(block_sym)
         produced += len(block_sym)
@@ -379,7 +218,7 @@ def _marker_inflate_numpy(
             )
         )
         if sink is not None and produced - emitted >= flush_symbols:
-            _flush_np()
+            _flush()
         if truncated:
             break
         if header.bfinal:
@@ -388,13 +227,12 @@ def _marker_inflate_numpy(
                 break
 
     if sink is not None:
-        _flush_np(final=True)
+        _flush()
         symbols = None
+    elif chunks:
+        symbols = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
     else:
-        if chunks:
-            symbols = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-        else:
-            symbols = np.empty(0, dtype=np.int32)
+        symbols = np.empty(0, dtype=np.int32)
     return MarkerInflateResult(
         symbols=symbols,
         end_bit=reader.tell_bits(),
@@ -404,6 +242,52 @@ def _marker_inflate_numpy(
         window=win,
         blocks=blocks,
     )
+
+
+def _symbol_block(
+    kern,
+    reader: BitReader,
+    header,
+    win: np.ndarray,
+    soft_limit: int | None,
+    hard_limit: int,
+) -> tuple[np.ndarray, bool]:
+    """Decode one compressed block after the symbol window ``win``.
+
+    Returns the block's ``int32`` symbols and whether ``soft_limit``
+    truncated it.  With a :class:`~repro.perf.npkernel.StreamKernel`
+    the block runs through the two-stage kernel: stage 1 token decode
+    (identical to the byte domain — the bitstream does not change
+    between domains), stage 2 an **int32** symbol replay seeded with
+    the window, so markers survive match copies untouched.  Without a
+    kernel, and whenever the kernel declines the block
+    (:class:`~repro.perf.npkernel.Fallback`) or its output would reach
+    ``soft_limit`` or pass ``hard_limit``, the pure loop
+    :func:`_decode_block_symbols` decodes it from the same bit: it
+    stops at the exact truncation token, or raises at the exact match
+    copy that crosses the budget.
+    """
+    if kern is not None:
+        from repro.perf import npkernel
+
+        try:
+            offs, vals, _fp, end_bit = kern.decode_block(
+                reader.tell_bits(), header.litlen, header.dist,
+                max_out=hard_limit if soft_limit is None else min(hard_limit, soft_limit - 1),
+            )
+            block_sym = npkernel.replay_symbols(offs, vals, win)
+        except npkernel.Fallback:
+            pass
+        else:
+            reader.seek_bits(BitOffset(end_bit))
+            return block_sym, False
+    local = win.tolist()
+    truncated = _decode_block_symbols(
+        reader, header, local,
+        C.LENGTH_BASE, C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
+        soft_limit=soft_limit, hard_limit=hard_limit,
+    )
+    return np.asarray(local[len(win):], dtype=np.int32), truncated
 
 
 def _decode_block_symbols(

@@ -67,10 +67,9 @@ import numpy as np
 
 from repro.core import marker
 from repro.core.chunking import Chunk, plan_chunks
-from repro.core.marker_inflate import marker_inflate
+from repro.core.marker_inflate import _seed_window, marker_inflate
 from repro.core.sync import find_block_start
 from repro.core.translate import translate_chunk_counted
-from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.crc32 import crc32, crc32_combine
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.deflate.inflate import inflate
@@ -131,8 +130,11 @@ class ChunkOutcome:
     (``ok`` / ``salvaged`` / ``lost``); ``degraded_to`` names the rung
     of the degradation ladder that produced the result (``None`` for a
     clean parallel decode, else ``serial`` / ``zlib`` / ``salvage`` /
-    ``hole``); ``retries`` counts supervised re-attempts and
-    ``wall_time`` the in-worker seconds of the decisive attempt.
+    ``hole``, or ``restart`` for a chunk decoded again in the calling
+    process from where the previous chunk ended, because its planned
+    start proved a false block start); ``retries`` counts supervised
+    re-attempts and ``wall_time`` the in-worker seconds of the
+    decisive attempt.
     """
 
     index: int
@@ -233,21 +235,6 @@ class _Segment:
     chained: bool
 
 
-def _undetermined_window_array() -> np.ndarray:
-    return np.arange(
-        marker.MARKER_BASE, marker.MARKER_BASE + WINDOW_SIZE, dtype=np.int32
-    )
-
-
-def _seed_window_array(tail: bytes) -> list[int]:
-    """Right-align ``tail`` in a 32 KiB window, marker-padding the left."""
-    vals = list(tail[-WINDOW_SIZE:])
-    missing = WINDOW_SIZE - len(vals)
-    if missing:
-        vals = list(range(marker.MARKER_BASE, marker.MARKER_BASE + missing)) + vals
-    return vals
-
-
 #: Block table of a chunk whose block boundaries are unknown.
 _NO_BLOCKS = np.zeros((0, 3), dtype=np.int64)
 
@@ -284,13 +271,10 @@ def _pass1_chunk(args) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarr
                 kernel=kernel,
             )
             symbols = np.frombuffer(result.data, dtype=np.uint8)
-            window_syms = np.asarray(
-                _seed_window_array(result.data[-WINDOW_SIZE:]), dtype=np.int32
-            )
             return (
                 0,
                 symbols,
-                window_syms,
+                _seed_window(result.data),
                 result.end_bit,
                 result.final_seen,
                 _block_table(result.blocks),
@@ -357,10 +341,7 @@ def _decode_chunk_prefix(
     symbols = (
         np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
     )
-    if window is None:
-        window_arr = _undetermined_window_array()
-    else:
-        window_arr = np.asarray(window, dtype=np.int32)
+    window_arr = marker.undetermined_window() if window is None else window
     return symbols, window_arr, bit, final
 
 
@@ -426,7 +407,7 @@ def _salvage_chunk(
         _Segment(
             chunk.index,
             np.zeros(0, dtype=np.int32),
-            _undetermined_window_array(),
+            marker.undetermined_window(),
             region_end,
             False,
             False,
@@ -547,12 +528,32 @@ def pugz_decompress_payload(
     per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
     details: list[ChunkOutcome] = []
     block_tables: list[np.ndarray] = []
+    kept: list[Chunk] = []
     total_blocks = 0
+    prev_end = None  # end bit of the previous chunk if it decoded cleanly
     for c, oc in zip(chunks, outcomes):
-        region_end = c.stop_bit if c.stop_bit is not None else end_bit
         value = oc.value if oc.ok else None
         err = None if oc.ok else oc.error
         degraded: str | None = None
+        if prev_end is not None and prev_end != c.start_bit:
+            # The previous chunk decoded cleanly across this chunk's
+            # planned start, so that start was a false block start (a
+            # fixed-Huffman header read mid-block can fall back into
+            # step with the real symbols).  Decode the chunk again from
+            # the true boundary, or drop it if the previous chunk
+            # already ran past its whole region.
+            if c.stop_bit is not None and prev_end >= c.stop_bit:
+                continue
+            c = Chunk(c.index, prev_end, c.stop_bit)
+            degraded = "restart"
+            try:
+                value = _pass1_chunk((data, c.start_bit, c.stop_bit, c.index, budget, kernel))
+                err = None
+            except ReproError as exc:
+                value, err = None, exc
+        kept.append(c)
+        prev_end = None
+        region_end = c.stop_bit if c.stop_bit is not None else end_bit
         if err is not None and is_execution_fault(err):
             # Ladder rung 2: the *execution* failed, not the data — a
             # serial in-process re-decode is exact, just slower, so it
@@ -567,6 +568,8 @@ def pugz_decompress_payload(
                 err = exc
         if value is not None:
             index, symbols, window, seg_end, final_seen, blocks = value
+            if not final_seen:
+                prev_end = seg_end
             total_blocks += len(blocks)
             block_tables.append(blocks)
             per_chunk.append(
@@ -629,6 +632,7 @@ def pugz_decompress_payload(
     # (the planner's end_bit is only an upper bound): drop any chunks
     # planned past it — their block starts belong to whatever follows
     # (e.g. the next member of a multi-member file).
+    chunks = kept
     for k, (segs, _, _) in enumerate(per_chunk):
         if any(s.final_seen for s in segs):
             per_chunk = per_chunk[: k + 1]
@@ -671,7 +675,7 @@ def pugz_decompress_payload(
 
     # ---- pass 2a: sequential context resolution (cheap) ------------------
     t0 = time.perf_counter()
-    undetermined = _undetermined_window_array()
+    undetermined = marker.undetermined_window()
     contexts: list[np.ndarray] = []
     resolved_prev: np.ndarray | None = None
     for seg in segments:

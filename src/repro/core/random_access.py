@@ -106,14 +106,22 @@ def random_access_payload(
     )
 
     # Extract sequences over the whole span once (the grammar spans
-    # block boundaries naturally), then attribute them to blocks by
-    # their start position.
+    # block boundaries naturally), then attribute them to blocks.
     sequences = extract_sequences(symbols, min_length=min_read_length)
+    _attribute_to_blocks(report, result.blocks, sequences, resolved_threshold)
+    return report
+
+
+def _attribute_to_blocks(
+    report: RandomAccessReport, blocks, sequences: list[ExtractedSequence], resolved_threshold: int
+) -> None:
+    """Attribute ``sequences`` to ``blocks`` by start position and fill
+    ``report``'s per-block counts, first sequence-resolved block, delay
+    and the sequences from that block on."""
     seq_idx = 0
     first_resolved = None
-    for bi, block in enumerate(result.blocks):
-        total = 0
-        ambiguous = 0
+    for bi, block in enumerate(blocks):
+        total = ambiguous = 0
         while seq_idx < len(sequences) and sequences[seq_idx].start < block.out_end:
             seq = sequences[seq_idx]
             if seq.start >= block.out_start:
@@ -125,12 +133,10 @@ def random_access_payload(
         if first_resolved is None and total >= resolved_threshold and ambiguous == 0:
             first_resolved = bi
     report.first_resolved_block = first_resolved
-
     if first_resolved is not None:
-        resolved_start = result.blocks[first_resolved].out_start
+        resolved_start = blocks[first_resolved].out_start
         report.delay_bytes = resolved_start
         report.sequences = [s for s in sequences if s.start >= resolved_start]
-    return report
 
 
 def _random_access_streaming(
@@ -144,8 +150,6 @@ def _random_access_streaming(
     """Streaming variant: composed sinks, no symbol materialisation."""
     from repro.core.marker import MARKER_BASE
     from repro.core.seqstream import StreamingSequenceExtractor
-
-    import numpy as np
 
     extractor = StreamingSequenceExtractor(min_length=min_read_length)
     marker_total = [0]
@@ -171,25 +175,7 @@ def _random_access_streaming(
         delay_bytes=None,
         residual_markers=marker_total[0],
     )
-    seq_idx = 0
-    first_resolved = None
-    for bi, block in enumerate(result.blocks):
-        total = ambiguous = 0
-        while seq_idx < len(sequences) and sequences[seq_idx].start < block.out_end:
-            seq = sequences[seq_idx]
-            if seq.start >= block.out_start:
-                total += 1
-                if not seq.is_unambiguous:
-                    ambiguous += 1
-            seq_idx += 1
-        report.block_sequences.append((total, ambiguous))
-        if first_resolved is None and total >= resolved_threshold and ambiguous == 0:
-            first_resolved = bi
-    report.first_resolved_block = first_resolved
-    if first_resolved is not None:
-        resolved_start = result.blocks[first_resolved].out_start
-        report.delay_bytes = resolved_start
-        report.sequences = [s for s in sequences if s.start >= resolved_start]
+    _attribute_to_blocks(report, result.blocks, sequences, resolved_threshold)
     return report
 
 

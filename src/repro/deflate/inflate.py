@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
 from repro.deflate.huffman import HuffmanDecoder, cached_decoder
@@ -35,8 +37,8 @@ from repro.errors import (
     ResourceLimitError,
 )
 
-# Sentinel cap for the fast loop's single-compare zip-bomb guard; kept
-# local (mirroring repro.robustness.limits.UNLIMITED_CAP) because this
+# Sentinel cap for the fast loops' single-compare zip-bomb guard (the
+# marker-domain decoder imports it too); kept local (mirroring repro.robustness.limits.UNLIMITED_CAP) because this
 # module must not import the robustness package — repro.robustness
 # transitively imports the decode pipeline, and a module-level import
 # here would close that cycle.  The ``budget`` parameter is duck-typed
@@ -285,14 +287,16 @@ def inflate(
         Decode-kernel selection (see :mod:`repro.perf.kernels`):
         ``None`` (argument > ``REPRO_KERNEL`` env > auto), a kernel
         name (``"pure"`` / ``"numpy"`` / ``"auto"``), or a resolved
-        :class:`~repro.perf.kernels.KernelSpec`.  The vectorized kernel
-        is only ever an *optimization*: any block it declines is
-        re-decoded by the pure loop, so outputs, errors, and bit
-        positions are identical across kernels (pinned by the
-        differential fuzz suites).  A strict (probe) decode runs each
-        Huffman block's first KiB of output in the pure loop, which
-        rejects a false candidate within a few symbols, and hands the
-        rest of the block to the kernel (:func:`_finish_probe_block`).
+        :class:`~repro.perf.kernels.KernelSpec`.  The kernel is a
+        per-block strategy of this one block loop, which owns the stop
+        conditions, budget checks and block table for both: a Huffman
+        block goes to the vectorized kernel when it is selected, and
+        any block the kernel declines is re-decoded by the pure symbol
+        loop (:func:`_finish_block`), so outputs, errors, and bit
+        positions are identical across kernels.  A strict (probe)
+        decode runs each Huffman block's first KiB of output in the
+        pure loop, which rejects a false candidate within a few
+        symbols, and hands the rest of the block to the kernel.
 
     Returns
     -------
@@ -300,41 +304,31 @@ def inflate(
         Decompressed bytes (excluding the seeded window), the bit
         position just past the last decoded block, and per-block info.
     """
-    if len(window) > C.WINDOW_SIZE:
-        window = window[-C.WINDOW_SIZE:]
     # Late import: repro.perf pulls in profiling helpers that import
     # this module back (cycle is only at import time, not at call time).
     from repro.perf.kernels import resolve_kernel
 
     vectorized = resolve_kernel(kernel).use_vectorized(len(data))
-    if vectorized and not strict:
-        return _inflate_numpy(
-            data, start_bit, window, capture_tokens,
-            max_blocks, max_output, stop_at_final, budget,
-        )
+    kern = None  # built at the first block that reaches the kernel
     reader = BitReader(data, start_bit)
-    out = bytearray(window)
-    prefix = len(out)
     tokens = TokenStream() if capture_tokens else None
     blocks: list[BlockInfo] = []
     final_seen = False
     hit_final_probe = False
-
-    hard_cap = prefix + (budget.output_cap() if budget is not None else _UNLIMITED_CAP)
-    ascii_mask = C.ASCII_MASK if strict else None
-    lbase = C.LENGTH_BASE
-    lextra = C.LENGTH_EXTRA_BITS
-    dbase = C.DIST_BASE
-    dextra = C.DIST_EXTRA_BITS
-    # Strict Huffman blocks pause past their first KiB for the kernel;
-    # one StreamKernel per call lets its estimates adapt across blocks.
+    cap = budget.output_cap() if budget is not None else _UNLIMITED_CAP
+    # Strict Huffman blocks pause past their first KiB for the kernel.
     pause_at = C.PROBE_MIN_BLOCK if strict and vectorized else None
-    kern = None
+    # Output lives as immutable per-block parts; each block decodes
+    # after ``tail``, the last 32 KiB of window and output (DEFLATE
+    # distances never reach further back).
+    parts: list[bytes] = []
+    tail = bytes(window[-C.WINDOW_SIZE:])
+    produced = 0
 
     while True:
         if max_blocks is not None and len(blocks) >= max_blocks:
             break
-        if max_output is not None and len(out) - prefix >= max_output:
+        if max_output is not None and produced >= max_output:
             break
         if reader.bits_remaining() < 3:
             if strict:
@@ -353,44 +347,51 @@ def inflate(
 
         block_start_bit = reader.tell_bits()
         header = read_block_header(reader, strict=strict and not final_probe_block)
-        out_start = len(out)
 
         if header.btype == C.BTYPE_STORED:
-            chunk = reader.read_bytes(header.stored_len)
-            if strict:
-                if not all(C.ASCII_MASK[b] for b in chunk):
-                    raise AsciiCheckError(
-                        "stored block contains non-ASCII byte",
-                        bit_offset=reader.tell_bits(), stage="inflate",
-                    )
-            out += chunk
-            if tokens is not None:
-                for b in chunk:
-                    tokens.add_literal(b)
-        elif strict or tokens is not None:
-            paused = _decode_huffman_block(
-                reader, header, out, tokens, ascii_mask, lbase, lextra, dbase, dextra,
-                strict=strict, pause_at=pause_at,
-            )
-            if paused:
-                if kern is None:
+            block_out = reader.read_bytes(header.stored_len)
+            if strict and not all(C.ASCII_MASK[b] for b in block_out):
+                raise AsciiCheckError(
+                    "stored block contains non-ASCII byte",
+                    bit_offset=reader.tell_bits(), stage="inflate",
+                )
+            if tokens is not None and block_out:
+                tokens.add_columnar(
+                    np.zeros(len(block_out), np.int32),
+                    np.frombuffer(block_out, np.uint8).astype(np.int32),
+                )
+        else:
+            body = bytearray(tail)  # lint: allow-unbudgeted-alloc(tail is trimmed to the 32 KiB window every block)
+            base = len(body)
+            # A match may not grow a non-strict block past the budget,
+            # nor a strict one past the 4 MiB probe bound.
+            hard_cap = base + (C.PROBE_MAX_BLOCK if strict else cap - produced)
+            if strict and not _decode_huffman_block(
+                reader, header, body, tokens, C.ASCII_MASK, C.LENGTH_BASE,
+                C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
+                strict=True, pause_at=pause_at,
+            ):
+                block_out = bytes(memoryview(body)[base:])  # lint: allow-unbudgeted-alloc(the strict loop bounds a block at 4 MiB)
+            else:
+                if vectorized and kern is None:
                     from repro.perf.npkernel import StreamKernel
 
                     kern = StreamKernel(data)
-                _finish_probe_block(kern, reader, header, out, tokens, out_start)
-        else:
-            _decode_huffman_block_fast(reader, header, out, hard_cap)
+                block_out = _finish_block(kern, reader, header, body, tokens, strict, hard_cap, base)
+        tail = (tail + block_out[-C.WINDOW_SIZE:])[-C.WINDOW_SIZE:]
+        parts.append(block_out)
+        out_start = produced
+        produced += len(block_out)
 
-        out_end = len(out)
         if budget is not None:
             budget.check_block(
-                out_end - prefix,
+                produced,
                 reader.tell_bits() - start_bit,
                 stage="inflate",
                 bit_offset=block_start_bit,
             )
         if strict:
-            size = out_end - out_start
+            size = len(block_out)
             # An empty stored block is a sync-flush marker (pigz emits one
             # per chunk): 32 bits of exact LEN=0/NLEN=0xFFFF structure, so
             # it cannot be a chance match and is exempt from the minimum.
@@ -405,8 +406,8 @@ def inflate(
             BlockInfo(
                 start_bit=block_start_bit,
                 end_bit=reader.tell_bits(),
-                out_start=out_start - prefix,
-                out_end=out_end - prefix,
+                out_start=out_start,
+                out_end=produced,
                 btype=header.btype,
                 bfinal=header.bfinal,
             )
@@ -419,7 +420,7 @@ def inflate(
                 break
 
     return InflateResult(
-        data=bytes(out[prefix:]),
+        data=b"".join(parts),
         end_bit=reader.tell_bits(),
         final_seen=final_seen,
         blocks=blocks,
@@ -428,181 +429,60 @@ def inflate(
     )
 
 
-def _inflate_numpy(
-    data,
-    start_bit,
-    window: bytes,
-    capture_tokens: bool,
-    max_blocks: int | None,
-    max_output: int | None,
-    stop_at_final: bool,
-    budget,
-) -> InflateResult:
-    """Vectorized-kernel driver with per-block pure fallback.
-
-    Mirrors :func:`inflate`'s non-strict loop exactly, but compressed
-    blocks go through :class:`repro.perf.npkernel.StreamKernel` (token
-    decode) plus :func:`repro.perf.npkernel.replay_bytes` (vectorized
-    LZ77 replay seeded with the rolling 32 KiB tail).  Any block the
-    kernel declines — and any block whose output would cross the
-    resource budget's hard cap — is re-decoded from its header by the
-    same pure loops :func:`inflate` uses, reproducing the reference
-    error class and bit offset; DEFLATE distances never exceed the
-    32 KiB tail, so the fallback sees exactly the history the pure
-    path would.  Per-block replay keeps chains shallow and memory
-    bounded: output lives as immutable chunks, not one growing
-    bytearray.
-    """
-    import numpy as np
-
-    from repro.perf import npkernel
-
-    reader = BitReader(data, start_bit)
-    prefix = len(window)
-    tokens = TokenStream() if capture_tokens else None
-    blocks: list[BlockInfo] = []
-    final_seen = False
-    hard_cap = prefix + (budget.output_cap() if budget is not None else _UNLIMITED_CAP)
-
-    kern = npkernel.StreamKernel(data)
-    parts: list[bytes] = []
-    tail = window
-    produced = 0
-
-    while True:
-        if max_blocks is not None and len(blocks) >= max_blocks:
-            break
-        if max_output is not None and produced >= max_output:
-            break
-        if reader.bits_remaining() < 3:
-            break
-        block_start_bit = reader.tell_bits()
-        header = read_block_header(reader, strict=False)
-        out_start = produced
-
-        if header.btype == C.BTYPE_STORED:
-            chunk = reader.read_bytes(header.stored_len)
-            parts.append(chunk)
-            produced += len(chunk)
-            tail = (tail + chunk)[-C.WINDOW_SIZE:]
-            if tokens is not None and chunk:
-                tokens.add_columnar(
-                    np.zeros(len(chunk), np.int32),
-                    np.frombuffer(chunk, np.uint8).astype(np.int32),
-                )
-        else:
-            try:
-                offs, vals, _fp, end_bit = kern.decode_block(
-                    reader.tell_bits(), header.litlen, header.dist,
-                    max_out=hard_cap - prefix - produced,
-                )
-                if budget is not None:
-                    total = int(np.where(offs > 0, vals, 1).sum())
-                    if prefix + produced + total > hard_cap:
-                        # Let the pure loop raise (match copy) or
-                        # complete into the block-boundary check
-                        # (literal growth) exactly as without a kernel.
-                        raise npkernel.Fallback("block crosses the output cap")
-                block_out = npkernel.replay_bytes(offs, vals, tail)
-            except npkernel.Fallback:
-                # Pure re-decode of this one block, seeded with the
-                # tail: reproduces the reference error (class and bit
-                # offset) if the block is truly bad, or its exact
-                # bytes if the kernel merely declined it.
-                body = bytearray(tail)  # lint: allow-unbudgeted-alloc(tail is trimmed to the 32 KiB window every iteration)
-                lprefix = len(body)
-                local_cap = hard_cap - prefix - produced + lprefix
-                if tokens is not None:
-                    _decode_huffman_block(
-                        reader, header, body, tokens, None,
-                        C.LENGTH_BASE, C.LENGTH_EXTRA_BITS,
-                        C.DIST_BASE, C.DIST_EXTRA_BITS, strict=False,
-                    )
-                else:
-                    _decode_huffman_block_fast(reader, header, body, local_cap)
-                block_out = bytes(body[lprefix:])  # lint: allow-unbudgeted-alloc(block growth is capped by local_cap inside the block decoders)
-            else:
-                reader.seek_bits(BitOffset(end_bit))
-                if tokens is not None:
-                    tokens.add_columnar(offs, vals)
-            parts.append(block_out)
-            produced += len(block_out)
-            tail = (tail + block_out)[-C.WINDOW_SIZE:]
-
-        if budget is not None:
-            budget.check_block(
-                produced,
-                reader.tell_bits() - start_bit,
-                stage="inflate",
-                bit_offset=block_start_bit,
-            )
-        blocks.append(
-            BlockInfo(
-                start_bit=block_start_bit,
-                end_bit=reader.tell_bits(),
-                out_start=out_start,
-                out_end=produced,
-                btype=header.btype,
-                bfinal=header.bfinal,
-            )
-        )
-        if header.bfinal:
-            final_seen = True
-            if stop_at_final:
-                break
-
-    return InflateResult(
-        data=b"".join(parts),
-        end_bit=reader.tell_bits(),
-        final_seen=final_seen,
-        blocks=blocks,
-        tokens=tokens,
-        hit_final_probe=False,
-    )
-
-
-def _finish_probe_block(
+def _finish_block(
     kern,
     reader: BitReader,
     header: BlockHeader,
-    out: bytearray,
+    body: bytearray,
     tokens: TokenStream | None,
+    strict: bool,
+    hard_cap: int,
     block_start: int,
-) -> None:
-    """Finish a paused strict Huffman block with the numpy kernel.
+) -> bytes:
+    """Decode the rest of a Huffman block, from the reader's bit, after
+    ``body`` (the last 32 KiB of output, then the block's first bytes
+    from ``block_start`` on); return the block's bytes.
 
-    The kernel decodes the rest of the block, from the reader's bit, to
-    token arrays; :func:`repro.perf.npkernel.check_probe_rules` applies
-    the strict content rules to them, and they are replayed over the
-    last 32 KiB of ``out`` under a ``?`` prefix — the placeholder the
-    pure loop writes for references into the unknown context.  Any
-    kernel :class:`~repro.perf.npkernel.Fallback` or rule violation
-    resumes the pure strict loop at the same bit (``block_start`` keeps
-    the size bound counting from the block's first byte), which yields
-    the reference's exact error or bytes: nothing is committed before
-    every check has passed.
+    With a :class:`~repro.perf.npkernel.StreamKernel` the kernel decodes
+    the rest of the block to token arrays, limited to ``hard_cap`` bytes
+    of ``body``; a strict decode checks them with
+    :func:`repro.perf.npkernel.check_probe_rules` and replays them under
+    a ``?`` prefix, the placeholder the pure loop writes for references
+    into the unknown context.  Without a kernel, on any kernel
+    :class:`~repro.perf.npkernel.Fallback` and on any rule violation,
+    the pure symbol loop decodes from the same bit instead, which
+    yields the reference's exact error or bytes: nothing is committed
+    before every check has passed.
     """
-    from repro.perf import npkernel
+    if kern is not None:
+        from repro.perf import npkernel
 
-    produced = len(out) - block_start
-    try:
-        offs, vals, _fp, end_bit = kern.decode_block(
-            reader.tell_bits(), header.litlen, header.dist,
-            max_out=C.PROBE_MAX_BLOCK - produced,
-        )
-        npkernel.check_probe_rules(offs, vals, len(out), produced)
-        tail = bytes(out[-C.WINDOW_SIZE:])
-        block_out = npkernel.replay_bytes(offs, vals, b"?" * (C.WINDOW_SIZE - len(tail)) + tail)
-    except npkernel.Fallback:
+        try:
+            offs, vals, _fp, end_bit = kern.decode_block(
+                reader.tell_bits(), header.litlen, header.dist,
+                max_out=hard_cap - len(body),
+            )
+            history = bytes(body[-C.WINDOW_SIZE:])
+            if strict:
+                npkernel.check_probe_rules(offs, vals, len(body))
+                history = b"?" * (C.WINDOW_SIZE - len(history)) + history
+            block_out = npkernel.replay_bytes(offs, vals, history)
+        except npkernel.Fallback:
+            pass
+        else:
+            reader.seek_bits(BitOffset(end_bit))
+            if tokens is not None:
+                tokens.add_columnar(offs, vals)
+            return bytes(body[block_start:]) + block_out
+    if strict or tokens is not None:
         _decode_huffman_block(
-            reader, header, out, tokens, C.ASCII_MASK, C.LENGTH_BASE, C.LENGTH_EXTRA_BITS,
-            C.DIST_BASE, C.DIST_EXTRA_BITS, strict=True, block_start=block_start,
+            reader, header, body, tokens, C.ASCII_MASK if strict else None,
+            C.LENGTH_BASE, C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
+            strict=strict, block_start=block_start,
         )
-        return
-    reader.seek_bits(BitOffset(end_bit))
-    out += block_out
-    if tokens is not None:
-        tokens.add_columnar(offs, vals)
+    else:
+        _decode_huffman_block_fast(reader, header, body, hard_cap)
+    return bytes(memoryview(body)[block_start:])  # lint: allow-unbudgeted-alloc(block growth is capped by hard_cap inside the block decoders)
 
 
 def _decode_huffman_block(

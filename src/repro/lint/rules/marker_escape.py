@@ -55,8 +55,6 @@ _SEQ_PRODUCERS = {
     "undetermined_window",
     "resolve",
     "_seed_window",
-    "_seed_window_array",
-    "_undetermined_window_array",
 }
 _RESULT_PRODUCERS = {"marker_inflate"}
 #: Names conventionally bound to symbol arrays; seed when unbound.

@@ -465,10 +465,11 @@ class StreamKernel:
         :class:`Fallback` whenever the pure kernel would raise — the
         caller re-decodes the block purely for the exact error.
 
-        ``max_out`` bounds the block's *output* size: once the decoded
-        tokens expand past it the kernel gives up mid-block instead of
-        buffering a zip bomb's worth of token arrays, and the pure
-        fallback then reproduces the exact resource-limit error.
+        ``max_out`` bounds the block's *output* size: the kernel
+        declines a block whose tokens expand past it, mid-block once a
+        segment crosses it (instead of buffering a zip bomb's worth of
+        token arrays), and the pure fallback then reproduces the exact
+        resource-limit error, size-bound error or truncation.
         """
         ll = _lit_luts(litlen)
         dl = _dist_luts(dist)
@@ -502,6 +503,10 @@ class StreamKernel:
                 end_bit = int(fp[-1]) + int(nb[-1])
                 if end_bit > nbits:
                     raise Fallback("EOB past end of input")
+                if max_out is not None:
+                    out_est += int(np.where(off[:-1] > 0, val[:-1], 1).sum())
+                    if out_est > max_out:
+                        raise Fallback("block output exceeds max_out")
                 offs_l.append(off[:-1])
                 vals_l.append(val[:-1])
                 fp_l.append(fp[:-1])
@@ -520,7 +525,7 @@ class StreamKernel:
             if max_out is not None:
                 out_est += int(np.where(off > 0, val, 1).sum())
                 if out_est > max_out:
-                    raise Fallback("block output exceeds the resource budget")
+                    raise Fallback("block output exceeds max_out")
             resume += base
             if resume <= pos or resume > nbits + 48:
                 raise Fallback("wavefront made no progress")
@@ -532,23 +537,21 @@ def _cat(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def check_probe_rules(offs, vals, history: int, produced: int) -> None:
+def check_probe_rules(offs, vals, history: int) -> None:
     """The strict probe's content rules (Appendix X-A) on token arrays.
 
     ``offs``/``vals`` are the rest of one block, as
-    :meth:`StreamKernel.decode_block` returns them; the block has
-    already produced ``produced`` bytes, and ``history`` bytes of output
-    (seeded window included) precede its first token here.  Literals
-    must be ASCII text, each match distance must stay within the output
-    before it plus the assumed 32 KiB context, and the whole block
-    within the 4 MiB probe bound.  Raises :class:`Fallback` on any
-    violation: the caller re-decodes purely for the exact error.
+    :meth:`StreamKernel.decode_block` returns them, and ``history``
+    bytes of output precede its first token here.  Literals must be
+    ASCII text and each match distance must stay within the output
+    before it plus the assumed 32 KiB context; the 4 MiB block bound is
+    the ``max_out`` of the :meth:`~StreamKernel.decode_block` call.
+    Raises :class:`Fallback` on any violation: the caller re-decodes
+    purely for the exact error.
     """
     is_m = offs > 0
     sizes = np.where(is_m, vals, 1)
     ends = np.cumsum(sizes, dtype=I64)
-    if len(ends) and produced + int(ends[-1]) > C.PROBE_MAX_BLOCK:
-        raise Fallback("block exceeds the probe size bound")
     if not C.ASCII_MASK[vals[~is_m]].all():
         raise Fallback("non-ASCII literal")
     # Never fires on a decodable distance code (at most 32 KiB); kept

@@ -2,6 +2,7 @@
 
 import gzip as stdlib_gzip
 import multiprocessing
+import zlib
 
 import numpy as np
 import pytest
@@ -64,6 +65,40 @@ class TestExactness:
         text = synthetic_fastq(1500, read_length=100, seed=5, quality_profile="safe")
         gz = gzip_compress(text, 1, min_match=8)
         assert pugz_decompress(gz, n_chunks=3) == stdlib_gzip.decompress(gz) == text
+
+
+class TestFalseChunkStart:
+    """A fixed-Huffman stream where the planner's block-start search
+    confirms false starts: a header read mid-block falls back into step
+    with the real symbols.  The previous chunk then decodes across the
+    planned start, and the chunk is decoded again from where it ended."""
+
+    @pytest.fixture(scope="class")
+    def fixed_only(self):
+        text = synthetic_fastq(150, read_length=100, seed=11, quality_profile="safe")
+        co = zlib.compressobj(6, zlib.DEFLATED, -15, 4, zlib.Z_FIXED)
+        return text, co.compress(text) + co.flush()
+
+    def test_plan_has_false_starts(self, fixed_only):
+        _text, data = fixed_only
+        true_starts = {b.start_bit for b in inflate(data).blocks}
+        planned = {
+            c.start_bit for k in (2, 3, 4) for c in plan_chunks(data, 0, 8 * len(data), k)
+        }
+        assert planned - true_starts
+
+    @pytest.mark.parametrize("n_chunks", [2, 3, 4])
+    def test_output_is_exact(self, fixed_only, n_chunks):
+        text, data = fixed_only
+        report = PugzReport(n_chunks_requested=n_chunks)
+        out = pugz_decompress_payload(data, 0, 8 * len(data), n_chunks=n_chunks, report=report)
+        assert out == text
+        true_starts = {b.start_bit for b in inflate(data).blocks}
+        assert all(c.start_bit in true_starts for c in report.chunks)
+        assert report.chunk_outcomes == ["ok"] * len(report.chunks)
+        planned = plan_chunks(data, 0, 8 * len(data), n_chunks)
+        restarted = [d.index for d in report.chunk_details if d.degraded_to == "restart"]
+        assert restarted == [c.index for c in planned if c.start_bit not in true_starts]
 
 
 class TestExecutors:

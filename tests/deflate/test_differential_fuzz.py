@@ -1,26 +1,31 @@
-"""Differential fuzz: optimized decode vs reference decoders (PR 5/9).
+"""Differential fuzz: each per-block decode strategy vs the references.
 
-The hot-path rewrite must not drift by a single byte or bit.  Each
-seeded stream is decoded three ways and cross-checked:
+``inflate`` (byte domain) and ``marker_inflate`` (marker domain) each
+run one block driver; what varies is how a Huffman block is decoded:
+by the pure symbol loops — the fast loop (``inflate`` without token
+capture), the general loop (token capture and strict probes) and the
+marker loop — or by the two-stage numpy kernel, which hands any block
+it declines back to the domain's pure loop.  Each seeded stream is
+decoded several ways and cross-checked:
 
 * ``zlib.decompress`` — the external ground truth for output bytes;
-* the optimized fast loop (``inflate`` without token capture) — the
-  path PR 5 rewrote;
-* the general loop (``inflate`` with ``capture_tokens=True``), which is
-  the pre-optimization per-symbol decoder kept for strict/token mode —
-  so fast-vs-general is literally optimized-vs-pre-optimization;
+* the fast loop against the general loop, the pre-optimization
+  per-symbol decoder — so fast-vs-general is literally
+  optimized-vs-pre-optimization;
 * ``marker_inflate`` from a fully known (empty) context, whose symbol
   stream must equal the byte stream exactly.
 
-Byte output must be identical across all four, and the final bit
-positions of the three in-repo decoders must agree exactly.
+Byte output must be identical across all of them, and the final bit
+positions of the in-repo decoders must agree exactly.
 
-PR 9 widens the matrix with the two-stage vectorized kernel: every
-seeded stream additionally decodes under ``kernel="pure"`` and
-``kernel="numpy"`` in *both* domains (byte and marker), and the pair
-must agree on output bytes/symbols, final bit position, block table,
-captured tokens, and the marker window — including through the
-recovery paths (pugz salvage around deliberately smashed blocks).
+Every seeded stream also decodes under ``kernel="pure"`` and
+``kernel="numpy"`` in *both* domains, and the pair must agree on
+output bytes/symbols, final bit position, block table, captured
+tokens, and the marker window — including through the recovery paths
+(pugz salvage around deliberately smashed blocks).  These comparisons
+check the per-block strategies against each other; the driver edges
+they share (limits, stop bits, sinks, budgets) are pinned against
+recorded literals in :mod:`tests.deflate.test_driver_golden`.
 
 Strict (probing) decodes get the same treatment: under ``kernel="numpy"``
 a Huffman block's first KiB runs in the pure loop and the kernel
@@ -150,13 +155,13 @@ def _block_tuples(blocks):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_kernel_differential(seed: int, shape: str):
-    """The vectorized kernel is bit-for-bit equal to the pure one.
+    """The kernel strategy is bit-for-bit equal to the pure one.
 
-    Covers both domains: byte-output ``inflate`` (with and without
-    token capture) and marker-domain ``marker_inflate`` from an
+    Covers both domains' drivers: byte-output ``inflate`` (with and
+    without token capture) and marker-domain ``marker_inflate`` from an
     undetermined context.  The explicit ``kernel="numpy"`` argument
     bypasses the auto-selection size gate, so the small fuzz streams
-    genuinely exercise the vectorized path.
+    genuinely exercise the vectorized per-block path.
     """
     text = make_text(seed)
     payload = compress_shape(text, shape)
