@@ -16,6 +16,14 @@ The algorithm, exactly as in the paper (Figure 3):
    holds every symbol array — one vectorised gather per chunk costs
    less than shipping the symbols to a worker and the bytes back.
 
+One driver runs both passes for the whole-file call and the streamed
+one (:func:`repro.core.windowed.iter_pugz`).  It works through the
+planned chunks a *stripe* at a time; the whole-file call is one stripe,
+then a join.  A stripe of ``s`` chunks keeps only its own symbols
+resident — the paper's Discussion projects this lift of the
+whole-output-in-memory limit "with little projected impact on
+performance".
+
 The paper's threads share memory, so pass-1 output never crosses a
 process boundary.  Here it does, and two things keep that cheap: a
 :class:`~repro.parallel.executor.ProcessExecutor` keeps one pool for
@@ -28,8 +36,9 @@ The result is byte-exact for *any* input whose stream is well-formed,
 with no heuristics — verified against :func:`gzip.decompress`
 throughout the test suite.  Extensions over the paper's implementation:
 multi-member (blocked) gzip files are handled member-by-member, and
-CRC32 can be verified in a parallel-friendly way via
-:func:`repro.deflate.crc32.crc32_combine` (the paper's pugz skips CRC).
+each member's CRC32 and length can be checked against its trailer, a
+CRC chained over the output as it is produced (the paper's pugz skips
+CRC).
 
 Fault tolerance (``on_error="recover"``)
 ----------------------------------------
@@ -70,8 +79,8 @@ from repro.core.chunking import Chunk, plan_chunks
 from repro.core.marker_inflate import _seed_window, marker_inflate
 from repro.core.sync import find_block_start
 from repro.core.translate import translate_chunk_counted
-from repro.deflate.crc32 import crc32, crc32_combine
-from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.crc32 import crc32
+from repro.deflate.gzipfmt import check_trailer_sums, parse_gzip_header
 from repro.deflate.inflate import inflate
 from repro.errors import GzipFormatError, ReproError, annotate
 from repro.parallel.executor import Executor, owned_executor
@@ -196,6 +205,11 @@ class PugzReport:
     members: int = 0
     #: Bit offset just past the last member's BFINAL block.
     end_bit: int = 0
+    #: Stripes decoded (all members); a whole-file call is one per member.
+    stripes: int = 0
+    #: Most pass-1 symbols one stripe held at once — the resident
+    #: memory a striped run bounds.
+    peak_stripe_symbols: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -500,11 +514,50 @@ def pugz_decompress_payload(
     the job tuples into workers, so it must stay a picklable string for
     the process executor.  Kernels are output-identical; this only
     moves the speed/robustness trade-off.
+
+    Every chunk runs as one stripe of the driver that
+    :func:`repro.core.windowed.iter_pugz` streams a stripe at a time.
     """
     if on_error not in ("raise", "recover"):
         raise ValueError(f"on_error must be 'raise' or 'recover', got {on_error!r}")
     if report is None:
         report = PugzReport(n_chunks_requested=n_chunks)
+    with owned_executor(executor, n_chunks) as ex:
+        pieces = _iter_payload(
+            data, start_bit, end_bit, n_chunks, ex, None, report,
+            confirm_blocks=confirm_blocks, on_error=on_error,
+            max_resync_search_bits=max_resync_search_bits, placeholder=placeholder,
+            budget=budget, supervision=supervision, kernel=kernel,
+        )
+        return b"".join(pieces)
+
+
+def _iter_payload(
+    data,
+    start_bit: int,
+    end_bit: int,
+    n_chunks: int,
+    ex: Executor,
+    stripe_chunks: int | None,
+    report: PugzReport,
+    *,
+    confirm_blocks: int = 5,
+    on_error: str = "raise",
+    max_resync_search_bits: int | None = None,
+    placeholder: int = HOLE_BYTE,
+    budget=None,
+    supervision: SupervisionPolicy | None = None,
+    kernel: str | None = None,
+):
+    """Yield one payload's output chunk by chunk, running both passes
+    over ``stripe_chunks`` chunks at a time (``None``: all of them).
+
+    The chunks are planned once.  Three things cross a stripe seam: the
+    resolved 32 KiB context, the previous chunk's end bit (so a false
+    planned start is restarted, and a chunk the previous one ran past
+    is dropped, at a seam as within a stripe) and the BFINAL stop.
+    Only one stripe's pass-1 symbols are resident at a time.
+    """
     if end_bit <= start_bit or start_bit >= 8 * len(data):
         raise GzipFormatError(
             f"empty DEFLATE payload region [{start_bit}, {end_bit})",
@@ -516,149 +569,171 @@ def pugz_decompress_payload(
     chunks = plan_chunks(data, start_bit, end_bit, n_chunks, confirm_blocks=confirm_blocks)
     report.sync_seconds += time.perf_counter() - t0
 
-    # ---- pass 1: parallel marker-domain decompression -------------------
-    t0 = time.perf_counter()
-    jobs = []
-    for c in chunks:
-        stop = c.stop_bit if c.stop_bit is not None else None
-        jobs.append((data, c.start_bit, stop, c.index, budget, kernel))
-    with owned_executor(executor, n_chunks) as ex:
+    undetermined = marker.undetermined_window()
+    hole_byte = placeholder if on_error == "recover" else None
+    prev_end = None  # end bit of the previous chunk if it decoded cleanly
+    context = None  # resolved 32 KiB before the next segment
+    total_blocks = 0
+    final_any = False
+    step = stripe_chunks or len(chunks)
+    for first in range(0, len(chunks), step):
+        # ---- pass 1: parallel marker-domain decompression ---------------
+        t0 = time.perf_counter()
+        stripe = chunks[first : first + step]
+        jobs = [(data, c.start_bit, c.stop_bit, c.index, budget, kernel) for c in stripe]
         outcomes = ex.map_outcomes(_pass1_chunk, jobs, supervision)
 
-    per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
-    details: list[ChunkOutcome] = []
-    block_tables: list[np.ndarray] = []
-    kept: list[Chunk] = []
-    total_blocks = 0
-    prev_end = None  # end bit of the previous chunk if it decoded cleanly
-    for c, oc in zip(chunks, outcomes):
-        value = oc.value if oc.ok else None
-        err = None if oc.ok else oc.error
-        degraded: str | None = None
-        if prev_end is not None and prev_end != c.start_bit:
-            # The previous chunk decoded cleanly across this chunk's
-            # planned start, so that start was a false block start (a
-            # fixed-Huffman header read mid-block can fall back into
-            # step with the real symbols).  Decode the chunk again from
-            # the true boundary, or drop it if the previous chunk
-            # already ran past its whole region.
-            if c.stop_bit is not None and prev_end >= c.stop_bit:
-                continue
-            c = Chunk(c.index, prev_end, c.stop_bit)
-            degraded = "restart"
-            try:
-                value = _pass1_chunk((data, c.start_bit, c.stop_bit, c.index, budget, kernel))
-                err = None
-            except ReproError as exc:
-                value, err = None, exc
-        kept.append(c)
-        prev_end = None
-        region_end = c.stop_bit if c.stop_bit is not None else end_bit
-        if err is not None and is_execution_fault(err):
-            # Ladder rung 2: the *execution* failed, not the data — a
-            # serial in-process re-decode is exact, just slower, so it
-            # applies in both error modes.
-            try:
-                value = _pass1_chunk(
-                    (data, c.start_bit, c.stop_bit, c.index, budget, kernel)
-                )
-                degraded = "serial"
-                err = None
-            except ReproError as exc:
-                err = exc
-        if value is not None:
-            index, symbols, window, seg_end, final_seen, blocks = value
-            if not final_seen:
-                prev_end = seg_end
-            total_blocks += len(blocks)
-            block_tables.append(blocks)
-            per_chunk.append(
-                (
-                    [_Segment(index, symbols, window, seg_end, final_seen, True)],
-                    [],
-                    "ok",
-                )
-            )
-            details.append(
-                ChunkOutcome(c.index, "ok", oc.retries, degraded, oc.wall_time)
-            )
-            continue
-        if on_error == "raise" or not isinstance(err, ReproError):
-            raise err
-        if c.index == 0 and c.start_bit % 8 == 0:
-            # Ladder rung 3 (chunk 0 only — the one chunk with known
-            # context and byte alignment): ask the zlib reference
-            # decoder for the whole payload.  Success means the stream
-            # was valid all along and the output is exact.
-            fallback = _zlib_fallback(data, c.start_bit // 8, budget)
-            if fallback is not None:
-                fb_out, fb_end = fallback
-                report.chunks.append(c)
-                report.chunk_outcomes.append("ok")
-                report.chunk_details.append(
-                    ChunkOutcome(
-                        0, "ok", oc.retries, "zlib", oc.wall_time, error=str(err)
+        per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
+        details: list[ChunkOutcome] = []
+        block_tables: list[np.ndarray] = []
+        kept: list[Chunk] = []
+        for c, oc in zip(stripe, outcomes):
+            value = oc.value if oc.ok else None
+            err = None if oc.ok else oc.error
+            degraded: str | None = None
+            if prev_end is not None and prev_end != c.start_bit:
+                # The previous chunk decoded cleanly across this chunk's
+                # planned start, so that start was a false block start (a
+                # fixed-Huffman header read mid-block can fall back into
+                # step with the real symbols).  Decode the chunk again from
+                # the true boundary, or drop it if the previous chunk
+                # already ran past its whole region.
+                if c.stop_bit is not None and prev_end >= c.stop_bit:
+                    continue
+                c = Chunk(c.index, prev_end, c.stop_bit)
+                degraded = "restart"
+                try:
+                    value = _pass1_chunk((data, c.start_bit, c.stop_bit, c.index, budget, kernel))
+                    err = None
+                except ReproError as exc:
+                    value, err = None, exc
+            kept.append(c)
+            prev_end = None
+            region_end = c.stop_bit if c.stop_bit is not None else end_bit
+            if err is not None and is_execution_fault(err):
+                # Ladder rung 2: the *execution* failed, not the data — a
+                # serial in-process re-decode is exact, just slower, so it
+                # applies in both error modes.
+                try:
+                    value = _pass1_chunk(
+                        (data, c.start_bit, c.stop_bit, c.index, budget, kernel)
+                    )
+                    degraded = "serial"
+                    err = None
+                except ReproError as exc:
+                    err = exc
+            if value is None:
+                if on_error == "raise" or not isinstance(err, ReproError):
+                    raise err
+                if c.index == 0 and c.start_bit % 8 == 0:
+                    # Ladder rung 3 (chunk 0 only — the one chunk with known
+                    # context and byte alignment): ask the zlib reference
+                    # decoder for the whole payload.  Success means the
+                    # stream was valid all along and the output is exact.
+                    fallback = _zlib_fallback(data, c.start_bit // 8, budget)
+                    if fallback is not None:
+                        fb_out, fb_end = fallback
+                        symbols = np.frombuffer(fb_out, dtype=np.uint8)
+                        value = (0, symbols, _seed_window(fb_out), fb_end, True, _NO_BLOCKS)
+                        degraded = "zlib"
+            if value is not None:
+                index, symbols, window, seg_end, final_seen, blocks = value
+                if not final_seen:
+                    prev_end = seg_end
+                total_blocks += len(blocks)
+                block_tables.append(blocks)
+                per_chunk.append(
+                    (
+                        [_Segment(index, symbols, window, seg_end, final_seen, True)],
+                        [],
+                        "ok",
                     )
                 )
-                report.chunk_output_sizes.append(len(fb_out))
-                report.chunk_marker_counts.append(0)
-                report.chunk_blocks.append(_NO_BLOCKS)
-                report.end_bit = fb_end
-                report.output_size += len(fb_out)
-                report.pass1_seconds += time.perf_counter() - t0
-                return fb_out
-        # Ladder rung 4: block-by-block salvage with resync; whatever
-        # stays undecodable becomes an explicit hole.
-        segments, holes = _salvage_chunk(
-            data, c, region_end, confirm_blocks, max_resync_search_bits, err,
-            budget, kernel,
-        )
-        total_blocks += sum(1 for s in segments if len(s.symbols))
-        status = "salvaged" if any(len(s.symbols) for s in segments) else "lost"
-        per_chunk.append((segments, holes, status))
-        block_tables.append(_NO_BLOCKS)
-        details.append(
-            ChunkOutcome(
-                c.index,
-                status,
-                oc.retries,
-                "salvage" if status == "salvaged" else "hole",
-                oc.wall_time,
-                error=str(err),
+                details.append(
+                    ChunkOutcome(
+                        c.index, "ok", oc.retries, degraded, oc.wall_time,
+                        error=None if err is None else str(err),
+                    )
+                )
+            else:
+                # Ladder rung 4: block-by-block salvage with resync; whatever
+                # stays undecodable becomes an explicit hole.
+                segments, holes = _salvage_chunk(
+                    data, c, region_end, confirm_blocks, max_resync_search_bits, err,
+                    budget, kernel,
+                )
+                total_blocks += sum(1 for s in segments if len(s.symbols))
+                status = "salvaged" if any(len(s.symbols) for s in segments) else "lost"
+                per_chunk.append((segments, holes, status))
+                block_tables.append(_NO_BLOCKS)
+                details.append(
+                    ChunkOutcome(
+                        c.index,
+                        status,
+                        oc.retries,
+                        "salvage" if status == "salvaged" else "hole",
+                        oc.wall_time,
+                        error=str(err),
+                    )
+                )
+                final_seen = any(s.final_seen for s in segments)
+            if final_seen:
+                # A BFINAL block marks the true stream end (the planner's
+                # end_bit is only an upper bound): chunks planned past it
+                # belong to whatever follows (e.g. the next member of a
+                # multi-member file), here and in later stripes.
+                final_any = True
+                break
+
+        segments = [s for segs, _, _ in per_chunk for s in segs]
+        report.chunks.extend(kept)
+        report.chunk_outcomes.extend(outcome for _, _, outcome in per_chunk)
+        report.chunk_details.extend(details)
+        report.chunk_blocks.extend(block_tables)
+        for _, holes, _ in per_chunk:
+            report.holes.extend(holes)
+        report.pass1_seconds += time.perf_counter() - t0
+
+        sizes = [sum(len(s.symbols) for s in segs) for segs, _, _ in per_chunk]
+        report.chunk_output_sizes.extend(sizes)
+        marker_counts = [
+            sum(marker.count_markers(s.symbols) for s in segs) for segs, _, _ in per_chunk
+        ]
+        report.chunk_marker_counts.extend(marker_counts)
+        report.stripes += 1
+        report.peak_stripe_symbols = max(report.peak_stripe_symbols, sum(sizes))
+        if segments:
+            report.end_bit = segments[-1].end_bit
+        if first == 0 and on_error == "raise" and marker_counts[0]:
+            raise ReproError(
+                "chunk 0 produced markers: stream references data before its start",
+                chunk_index=0,
+                stage="pass1",
             )
-        )
 
-    # A chunk that decoded a BFINAL block marks the true stream end
-    # (the planner's end_bit is only an upper bound): drop any chunks
-    # planned past it — their block starts belong to whatever follows
-    # (e.g. the next member of a multi-member file).
-    chunks = kept
-    for k, (segs, _, _) in enumerate(per_chunk):
-        if any(s.final_seen for s in segs):
-            per_chunk = per_chunk[: k + 1]
-            chunks = chunks[: k + 1]
-            details = details[: k + 1]
-            block_tables = block_tables[: k + 1]
+        # ---- pass 2a: sequential context resolution (cheap) --------------
+        t0 = time.perf_counter()
+        contexts: list[np.ndarray] = []
+        for seg in segments:
+            contexts.append(context if (seg.chained and context is not None) else undetermined)
+            context = marker.resolve(seg.window, contexts[-1])
+        report.resolve_seconds += time.perf_counter() - t0
+
+        # ---- pass 2b: marker translation, in the calling process ---------
+        # The parent already holds every symbol array; shipping them to a
+        # pool and the bytes back costs several times the translation.
+        t0 = time.perf_counter()
+        translated = [
+            translate_chunk_counted(seg.symbols, ctx, placeholder=hole_byte)
+            for seg, ctx in zip(segments, contexts)
+        ]
+        report.unresolved_markers += sum(count for _, count in translated)
+        report.output_size += sum(len(piece) for piece, _ in translated)
+        report.pass2_seconds += time.perf_counter() - t0
+        for piece, _ in translated:
+            yield piece
+        if final_any:
             break
-
-    segments = [s for segs, _, _ in per_chunk for s in segs]
-    report.chunks.extend(chunks)
-    report.chunk_outcomes.extend(outcome for _, _, outcome in per_chunk)
-    report.chunk_details.extend(details)
-    report.chunk_blocks.extend(block_tables)
-    for _, holes, _ in per_chunk:
-        report.holes.extend(holes)
-    report.pass1_seconds += time.perf_counter() - t0
-
-    report.chunk_output_sizes.extend(
-        sum(len(s.symbols) for s in segs) for segs, _, _ in per_chunk
-    )
-    marker_counts = [
-        sum(marker.count_markers(s.symbols) for s in segs) for segs, _, _ in per_chunk
-    ]
-    report.chunk_marker_counts.extend(marker_counts)
-    final_any = any(s.final_seen for s in segments)
-    report.end_bit = segments[-1].end_bit if segments else start_bit
 
     if total_blocks == 0 and not final_any:
         raise GzipFormatError(
@@ -666,38 +741,6 @@ def pugz_decompress_payload(
             bit_offset=start_bit,
             stage="pass1",
         )
-    if on_error == "raise" and marker_counts[0]:
-        raise ReproError(
-            "chunk 0 produced markers: stream references data before its start",
-            chunk_index=0,
-            stage="pass1",
-        )
-
-    # ---- pass 2a: sequential context resolution (cheap) ------------------
-    t0 = time.perf_counter()
-    undetermined = marker.undetermined_window()
-    contexts: list[np.ndarray] = []
-    resolved_prev: np.ndarray | None = None
-    for seg in segments:
-        ctx = resolved_prev if (seg.chained and resolved_prev is not None) else undetermined
-        contexts.append(ctx)
-        resolved_prev = marker.resolve(seg.window, ctx)
-    report.resolve_seconds += time.perf_counter() - t0
-
-    # ---- pass 2b: marker translation, in the calling process -------------
-    # The parent already holds every symbol array; shipping them to a
-    # pool and the bytes back costs several times the translation.
-    t0 = time.perf_counter()
-    hole_byte = placeholder if on_error == "recover" else None
-    translated = [
-        translate_chunk_counted(seg.symbols, ctx, placeholder=hole_byte)
-        for seg, ctx in zip(segments, contexts)
-    ]
-    out = b"".join(piece for piece, _ in translated)
-    report.unresolved_markers += sum(count for _, count in translated)
-    report.pass2_seconds += time.perf_counter() - t0
-    report.output_size += len(out)
-    return out
 
 
 def pugz_decompress(
@@ -736,9 +779,8 @@ def pugz_decompress(
         :class:`~repro.parallel.executor.ProcessExecutor` passed to
         several calls keeps one pool across them.
     verify:
-        Check each member's CRC32/ISIZE trailer; per-part CRCs are
-        computed through the executor and folded with
-        :func:`crc32_combine`, keeping verification parallel-friendly.
+        Check each member's CRC32/ISIZE trailer against a CRC chained
+        over the member's output in the calling process.
     return_report:
         Also return the :class:`PugzReport` instrumentation.
     on_error:
@@ -778,12 +820,47 @@ def pugz_decompress(
     if supervision is None and (deadline_s is not None or max_retries):
         supervision = SupervisionPolicy(deadline_s=deadline_s, max_retries=max_retries)
     report = PugzReport(n_chunks_requested=n_chunks)
+    pieces = _iter_members(
+        gz_data, n_chunks, executor, None, report,
+        verify=verify, on_error=on_error, allow_trailing_garbage=allow_trailing_garbage,
+        confirm_blocks=confirm_blocks, max_resync_search_bits=max_resync_search_bits,
+        budget=budget, supervision=supervision, kernel=kernel,
+    )
+    out = b"".join(pieces)
+    if return_report:
+        return out, report
+    return out
+
+
+def _iter_members(
+    gz_data: bytes,
+    n_chunks: int,
+    executor: Executor | str,
+    stripe_chunks: int | None,
+    report: PugzReport,
+    *,
+    verify: bool,
+    on_error: str = "raise",
+    allow_trailing_garbage: bool = False,
+    **payload_kw,
+):
+    """Yield a gzip file's output member by member: the one member walk
+    behind :func:`pugz_decompress` (``stripe_chunks=None``: each member
+    is one :func:`pugz_decompress_payload` call) and the striped
+    :func:`repro.core.windowed.iter_pugz`.
+
+    Every trailer must be present.  With ``verify`` each member's CRC32
+    and length are chained over its pieces as they are yielded and
+    compared with the trailer; a mismatch raises
+    :class:`GzipFormatError` (``stage="trailer"``), or is recorded in
+    ``report.verify_failures`` in recover mode.  ``payload_kw`` is
+    passed on to the payload decoder.
+    """
     if not gz_data:
         raise GzipFormatError("empty input", bit_offset=0, stage="container")
-    out_parts: list[bytes] = []
     offset = 0
     n = len(gz_data)
-    with owned_executor(executor, n_chunks) as ex:
+    with owned_executor(executor, min(n_chunks, stripe_chunks or n_chunks)) as ex:
         while offset < n:
             try:
                 payload_start, *_ = parse_gzip_header(gz_data, offset)
@@ -794,39 +871,41 @@ def pugz_decompress(
                     warnings.warn(
                         f"ignoring {n - offset} bytes of trailing garbage after the "
                         f"last gzip member (byte offset {offset}): {exc.message}",
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     report.trailing_garbage_offset = offset
-                    break
+                    return
                 raise GzipFormatError(
                     f"trailing garbage after last gzip member: {n - offset} bytes "
                     f"at byte offset {offset} are not a gzip header ({exc.message})",
                     bit_offset=8 * offset,
                     stage="container",
                 ) from exc
-            member_out = pugz_decompress_payload(
-                gz_data,
-                8 * payload_start,
-                8 * (n - 8),
-                n_chunks,
-                ex,
-                confirm_blocks=confirm_blocks,
-                report=report,
-                on_error=on_error,
-                max_resync_search_bits=max_resync_search_bits,
-                budget=budget,
-                supervision=supervision,
-                kernel=kernel,
-            )
+            payload = (gz_data, 8 * payload_start, 8 * (n - 8), n_chunks, ex)
+            if stripe_chunks is None:
+                pieces = [
+                    pugz_decompress_payload(
+                        *payload, report=report, on_error=on_error, **payload_kw
+                    )
+                ]
+            else:
+                pieces = _iter_payload(
+                    *payload, stripe_chunks, report, on_error=on_error, **payload_kw
+                )
+            crc = size = 0
+            for piece in pieces:
+                if verify:
+                    crc = crc32(piece, crc)
+                size += len(piece)
+                yield piece
             payload_end = (report.end_bit + 7) // 8
             if n - payload_end < 8:
                 if on_error == "recover":
                     report.verify_failures.append(
                         f"member {report.members}: truncated trailer at byte {payload_end}"
                     )
-                    out_parts.append(member_out)
                     report.members += 1
-                    break
+                    return
                 raise GzipFormatError(
                     "truncated gzip trailer",
                     bit_offset=8 * payload_end,
@@ -834,48 +913,10 @@ def pugz_decompress(
                 )
             if verify:
                 try:
-                    _verify_member(gz_data, payload_end, member_out, ex)
+                    check_trailer_sums(gz_data, payload_end, crc, size)
                 except GzipFormatError as exc:
                     if on_error != "recover":
                         raise
-                    report.verify_failures.append(
-                        f"member {report.members}: {exc}"
-                    )
-            out_parts.append(member_out)
+                    report.verify_failures.append(f"member {report.members}: {exc}")
             offset = payload_end + 8
             report.members += 1
-    out = b"".join(out_parts)
-    if return_report:
-        return out, report
-    return out
-
-
-def _verify_member(gz_data: bytes, payload_end: int, member_out: bytes, executor: Executor) -> None:
-    stored_crc = int.from_bytes(gz_data[payload_end : payload_end + 4], "little")
-    stored_isize = int.from_bytes(gz_data[payload_end + 4 : payload_end + 8], "little")
-    parts = _split_for_crc(member_out, executor.parallelism)
-    crcs = executor.map(crc32, parts)
-    combined = crcs[0]
-    for part, c in zip(parts[1:], crcs[1:]):
-        combined = crc32_combine(combined, c, len(part))
-    if combined != stored_crc:
-        raise GzipFormatError(
-            f"CRC mismatch: stored {stored_crc:#010x}, computed {combined:#010x}",
-            bit_offset=8 * payload_end,
-            stage="trailer",
-        )
-    if stored_isize != len(member_out) & 0xFFFFFFFF:
-        raise GzipFormatError(
-            f"ISIZE mismatch: stored {stored_isize}, actual {len(member_out)}",
-            bit_offset=8 * (payload_end + 4),
-            stage="trailer",
-        )
-
-
-def _split_for_crc(data: bytes, n: int) -> list[bytes]:
-    """Split bytes into n near-equal parts for parallel checksumming."""
-    if not data:
-        return [b""]
-    n = max(1, min(n, len(data)))
-    step = -(-len(data) // n)
-    return [data[i : i + step] for i in range(0, len(data), step)]

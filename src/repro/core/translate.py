@@ -10,7 +10,9 @@ pass, the paper's second pass (Section VI-C, Figure 3) is:
 2. *Parallel translation* — each chunk independently replaces marker
    ``U_j`` with ``w_i[j]``.
 
-This module implements both steps over the numpy symbol arrays.
+Step 1 is a loop in :mod:`repro.core.pugz`'s driver, which carries the
+resolved window across stripes; this module holds the per-chunk pieces
+over the numpy symbol arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.deflate.constants import WINDOW_SIZE
 from repro.errors import ReproError
 
 __all__ = [
-    "resolve_contexts",
     "translate_chunk",
     "translate_chunk_counted",
     "final_window",
@@ -46,28 +47,6 @@ def final_window(symbols: np.ndarray, initial_window: np.ndarray | None = None) 
         )
     initial_window = np.asarray(initial_window, dtype=np.int32)
     return np.concatenate([initial_window, symbols])[-WINDOW_SIZE:]
-
-
-def resolve_contexts(windows: list[np.ndarray]) -> list[np.ndarray]:
-    """Sequentially resolve the chain of chunk contexts.
-
-    ``windows[i]`` is the *unresolved* final window of chunk ``i`` (the
-    initial context handed to chunk ``i+1``).  Chunk 0 decompresses
-    from the true stream start, so for any input large enough to be
-    chunked its window is already marker-free (for tiny chunk-0 outputs
-    the unknowable left padding stays marked; a valid stream never
-    references it, and :func:`translate_chunk` raises loudly if one
-    does).
-
-    Returns the resolved context for each chunk boundary:
-    ``resolved[i]`` is the true 32 KiB of text preceding chunk ``i+1``.
-    """
-    if not windows:
-        return []
-    resolved = [np.asarray(windows[0], dtype=np.int32)]
-    for w in windows[1:]:
-        resolved.append(marker.resolve(w, resolved[-1]))
-    return resolved
 
 
 def translate_chunk(

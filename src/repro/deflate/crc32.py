@@ -1,11 +1,9 @@
 """CRC-32 (gzip / RFC 1952 polynomial), implemented from scratch.
 
 Provides the checksum used by the gzip container code, plus
-``crc32_combine`` — the GF(2) trick that lets the parallel decompressor
-compute per-chunk CRCs independently and stitch them together
-afterwards.  (The paper's pugz implementation skips CRC verification
-entirely; supporting it in parallel is one of the extensions this
-reproduction adds, see DESIGN.md.)
+``crc32_combine`` — the GF(2) trick that lets the parallel compressor
+(:mod:`repro.core.pigz`) checksum each chunk independently and stitch
+the CRCs together afterwards.
 
 CRC-32 is linear over GF(2), so one serial stream splits into
 independent sub-streams exactly, the way Sitaridi et al.

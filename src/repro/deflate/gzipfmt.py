@@ -25,6 +25,7 @@ __all__ = [
     "gzip_wrap",
     "gzip_unwrap",
     "check_trailer",
+    "check_trailer_sums",
     "split_members",
     "member_payload",
     "zlib_wrap",
@@ -225,19 +226,25 @@ def check_trailer(data, payload_end: int, output: bytes | None) -> None:
         raise GzipFormatError(
             "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
         )
-    if output is None:
-        return
-    crc, isize = struct.unpack_from("<II", data, payload_end)
-    actual_crc = crc32(output)
-    if actual_crc != crc:
+    if output is not None:
+        check_trailer_sums(data, payload_end, crc32(output), len(output))
+
+
+def check_trailer_sums(data, payload_end: int, crc: int, size: int) -> None:
+    """Compare the trailer at byte ``payload_end`` with a member's CRC32
+    and length, computed by the caller (for instance chained over
+    streamed pieces).  Raises :class:`GzipFormatError`
+    (``stage="trailer"``) on a mismatch."""
+    stored_crc, isize = struct.unpack_from("<II", data, payload_end)
+    if crc != stored_crc:
         raise GzipFormatError(
-            f"CRC mismatch: stored {crc:#010x}, computed {actual_crc:#010x}",
+            f"CRC mismatch: stored {stored_crc:#010x}, computed {crc:#010x}",
             bit_offset=8 * payload_end,
             stage="trailer",
         )
-    if isize != len(output) & 0xFFFFFFFF:
+    if isize != size & 0xFFFFFFFF:
         raise GzipFormatError(
-            f"ISIZE mismatch: stored {isize}, actual {len(output)}",
+            f"ISIZE mismatch: stored {isize}, actual {size}",
             bit_offset=8 * (payload_end + 4),
             stage="trailer",
         )

@@ -95,6 +95,8 @@ class InflateDecompressor:
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._consumed_bits = 0
+        #: Bits trimmed off the front of ``_buffer`` so far.
+        self._trimmed_bits = 0
         self._window = b""
         self._finished = False
         self._out = bytearray()
@@ -111,12 +113,7 @@ class InflateDecompressor:
         # Decode block by block; stop at the first incomplete block.
         while not self._finished:
             try:
-                result = inflate(
-                    self._buffer,
-                    start_bit=self._consumed_bits,
-                    window=self._window,
-                    max_blocks=1,
-                )
+                result = self._decode_pending()
             except DeflateError:
                 # Partial block: wait for more input.  (A genuinely
                 # corrupt stream will fail again at finish().)  Only
@@ -143,15 +140,40 @@ class InflateDecompressor:
             if whole > 65536:
                 del self._buffer[:whole]
                 self._consumed_bits -= 8 * whole
+                self._trimmed_bits += 8 * whole
         out = bytes(self._out)
         self._out.clear()
         return out
 
+    def _decode_pending(self):
+        return inflate(
+            self._buffer,
+            start_bit=self._consumed_bits,
+            window=self._window,
+            max_blocks=1,
+        )
+
     def finish(self) -> bytes:
-        """Assert stream completion and drain remaining output."""
+        """Assert stream completion and drain remaining output.
+
+        A stream that ends before its final block raises what decoding
+        the pending block raises — the :class:`DeflateError` that
+        :func:`inflate` meets on the whole stream, its ``bit_offset``
+        counted from the first byte fed.
+        """
         out = self.decompress(b"")
         if not self._finished:
-            raise ReproError("stream ended before its final block", stage="streaming")
+            try:
+                self._decode_pending()
+            except DeflateError as exc:
+                if exc.bit_offset is not None:
+                    exc.bit_offset += self._trimmed_bits
+                raise
+            raise ReproError(
+                "stream ended before its final block",
+                bit_offset=self._trimmed_bits + self._consumed_bits,
+                stage="streaming",
+            )
         return out
 
     @property

@@ -9,18 +9,21 @@ import pytest
 
 from repro.core.chunking import plan_chunks
 from repro.core.marker import MARKER_BASE, narrow
+from repro.cli import main
 from repro.core.pugz import (
     PugzReport,
     _pass1_chunk,
     pugz_decompress,
     pugz_decompress_payload,
 )
+from repro.core.windowed import WindowedReport, iter_pugz
 from repro.data import fastq_like, random_dna, synthetic_fastq
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.deflate import gzip_compress
-from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
 from repro.deflate.inflate import inflate
 from repro.errors import GzipFormatError, ReproError
+from repro.io import PugzStream
 from repro.parallel.executor import ProcessExecutor, SerialExecutor, make_executor
 from repro.parallel.supervision import SupervisionPolicy
 
@@ -99,6 +102,43 @@ class TestFalseChunkStart:
         planned = plan_chunks(data, 0, 8 * len(data), n_chunks)
         restarted = [d.index for d in report.chunk_details if d.degraded_to == "restart"]
         assert restarted == [c.index for c in planned if c.start_bit not in true_starts]
+
+    # Streamed output runs the same driver a stripe at a time: the
+    # restart must hold at stripe seams too, for every stripe size.
+    STRIPES = [(k, s) for k in (2, 3, 4) for s in range(1, k + 1)]
+
+    @pytest.fixture(scope="class")
+    def fixed_only_gz(self, fixed_only):
+        text, data = fixed_only
+        return text, gzip_wrap(data, text)
+
+    @pytest.mark.parametrize("n_chunks,stripe", STRIPES)
+    def test_iter_pugz_is_exact(self, fixed_only_gz, n_chunks, stripe):
+        text, gz = fixed_only_gz
+        report = WindowedReport()
+        out = b"".join(iter_pugz(gz, n_chunks=n_chunks, stripe_chunks=stripe, report=report))
+        assert out == text
+        _, whole = pugz_decompress(gz, n_chunks=n_chunks, return_report=True)
+
+        def restarted(r):
+            return [d.index for d in r.chunk_details if d.degraded_to == "restart"]
+
+        assert restarted(report.pugz) == restarted(whole)
+
+    @pytest.mark.parametrize("n_chunks,stripe", STRIPES)
+    def test_pugz_stream_is_exact(self, fixed_only_gz, n_chunks, stripe):
+        text, gz = fixed_only_gz
+        with PugzStream(gz, n_chunks=n_chunks, stripe_chunks=stripe) as stream:
+            assert stream.read() == text
+
+    @pytest.mark.parametrize("n_chunks,stripe", STRIPES)
+    def test_stream_command_is_exact(self, fixed_only_gz, n_chunks, stripe, tmp_path):
+        text, gz = fixed_only_gz
+        src, out = tmp_path / "in.gz", tmp_path / "out"
+        src.write_bytes(gz)
+        argv = ["stream", str(src), "-o", str(out), "--chunks", str(n_chunks)]
+        assert main(argv + ["--stripe", str(stripe)]) == 0
+        assert out.read_bytes() == text
 
 
 class TestExecutors:

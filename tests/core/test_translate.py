@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import marker
-from repro.core.translate import final_window, resolve_contexts, translate_chunk
+from repro.core.translate import final_window, translate_chunk
 from repro.errors import ReproError
 
 
@@ -30,29 +30,6 @@ class TestFinalWindow:
     def test_short_chunk_without_initial_raises(self):
         with pytest.raises(ReproError):
             final_window(np.array([1], dtype=np.int32))
-
-
-class TestResolveContexts:
-    def test_empty(self):
-        assert resolve_contexts([]) == []
-
-    def test_chain_resolution(self):
-        """w2's markers point into w1; after resolution w2 is concrete."""
-        w1 = concrete_window(2)
-        w2 = w1.copy()
-        w2[100:200] = marker.MARKER_BASE + np.arange(500, 600)
-        resolved = resolve_contexts([w1, w2])
-        assert (resolved[0] == w1).all()
-        assert marker.count_markers(resolved[1]) == 0
-        assert (resolved[1][100:200] == w1[500:600]).all()
-
-    def test_three_link_chain(self):
-        w1 = concrete_window(3)
-        w2 = np.full(32768, marker.MARKER_BASE + 0, dtype=np.int32)  # all -> w1[0]
-        w3 = np.array([marker.MARKER_BASE + k for k in range(32768)], dtype=np.int32)
-        resolved = resolve_contexts([w1, w2, w3])
-        assert (resolved[1] == w1[0]).all()
-        assert (resolved[2] == resolved[1]).all()  # w3 copies all of w2
 
 
 class TestTranslateChunk:

@@ -2,13 +2,19 @@
 
 import gzip as stdlib_gzip
 import multiprocessing
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.core.pugz import pugz_decompress
 from repro.core.windowed import WindowedReport, iter_pugz, pugz_decompress_windowed
 from repro.data import gzip_zlib
-from repro.errors import GzipFormatError
+from repro.errors import GzipFormatError, ReproError
 from repro.io import PugzStream
 from repro.robustness import default_corpora
 
@@ -132,3 +138,81 @@ class TestMultiMember:
         with pytest.raises(GzipFormatError) as excinfo:
             b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=2))
         assert excinfo.value.stage == "trailer"
+
+
+class TestPeakShrinksWithStripe:
+    def test_peak_shrinks_with_stripe(self, fastq_medium, fastq_medium_gz6):
+        peaks = []
+        for stripe in (8, 4, 2, 1):
+            report = pugz_decompress_windowed(
+                fastq_medium_gz6, lambda b: None, n_chunks=8, stripe_chunks=stripe
+            )
+            assert report.chunks >= 6
+            peaks.append(report.peak_stripe_symbols)
+        assert peaks[0] == len(fastq_medium)  # one stripe holds every symbol
+        assert peaks[1] < len(fastq_medium)
+        assert all(a > b for a, b in zip(peaks, peaks[1:]))
+
+
+def _flipped(field: str) -> bytes:
+    """Two members with the *first* member's CRC or ISIZE flipped."""
+    _, gz = default_corpora()["fastq-multiblock"]
+    bad = bytearray(gz)
+    bad[-6 if field == "crc" else -1] ^= 0xFF
+    return bytes(bad) + gz
+
+
+def _trailer_error(surface: str, data: bytes, tmp_path) -> GzipFormatError:
+    with pytest.raises(GzipFormatError) as excinfo:
+        if surface == "iter_pugz":
+            b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=2))
+        elif surface == "PugzStream":
+            with PugzStream(data, n_chunks=4, stripe_chunks=2) as stream:
+                stream.read()
+        elif surface == "stream":
+            src = tmp_path / "in.gz"
+            src.write_bytes(data)
+            main(["stream", str(src), "-o", str(tmp_path / "out"), "--stripe", "2"])
+        else:
+            pugz_decompress(data, n_chunks=4, verify=True)
+    return excinfo.value
+
+
+class TestTrailerChecked:
+    """Streamed output is checked against every member's trailer, on
+    the same chained-CRC path as ``pugz_decompress(verify=True)``."""
+
+    @pytest.mark.parametrize("field,name", [("crc", "CRC"), ("isize", "ISIZE")])
+    @pytest.mark.parametrize("surface", ["iter_pugz", "PugzStream", "stream", "pugz"])
+    def test_flipped_trailer_rejected(self, field, name, surface, tmp_path):
+        err = _trailer_error(surface, _flipped(field), tmp_path)
+        assert err.stage == "trailer"
+        assert name in err.message
+
+    @pytest.mark.parametrize("field", ["crc", "isize"])
+    def test_stream_command_exits_nonzero(self, field, tmp_path):
+        src = tmp_path / "in.gz"
+        src.write_bytes(_flipped(field))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "stream", str(src), "-o", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert result.returncode != 0
+        assert "GzipFormatError" in result.stderr and "trailer" in result.stderr
+
+    # Byte 2348 makes chunk 0 reference data before the stream start;
+    # byte 6713 breaks a block header.
+    @pytest.mark.parametrize("offset", [2348, 6713])
+    @pytest.mark.parametrize("stripe", [1, 2, 4])
+    def test_smashed_byte_raises_as_pugz(self, offset, stripe):
+        _, gz = default_corpora()["fastq-multiblock"]
+        bad = bytearray(gz)
+        bad[offset] ^= 0xFF
+        bad = bytes(bad)
+        with pytest.raises(ReproError) as whole:
+            pugz_decompress(bad, n_chunks=4, verify=True)
+        with pytest.raises(ReproError) as streamed:
+            b"".join(iter_pugz(bad, n_chunks=4, stripe_chunks=stripe))
+        got, want = streamed.value, whole.value
+        assert (type(got), got.stage, got.bit_offset) == (type(want), want.stage, want.bit_offset)

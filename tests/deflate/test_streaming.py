@@ -12,7 +12,9 @@ from repro.deflate.streaming import (
     DeflateCompressor,
     InflateDecompressor,
 )
-from repro.errors import ReproError
+from repro.data import synthetic_fastq
+from repro.deflate.inflate import inflate
+from repro.errors import DeflateError, ReproError
 
 
 class TestCompressor:
@@ -143,6 +145,28 @@ class TestDecompressor:
         dec.decompress(raw[: len(raw) // 2])
         with pytest.raises(ReproError):
             dec.finish()
+
+    @pytest.mark.parametrize("piece", [4096, 100_000])
+    def test_finish_raises_the_decoders_error(self, piece):
+        """A reserved BTYPE past the 64 KiB buffer trim surfaces at
+        finish() as inflate's own error, at its absolute bit offset."""
+        text = synthetic_fastq(2000, read_length=100, seed=3)
+        co = zlib.compressobj(6, zlib.DEFLATED, -15)
+        third = len(text) // 3
+        head = co.compress(text[:third]) + co.flush(zlib.Z_FULL_FLUSH)
+        head += co.compress(text[third : 2 * third]) + co.flush(zlib.Z_FULL_FLUSH)
+        tail = bytearray(co.compress(text[2 * third :]) + co.flush())
+        tail[0] |= 0b110  # BTYPE 3 in the block after the second flush
+        raw = head + bytes(tail)
+        assert len(head) > 65536
+        with pytest.raises(DeflateError) as expected:
+            inflate(raw)
+        dec = InflateDecompressor()
+        for i in range(0, len(raw), piece):
+            dec.decompress(raw[i : i + piece])
+        with pytest.raises(type(expected.value)) as got:
+            dec.finish()
+        assert got.value.bit_offset == expected.value.bit_offset
 
     def test_data_after_final_block_rejected(self):
         raw = self._compress(b"done")

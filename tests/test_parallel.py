@@ -52,6 +52,11 @@ def worker_pid(_):
     return os.getpid()
 
 
+def worker_pid_at_barrier(barrier):
+    barrier.wait(timeout=60)
+    return os.getpid()
+
+
 def exit_in_worker(x):
     if x == 1:
         os._exit(3)
@@ -72,8 +77,12 @@ class TestProcessExecutor:
             assert multiprocessing.active_children() == []
 
     def test_maps_share_one_pool(self):
-        with ProcessExecutor(2) as ex:
-            first = set(ex.map(worker_pid, range(8)))
+        # Workers start on demand, so one worker could serve a whole
+        # map.  Two tasks waiting on one barrier make the first map run
+        # on both workers; every later task must then run on one of them.
+        with multiprocessing.Manager() as manager, ProcessExecutor(2) as ex:
+            barrier = manager.Barrier(2)
+            first = set(ex.map(worker_pid_at_barrier, [barrier, barrier]))
             second = set(ex.map(worker_pid, range(8)))
         assert os.getpid() not in first
         assert second <= first
