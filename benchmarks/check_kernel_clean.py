@@ -10,6 +10,9 @@ with ``kernel="numpy"`` through
 * :func:`repro.deflate.gzipfmt.gzip_unwrap` (CRC verified),
 * :func:`repro.core.marker_inflate.marker_inflate`, and
 * :func:`repro.core.pugz.pugz_decompress` on the serial executor,
+* :func:`repro.core.parallel_index.pugz_build_index` on the serial
+  executor (the cold-start index build, whose pass 1 also records each
+  block's window reach), whose index must serve 4 KiB reads,
 
 byte-compares each output with :func:`gzip.decompress`, and runs
 :func:`repro.core.sync.find_block_start` from 1/4, 1/2 and 3/4 of the
@@ -40,6 +43,7 @@ import numpy as np  # noqa: E402
 from bench_decode import make_corpus  # noqa: E402
 from repro.core import sync  # noqa: E402
 from repro.core.marker_inflate import marker_inflate  # noqa: E402
+from repro.core.parallel_index import pugz_build_index  # noqa: E402
 from repro.core.pugz import pugz_decompress  # noqa: E402
 from repro.deflate.gzipfmt import gzip_unwrap, parse_gzip_header  # noqa: E402
 from repro.deflate.huffman import HuffmanDecoder  # noqa: E402
@@ -94,6 +98,17 @@ class _Spy:
         return len(self.built.keys() & self.kernel_decoders.keys())
 
 
+def _index_serves(gz: bytes, corpus: bytes) -> bool:
+    """A serial cold-start build returns the corpus, and its sparse
+    checkpoint windows serve exact 4 KiB reads across the file."""
+    out, idx = pugz_build_index(gz, executor="serial", kernel="numpy")
+    offsets = range(1, len(corpus) - 4096, max(1, len(corpus) // 7))
+    return bytes(out) == corpus and all(
+        idx.read_at(gz, off, 4096, kernel="numpy") == corpus[off : off + 4096]
+        for off in offsets
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--mb", type=float, default=2.0, help="corpus size in MB")
@@ -118,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         == corpus,
         "pugz_decompress": lambda: bytes(pugz_decompress(gz, executor="serial", kernel="numpy"))
         == corpus,
+        "pugz_build_index": lambda: _index_serves(gz, corpus),
         "find_block_start": lambda: all(
             sync.find_block_start(gz, payload_bit + q * span // 4).bit_offset in starts
             for q in (1, 2, 3)

@@ -247,6 +247,7 @@ def _span(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from repro.deflate.constants import WINDOW_SIZE
     from repro.index import GzipIndex, build_index, load_or_rebuild
 
     if args.mode == "info":
@@ -264,6 +265,14 @@ def _cmd_index(args) -> int:
         offs = [cp.uoffset for cp in idx.checkpoints] + [idx.usize]
         gap = max((b - a for a, b in zip(offs, offs[1:])), default=idx.usize)
         print(f"max gap:         {gap} bytes (largest checkpoint interval)")
+        stored = sorted(len(cp.window) for cp in idx.checkpoints if cp.kind == "block")
+        if stored:
+            median = stored[len(stored) // 2]
+            print(
+                f"window bytes:    {median} median per block checkpoint "
+                f"({100 * median / WINDOW_SIZE:.1f}% of 32 KiB), max {stored[-1]}, "
+                f"{sum(stored)} stored in all"
+            )
         return 0
 
     source = _source_arg(args.input)
@@ -542,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     xb.add_argument("index_file", help="index sidecar path")
     xb.add_argument("--span", type=int, default=None,
                     help="bytes between checkpoints, at most, unless one "
-                         "block is larger (default 262144); both builders")
+                         "block is larger (default 16384, a checkpoint per "
+                         "gzip -6 block); both builders")
     xb.add_argument("--builder", choices=("sequential", "pugz"),
                     default="sequential",
                     help="sequential: one decoding pass; pugz: the parallel "
@@ -565,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     xe.add_argument("--size", type=int, default=1024)
     xe.add_argument("--span", type=int, default=None,
                     help="checkpoint spacing if --auto-rebuild rebuilds "
-                         "(default 262144)")
+                         "(default 16384)")
     xe.add_argument("--auto-rebuild", action="store_true",
                     help="if the index file is missing or fails its "
                          "integrity check, rebuild it in place (atomic rename)")
@@ -586,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force a backend instead of sniffing the stream")
     ct.add_argument("--span", type=int, default=None,
                     help="checkpoint spacing of a cold-start index "
-                         "(default 262144)")
+                         "(default 16384)")
     ct.add_argument("-t", "--threads", type=int, default=None,
                     help="cold start: number of pugz chunks (default: one "
                          "per executor worker, so 1 on serial)")

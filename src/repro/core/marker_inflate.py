@@ -31,6 +31,7 @@ from repro.core import marker
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
 from repro.deflate.inflate import _UNLIMITED_CAP, BlockInfo, read_block_header
+from repro.deflate.tokens import window_reach
 from repro.errors import BitstreamError, HuffmanError, BackrefError, ResourceLimitError
 from repro.units import BitOffset
 
@@ -91,6 +92,7 @@ def marker_inflate(
     stop_at_final: bool = True,
     budget=None,
     kernel=None,
+    capture_reach: bool = False,
 ) -> MarkerInflateResult:
     """Decompress a DEFLATE stream into the marker symbol domain.
 
@@ -137,6 +139,11 @@ def marker_inflate(
         hard limit, is re-decoded by the pure symbol loop
         (:func:`_symbol_block`), so symbol streams, errors, and bit
         positions are kernel-independent.
+    capture_reach:
+        Give each compressed block's :class:`BlockInfo` its ``reach``,
+        the window positions it reads directly (as
+        :func:`repro.deflate.inflate.inflate` does), so that an index
+        built from this pass stores only those window bytes.
     """
     from repro.perf.kernels import resolve_kernel
 
@@ -176,6 +183,7 @@ def marker_inflate(
         block_start_bit = reader.tell_bits()
         header = read_block_header(reader)
         out_start = produced
+        reach = None
 
         if header.btype == C.BTYPE_STORED:
             raw = reader.read_bytes(header.stored_len)
@@ -185,10 +193,11 @@ def marker_inflate(
                 from repro.perf.npkernel import StreamKernel
 
                 kern = StreamKernel(data)
-            block_sym, truncated = _symbol_block(
+            block_sym, truncated, reach = _symbol_block(
                 kern, reader, header, win,
                 soft_limit=None if max_output is None else max_output - out_start,
                 hard_limit=sym_cap - out_start,
+                capture_reach=capture_reach,
             )
 
         chunks.append(block_sym)
@@ -215,6 +224,7 @@ def marker_inflate(
                 out_end=produced,
                 btype=header.btype,
                 bfinal=header.bfinal,
+                reach=reach,
             )
         )
         if sink is not None and produced - emitted >= flush_symbols:
@@ -251,12 +261,15 @@ def _symbol_block(
     win: np.ndarray,
     soft_limit: int | None,
     hard_limit: int,
-) -> tuple[np.ndarray, bool]:
+    capture_reach: bool = False,
+) -> tuple[np.ndarray, bool, np.ndarray | None]:
     """Decode one compressed block after the symbol window ``win``.
 
-    Returns the block's ``int32`` symbols and whether ``soft_limit``
-    truncated it.  With a :class:`~repro.perf.npkernel.StreamKernel`
-    the block runs through the two-stage kernel: stage 1 token decode
+    Returns the block's ``int32`` symbols, whether ``soft_limit``
+    truncated it, and with ``capture_reach`` the window positions it
+    read directly (else ``None``).  With a
+    :class:`~repro.perf.npkernel.StreamKernel` the block runs through
+    the two-stage kernel: stage 1 token decode
     (identical to the byte domain — the bitstream does not change
     between domains), stage 2 an **int32** symbol replay seeded with
     the window, so markers survive match copies untouched.  Without a
@@ -266,6 +279,11 @@ def _symbol_block(
     :func:`_decode_block_symbols` decodes it from the same bit: it
     stops at the exact truncation token, or raises at the exact match
     copy that crosses the budget.
+
+    The kernel's reach comes from its tokens.  The pure loop decodes a
+    reach capture after a fresh undetermined window instead of ``win``:
+    the markers in its output are then exactly the positions the block
+    read, and each is replaced by the symbol ``win`` holds there.
     """
     if kern is not None:
         from repro.perf import npkernel
@@ -280,14 +298,22 @@ def _symbol_block(
             pass
         else:
             reader.seek_bits(BitOffset(end_bit))
-            return block_sym, False
-    local = win.tolist()
+            return block_sym, False, window_reach(offs, vals) if capture_reach else None
+    local = (marker.undetermined_window() if capture_reach else win).tolist()
     truncated = _decode_block_symbols(
         reader, header, local,
         C.LENGTH_BASE, C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
         soft_limit=soft_limit, hard_limit=hard_limit,
     )
-    return np.asarray(local[len(win):], dtype=np.int32), truncated
+    block_sym = np.asarray(local[len(win):], dtype=np.int32)
+    if not capture_reach:
+        return block_sym, truncated, None
+    read = block_sym >= marker.MARKER_BASE
+    positions = block_sym[read] - marker.MARKER_BASE
+    block_sym[read] = win[positions]
+    bits = np.zeros(C.WINDOW_SIZE, dtype=bool)
+    bits[positions] = True
+    return block_sym, truncated, np.packbits(bits)
 
 
 def _decode_block_symbols(

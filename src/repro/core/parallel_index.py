@@ -4,10 +4,11 @@ Ref [11]'s checkpoint index requires "an initial sequential
 decompression of the whole file".  But the two-pass decompressor
 produces, as a by-product, everything an index needs: pass 1 decodes
 every DEFLATE block and records where each starts (its bit offset and
-output offset), and pass 2 resolves the whole output, so the 32 KiB
-window before any block is known.  So on a multi-core machine the
-index can be built at pugz speed rather than gunzip speed, with zero
-extra decompression work.
+output offset) and which window positions it reads (its reach: a
+match's distance and length are the same in the marker domain), and
+pass 2 resolves the whole output, so every window byte is known.  So
+on a multi-core machine the index can be built at pugz speed rather
+than gunzip speed, with zero extra decompression work.
 
 Checkpoints are placed by the same ``span`` rule as the sequential
 :func:`repro.index.zran.build_index`
@@ -60,9 +61,11 @@ def pugz_build_index(
     """Decompress in parallel and return ``(data, index)`` together.
 
     The index has checkpoints at most ``span`` output bytes apart,
-    placed at the block boundaries pass 1 decoded; their windows come
-    from the decompressed output, which the caller gets anyway.  It
-    equals ``build_index(gz_data, span=span)`` for any ``n_chunks``.
+    placed at the block boundaries pass 1 decoded; each stores the
+    window bytes its interval reads (pass 1 records every block's
+    window reach beside its block table), taken from the decompressed
+    output, which the caller gets anyway.  It equals
+    ``build_index(gz_data, span=span)`` for any ``n_chunks``.
     ``n_chunks=None`` plans one chunk per worker of the executor
     (:attr:`~repro.parallel.executor.Executor.parallelism`): a serial
     build is then one chunk, with no block-start search and no marker
@@ -109,6 +112,7 @@ def pugz_build_index(
                 ex,
                 report=report,
                 kernel=kernel,
+                capture_reach=True,
             )
             payload_end = (report.end_bit + 7) // 8
             check_trailer(data, payload_end, member_out)
@@ -120,7 +124,10 @@ def pugz_build_index(
             blocks = np.concatenate(
                 [t + (0, rel, rel) for t, rel in zip(tables, chunk_starts)]
             )
-            checkpoints += block_checkpoints(blocks.tolist(), member_out, uoffset, span)
+            reach = np.concatenate(report.chunk_reach[first_chunk:])
+            checkpoints += block_checkpoints(
+                blocks.tolist(), reach, member_out, uoffset, span
+            )
             uoffset += len(member_out)
             out_parts.append(member_out)
             offset = payload_end + 8

@@ -25,7 +25,7 @@ import numpy as np
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
 from repro.deflate.huffman import HuffmanDecoder, cached_decoder
-from repro.deflate.tokens import TokenStream
+from repro.deflate.tokens import TokenStream, window_reach
 from repro.units import BitOffset, ByteOffset
 from repro.errors import (
     AsciiCheckError,
@@ -84,6 +84,10 @@ class BlockInfo:
     out_end: ByteOffset
     btype: int
     bfinal: bool
+    #: With ``capture_reach``: the window positions the block reads
+    #: directly (:func:`repro.deflate.tokens.window_reach`); ``None``
+    #: for a stored block, which reads none, or without a capture.
+    reach: np.ndarray | None = None
 
 
 @dataclass
@@ -248,6 +252,7 @@ def inflate(
     stop_at_final: bool = True,
     budget=None,
     kernel=None,
+    capture_reach: bool = False,
 ) -> InflateResult:
     """Decompress a raw DEFLATE stream.
 
@@ -266,6 +271,12 @@ def inflate(
         history *plus* assumed context, and implausible block sizes.
     capture_tokens:
         Record the decoded LZ77 token stream in the result.
+    capture_reach:
+        Give each Huffman block's :class:`BlockInfo` its ``reach``: the
+        window positions its tokens read directly, computed from the
+        block's own tokens as it is decoded (the whole stream's tokens
+        are never held).  Index builders use it to store only those
+        bytes of a checkpoint's window.
     max_blocks / max_output:
         Stop after this many blocks / output bytes (both soft limits
         checked at block boundaries, except the strict 4 MiB in-block
@@ -347,6 +358,7 @@ def inflate(
 
         block_start_bit = reader.tell_bits()
         header = read_block_header(reader, strict=strict and not final_probe_block)
+        reach = None
 
         if header.btype == C.BTYPE_STORED:
             block_out = reader.read_bytes(header.stored_len)
@@ -366,8 +378,10 @@ def inflate(
             # A match may not grow a non-strict block past the budget,
             # nor a strict one past the 4 MiB probe bound.
             hard_cap = base + (C.PROBE_MAX_BLOCK if strict else cap - produced)
+            # A reach capture gives each block its own token stream.
+            block_tokens = TokenStream() if capture_reach else tokens
             if strict and not _decode_huffman_block(
-                reader, header, body, tokens, C.ASCII_MASK, C.LENGTH_BASE,
+                reader, header, body, block_tokens, C.ASCII_MASK, C.LENGTH_BASE,
                 C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
                 strict=True, pause_at=pause_at,
             ):
@@ -377,7 +391,14 @@ def inflate(
                     from repro.perf.npkernel import StreamKernel
 
                     kern = StreamKernel(data)
-                block_out = _finish_block(kern, reader, header, body, tokens, strict, hard_cap, base)
+                block_out = _finish_block(
+                    kern, reader, header, body, block_tokens, strict, hard_cap, base
+                )
+            if capture_reach:
+                offs, vals = block_tokens.offsets(), block_tokens.values()
+                reach = window_reach(offs, vals)
+                if tokens is not None:
+                    tokens.add_columnar(offs, vals)
         tail = (tail + block_out[-C.WINDOW_SIZE:])[-C.WINDOW_SIZE:]
         parts.append(block_out)
         out_start = produced
@@ -410,6 +431,7 @@ def inflate(
                 out_end=produced,
                 btype=header.btype,
                 bfinal=header.bfinal,
+                reach=reach,
             )
         )
         if header.bfinal:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Token", "TokenStream", "TokenStats"]
+from repro.deflate.constants import WINDOW_SIZE
+
+__all__ = ["Token", "TokenStream", "TokenStats", "window_reach"]
 
 
 @dataclass(frozen=True)
@@ -215,3 +217,34 @@ class TokenStream:
             total_match_offset=total_off,
             output_length=num_literals + total_len,
         )
+
+
+def window_reach(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The 32 KiB window positions one block's tokens read directly.
+
+    ``offsets`` / ``values`` are the block's token columns (as in
+    :class:`TokenStream`).  A match at block output position ``p``
+    with distance ``d`` and length ``L`` reads ``[p - d, p - d +
+    min(d, L))`` — the rest of an overlapping copy is its own output —
+    and only the part before the block's first byte is the window's.
+    Returns the set as a packed bitmap (``np.packbits`` order, 4 KiB):
+    unpacked bit ``j`` is the byte ``WINDOW_SIZE - j`` before the
+    block, so ``j = 0`` is the oldest, as for the marker ``U_j`` of
+    :mod:`repro.core.marker`.  Bytes whose bit is clear are never read,
+    so a decode of the block is exact with them set to anything.
+    """
+    offs = np.asarray(offsets, dtype=np.int32)
+    vals = np.asarray(values, dtype=np.int32)
+    is_m = offs > 0
+    m_len = vals[is_m]
+    m_off = offs[is_m]
+    m_start = np.cumsum(np.where(is_m, vals, 1), dtype=np.int64)[is_m] - m_len
+    back = m_off > m_start  # matches whose source begins before the block
+    src = (m_start - m_off)[back]
+    count = np.minimum(src + np.minimum(m_off, m_len)[back], 0) - src
+    # Every position of every range [src, src + count), as one index array.
+    first = np.cumsum(count) - count
+    reached = np.arange(int(count.sum())) + np.repeat(src - first, count)
+    bits = np.zeros(WINDOW_SIZE, dtype=bool)
+    bits[reached + WINDOW_SIZE] = True
+    return np.packbits(bits)

@@ -23,8 +23,8 @@ A plain gzip file with *no* index gets the pugz cold start: the first
 access runs the two-pass parallel decompressor once, with one chunk
 per executor worker (one chunk, and so no block-start search, on the
 default serial executor), and the block boundaries its first pass
-decoded, with the 32 KiB of resolved output before each, become
-checkpoints ``span`` bytes apart
+decoded become checkpoints ``span`` bytes apart, each storing the bytes
+of the resolved output before it that its interval reads
 (:func:`repro.core.parallel_index.pugz_build_index`) — so the index
 costs nothing beyond the decompression the first touch needed anyway,
 and every later seek decodes at most ``span`` bytes.  Give ``index_path``

@@ -6,14 +6,30 @@ offset, 32 KiB window, uncompressed offset) — after which any location
 is reachable by decoding at most ``span`` bytes from the nearest
 checkpoint with a fully *known* context.  The trade-offs the paper
 names: the index must be built (full sequential pass), stored
-(~32 KiB/checkpoint raw; compressed here), and shipped alongside the
-file — useless when a file is read only once, which is pugz's niche.
+(~32 KiB/checkpoint raw; sparse and compressed here), and shipped
+alongside the file — useless when a file is read only once, which is
+pugz's niche.
+
+Sparse windows
+--------------
+
+A checkpoint's interval reads little of its window: the context a
+block uses decays within a few KiB (the paper's §VI-A, Figure 4), and
+on FASTQ an interval reads ~4,000 of the 32,768 bytes.  So each
+checkpoint stores a bitmap of the window positions its interval reads
+directly (:func:`repro.deflate.tokens.window_reach`, found by the
+builders as each block is decoded) and only those bytes.  A byte whose
+bit is clear is never read, so :meth:`Checkpoint.history` zero-fills
+it exactly.  Windows this small make a checkpoint at every block
+affordable (see :data:`DEFAULT_SPAN`).  Indexes written before sparse
+windows (v1, v2) load with every window position stored.
 
 Checkpoint kinds
 ----------------
 
 * ``"block"`` — a DEFLATE block boundary inside a member, carrying the
-  32 KiB of history that precedes it.  Emitted so that no two
+  bytes of the 32 KiB of history before it that its interval reads
+  (a sparse window, above).  Emitted so that no two
   consecutive checkpoints are more than ``span`` output bytes apart
   (the O(1)-seek guarantee: a warm seek decodes at most ``span`` bytes
   before reaching its target).
@@ -55,6 +71,8 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
 from repro.deflate.inflate import inflate
@@ -76,6 +94,7 @@ __all__ = [
     "CACHED_INTERVALS",
     "DEFAULT_SPAN",
     "IntervalCache",
+    "MASK_BYTES",
     "block_checkpoints",
     "build_index",
     "load_or_rebuild",
@@ -83,29 +102,49 @@ __all__ = [
 
 #: v1 blob magic (single-member, block checkpoints only) — still read.
 _MAGIC = b"RPZIDX1\x00"
-#: v2 blob magic (multi-member, kind-tagged checkpoints).
+#: v2 blob magic (multi-member, kind-tagged checkpoints) — still read.
 _MAGIC2 = b"RPZIDX2\x00"
-#: Envelope kind tags (see repro.index.integrity): v1 payloads were
-#: sealed as ZRAN; v2 payloads get their own tag so a v2-unaware
-#: loader fails loudly instead of misparsing.
+#: v3 blob magic (sparse windows: a position bitmap plus stored bytes).
+_MAGIC3 = b"RPZIDX3\x00"
+#: Envelope kind tags (see repro.index.integrity): each blob version
+#: gets its own tag, so a loader that predates it fails loudly instead
+#: of misparsing.
 _KIND_V1 = b"ZRAN"
 _KIND_V2 = b"ZRN2"
+_KIND_V3 = b"ZRN3"
 
 CHECKPOINT_BLOCK = "block"
 CHECKPOINT_MEMBER = "member"
 
 #: Default checkpoint spacing (uncompressed bytes) for every builder
-#: and reader: a warm 4 KiB read decodes ~span/2 bytes on average,
-#: while the sidecar grows by one compressed 32 KiB window per span
-#: (see docs/PERFORMANCE.md "Span-honouring cold start").
-DEFAULT_SPAN = 256 * 1024
+#: and reader.  Below the output of one DEFLATE block (~32 KB for
+#: gzip -6 on FASTQ) every block gets a checkpoint, so a warm 4 KiB
+#: read decodes one block: the floor, as ``max_output`` stops only at
+#: block boundaries.  Sparse windows keep that at ~2.7 KB of sidecar
+#: per checkpoint (see docs/PERFORMANCE.md "Sparse block-granular
+#: checkpoints").
+DEFAULT_SPAN = 16 * 1024
 
 #: Decoded checkpoint intervals an :class:`IntervalCache` keeps: at
-#: most ~4 x (span + one block) of output, ~1.2 MB at the default span.
+#: most 4 x (span + one block) of output — four blocks, ~130 KB, at the
+#: default span on gzip -6 FASTQ.
 CACHED_INTERVALS = 4
 
 _KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+
+#: Bytes of a packed 32 KiB window-position bitmap.
+MASK_BYTES = WINDOW_SIZE // 8
+
+
+def _full_mask(length: int) -> bytes:
+    """The bitmap of a window whose last ``length`` positions are all
+    stored — how a window written in full (v1, v2) reads."""
+    if length > WINDOW_SIZE:
+        raise ValueError(f"window of {length} bytes exceeds {WINDOW_SIZE}")
+    zero_bytes, zero_bits = divmod(WINDOW_SIZE - length, 8)
+    partial = bytes([0xFF >> zero_bits]) if zero_bits else b""
+    return b"\0" * zero_bytes + partial + b"\xff" * (MASK_BYTES - zero_bytes - len(partial))
 
 
 @dataclass(frozen=True)
@@ -117,11 +156,28 @@ class Checkpoint:
     #: Uncompressed offset the block starts at (continuous across
     #: member boundaries).
     uoffset: ByteOffset
-    #: The 32 KiB of uncompressed data preceding ``uoffset`` (empty for
+    #: The stored bytes of the 32 KiB preceding ``uoffset``: those at
+    #: the positions ``mask`` marks, oldest first (empty for
     #: member-boundary checkpoints: a fresh member has no history).
     window: bytes
     #: ``"block"`` or ``"member"`` (see module docstring).
     kind: str = CHECKPOINT_BLOCK
+    #: Packed bitmap (``np.packbits`` order, :data:`MASK_BYTES` long) of
+    #: the stored window positions: unpacked bit ``j`` is the byte
+    #: ``WINDOW_SIZE - j`` before ``uoffset``.  Omitted, it marks the
+    #: last ``len(window)`` positions: ``window`` is then whole.
+    mask: bytes | None = None
+
+    def __post_init__(self) -> None:
+        if self.mask is None:
+            object.__setattr__(self, "mask", _full_mask(len(self.window)))
+        if len(self.mask) != MASK_BYTES:
+            raise ValueError(f"window mask of {len(self.mask)} bytes, not {MASK_BYTES}")
+        stored = int.from_bytes(self.mask, "big").bit_count()
+        if stored != len(self.window):
+            raise ValueError(
+                f"window mask marks {stored} positions but {len(self.window)} bytes are stored"
+            )
 
     @property
     def byte_offset(self) -> ByteOffset:
@@ -132,6 +188,17 @@ class Checkpoint:
     def intra_byte_bit(self) -> int:
         """Bit position of the header within :attr:`byte_offset`."""
         return self.bit_offset & 7
+
+    def history(self) -> bytes:
+        """The window a decode from this checkpoint starts after: from
+        the oldest stored position up to ``uoffset``, zero at every
+        position not stored (the interval never reads those)."""
+        pos = np.flatnonzero(np.unpackbits(np.frombuffer(self.mask, dtype=np.uint8)))
+        if not len(pos):
+            return b""
+        out = np.zeros(WINDOW_SIZE - int(pos[0]), dtype=np.uint8)
+        out[pos - pos[0]] = np.frombuffer(self.window, dtype=np.uint8)
+        return out.tobytes()
 
 
 class IntervalCache:
@@ -260,7 +327,7 @@ class GzipIndex:
         data, end_bit, final_seen = entry or (b"", cp.bit_offset, False)
         if len(data) >= need or final_seen:
             return data
-        window = (cp.window + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
+        window = (cp.history() + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
         start_byte = end_bit >> 3
         end_byte = self._compressed_bound(index, cp.uoffset + need, src)
         while True:
@@ -348,20 +415,26 @@ class GzipIndex:
     # -- serialisation ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise (windows are deflate-compressed: DNA windows
-        shrink ~4x, making the index ~8 KiB per checkpoint)."""
+        """Serialise as a v3 blob: per checkpoint, the window bitmap and
+        its stored bytes deflate-compressed together — ~2.7 KB for a
+        gzip -6 FASTQ block checkpoint (a whole window took ~17 KB)."""
         out = io.BytesIO()
-        out.write(_MAGIC2)
+        out.write(_MAGIC3)
         out.write(
             struct.pack(
                 "<QQQI", self.usize, self.span, self.csize, len(self.checkpoints)
             )
         )
         for cp in self.checkpoints:
-            cw = zlib.compress(cp.window, 6)
+            cw = zlib.compress(cp.mask + cp.window, 6)
             out.write(
                 struct.pack(
-                    "<BQQI", _KIND_CODES[cp.kind], cp.bit_offset, cp.uoffset, len(cw)
+                    "<BQQII",
+                    _KIND_CODES[cp.kind],
+                    cp.bit_offset,
+                    cp.uoffset,
+                    len(cp.window),
+                    len(cw),
                 )
             )
             out.write(cw)
@@ -369,74 +442,87 @@ class GzipIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GzipIndex":
-        if data[: len(_MAGIC2)] == _MAGIC2:
-            return cls._parse_v2(data)
-        if data[: len(_MAGIC)] == _MAGIC:
-            return cls._parse_v1(data)
+        parsers = ((_MAGIC3, cls._parse_v3), (_MAGIC2, cls._parse_v2), (_MAGIC, cls._parse_v1))
+        for magic, parse in parsers:
+            if data[: len(magic)] == magic:
+                try:
+                    return parse(data, len(magic))
+                except (struct.error, zlib.error, ValueError) as exc:
+                    # Malformed contents past the magic: surface as the
+                    # structured integrity error, not a parser crash.
+                    raise IndexIntegrityError(
+                        f"malformed zran index blob: {exc}", stage="zran"
+                    ) from exc
         raise GzipFormatError("not a gzip index blob", stage="zran")
 
-    @classmethod
-    def _parse_v1(cls, data: bytes) -> "GzipIndex":
-        try:
-            pos = len(_MAGIC)
-            usize, span, n = struct.unpack_from("<QQI", data, pos)
-            pos += 20
-            cps = []
-            for _ in range(n):
-                bit_offset, uoffset, clen = struct.unpack_from("<QQI", data, pos)
-                pos += 20
-                if pos + clen > len(data):
-                    raise IndexIntegrityError(
-                        f"zran index truncated inside checkpoint {len(cps)}",
-                        stage="zran",
-                    )
-                window = zlib.decompress(data[pos : pos + clen])
-                pos += clen
-                # v1 indexed a single member whose checkpoint 0 was the
-                # member's first block with empty history — exactly a
-                # member checkpoint in the v2 vocabulary.
-                kind = (
-                    CHECKPOINT_MEMBER
-                    if not window and uoffset == 0
-                    else CHECKPOINT_BLOCK
-                )
-                cps.append(Checkpoint(bit_offset, uoffset, window, kind))
-        except (struct.error, zlib.error) as exc:
-            # Malformed contents past the magic: surface as the
-            # structured integrity error, not a parser crash.
+    @staticmethod
+    def _payload(data: bytes, pos: int, clen: int, n_before: int) -> bytes:
+        """Inflate one checkpoint's ``clen`` compressed bytes at ``pos``."""
+        if pos + clen > len(data):
             raise IndexIntegrityError(
-                f"malformed zran index blob: {exc}", stage="zran"
-            ) from exc
+                f"zran index truncated inside checkpoint {n_before}", stage="zran"
+            )
+        return zlib.decompress(data[pos : pos + clen])
+
+    @classmethod
+    def _parse_v1(cls, data: bytes, pos: int) -> "GzipIndex":
+        usize, span, n = struct.unpack_from("<QQI", data, pos)
+        pos += 20
+        cps = []
+        for _ in range(n):
+            bit_offset, uoffset, clen = struct.unpack_from("<QQI", data, pos)
+            pos += 20
+            window = cls._payload(data, pos, clen, len(cps))
+            pos += clen
+            # v1 indexed a single member whose checkpoint 0 was the
+            # member's first block with empty history — exactly a
+            # member checkpoint in the v2 vocabulary.
+            kind = CHECKPOINT_MEMBER if not window and uoffset == 0 else CHECKPOINT_BLOCK
+            cps.append(Checkpoint(bit_offset, uoffset, window, kind))
         return cls(checkpoints=cps, usize=usize, span=span)
 
     @classmethod
-    def _parse_v2(cls, data: bytes) -> "GzipIndex":
-        try:
-            pos = len(_MAGIC2)
-            usize, span, csize, n = struct.unpack_from("<QQQI", data, pos)
-            pos += 28
-            cps = []
-            for _ in range(n):
-                code, bit_offset, uoffset, clen = struct.unpack_from("<BQQI", data, pos)
-                pos += 21
-                if code not in _KIND_NAMES:
-                    raise IndexIntegrityError(
-                        f"unknown checkpoint kind {code} at checkpoint {len(cps)}",
-                        stage="zran",
-                    )
-                if pos + clen > len(data):
-                    raise IndexIntegrityError(
-                        f"zran index truncated inside checkpoint {len(cps)}",
-                        stage="zran",
-                    )
-                window = zlib.decompress(data[pos : pos + clen])
-                pos += clen
-                cps.append(Checkpoint(bit_offset, uoffset, window, _KIND_NAMES[code]))
-        except (struct.error, zlib.error) as exc:
-            raise IndexIntegrityError(
-                f"malformed zran index blob: {exc}", stage="zran"
-            ) from exc
+    def _parse_v2(cls, data: bytes, pos: int) -> "GzipIndex":
+        usize, span, csize, n = struct.unpack_from("<QQQI", data, pos)
+        pos += 28
+        cps = []
+        for _ in range(n):
+            code, bit_offset, uoffset, clen = struct.unpack_from("<BQQI", data, pos)
+            pos += 21
+            kind = cls._kind(code, len(cps))
+            window = cls._payload(data, pos, clen, len(cps))
+            pos += clen
+            cps.append(Checkpoint(bit_offset, uoffset, window, kind))
         return cls(checkpoints=cps, usize=usize, span=span, csize=csize)
+
+    @classmethod
+    def _parse_v3(cls, data: bytes, pos: int) -> "GzipIndex":
+        usize, span, csize, n = struct.unpack_from("<QQQI", data, pos)
+        pos += 28
+        cps = []
+        for _ in range(n):
+            code, bit_offset, uoffset, stored, clen = struct.unpack_from("<BQQII", data, pos)
+            pos += 25
+            kind = cls._kind(code, len(cps))
+            payload = cls._payload(data, pos, clen, len(cps))
+            pos += clen
+            if len(payload) != MASK_BYTES + stored:
+                raise IndexIntegrityError(
+                    f"checkpoint {len(cps)} holds {len(payload) - MASK_BYTES} window "
+                    f"bytes, its header says {stored}",
+                    stage="zran",
+                )
+            mask, window = payload[:MASK_BYTES], payload[MASK_BYTES:]
+            cps.append(Checkpoint(bit_offset, uoffset, window, kind, mask))
+        return cls(checkpoints=cps, usize=usize, span=span, csize=csize)
+
+    @staticmethod
+    def _kind(code: int, n_before: int) -> str:
+        if code not in _KIND_NAMES:
+            raise IndexIntegrityError(
+                f"unknown checkpoint kind {code} at checkpoint {n_before}", stage="zran"
+            )
+        return _KIND_NAMES[code]
 
     # -- crash-safe file persistence ----------------------------------
 
@@ -445,58 +531,83 @@ class GzipIndex:
         checksummed, see :mod:`repro.index.integrity`) and atomically
         renamed into place, so a crash mid-write can never leave a
         torn sidecar."""
-        atomic_write_bytes(path, seal(_KIND_V2, self.to_bytes()))
+        atomic_write_bytes(path, seal(_KIND_V3, self.to_bytes()))
 
     @classmethod
     def load(cls, path: str) -> "GzipIndex":
         """Read an index file written by :meth:`save`.
 
-        Accepts every generation: the current sealed v2 envelope, the
-        sealed v1 envelope (kind ``ZRAN``) and the bare legacy v1 blob;
-        anything else that fails validation raises
-        :class:`~repro.errors.IndexIntegrityError`.
+        Accepts every generation: the current sealed v3 envelope, the
+        sealed v2 and v1 envelopes (kinds ``ZRN2`` and ``ZRAN``) and the
+        bare legacy v1 and v2 blobs; anything else that fails validation
+        raises :class:`~repro.errors.IndexIntegrityError`.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
-        if blob[: len(_MAGIC)] == _MAGIC or blob[: len(_MAGIC2)] == _MAGIC2:
+        if blob[: len(_MAGIC)] in (_MAGIC, _MAGIC2, _MAGIC3):
             return cls.from_bytes(blob)  # legacy unsealed file
         kind = blob[8:12]
-        if kind == _KIND_V1:
-            return cls.from_bytes(unseal(blob, _KIND_V1))
-        return cls.from_bytes(unseal(blob, _KIND_V2))
+        known = kind in (_KIND_V1, _KIND_V2, _KIND_V3)
+        return cls.from_bytes(unseal(blob, kind if known else _KIND_V3))
 
 
 def block_checkpoints(
-    blocks, member_out: bytes, uoffset: int, span: int
+    blocks, reach, member_out: bytes, uoffset: int, span: int
 ) -> list[Checkpoint]:
     """The ``"block"`` checkpoints of one member, ``span`` bytes apart.
 
     ``blocks`` yields ``(start_bit, out_start, out_end)`` per DEFLATE
     block in stream order, output offsets relative to the member's
-    first byte; ``member_out`` is the member's decompressed output and
+    first byte, and ``reach`` each block's window reach (a packed
+    bitmap, :func:`repro.deflate.tokens.window_reach`, or ``None`` for
+    none); ``member_out`` is the member's decompressed output and
     ``uoffset`` where it starts in the file's.  A checkpoint lands at a
     block start whenever finishing that block would leave the previous
     checkpoint (the member start at first) more than ``span`` bytes
     behind — so consecutive checkpoints are <= ``span`` apart as long
     as no single block exceeds ``span``, which is the warm-seek bound.
-    Every builder shares this rule, so indexes agree checkpoint for
-    checkpoint whichever pass found the blocks.
+
+    A checkpoint stores the window bytes its interval reads directly:
+    the union of its blocks' reach, each shifted by the block's
+    distance from the checkpoint (a block 32 KiB or more past it reads
+    none of its window).  Every builder shares this rule, so indexes
+    agree checkpoint for checkpoint whichever pass found the blocks.
     """
+    out = np.frombuffer(member_out, dtype=np.uint8)
     checkpoints: list[Checkpoint] = []
-    last_rel = 0
-    for start_bit, out_start, out_end in blocks:
-        if out_start <= last_rel:
-            continue
-        if out_end - last_rel > span:
-            checkpoints.append(
-                Checkpoint(
-                    bit_offset=BitOffset(start_bit),
-                    uoffset=ByteOffset(uoffset + out_start),
-                    window=member_out[max(0, out_start - WINDOW_SIZE) : out_start],
-                    kind=CHECKPOINT_BLOCK,
-                )
+    opened: tuple[int, int] | None = None  # (start_bit, out_start)
+    read = np.zeros(WINDOW_SIZE, dtype=bool)
+
+    def close() -> None:
+        start_bit, out_start = opened
+        # A decode that succeeded read nothing before the member start.
+        read[: max(0, WINDOW_SIZE - out_start)] = False
+        pos = np.flatnonzero(read)
+        checkpoints.append(
+            Checkpoint(
+                bit_offset=BitOffset(start_bit),
+                uoffset=ByteOffset(uoffset + out_start),
+                window=out[pos + (out_start - WINDOW_SIZE)].tobytes(),
+                kind=CHECKPOINT_BLOCK,
+                mask=np.packbits(read).tobytes(),
             )
+        )
+
+    last_rel = 0
+    for (start_bit, out_start, out_end), bits in zip(blocks, reach):
+        if out_start > last_rel and out_end - last_rel > span:
+            if opened is not None:
+                close()
+            opened = (start_bit, out_start)
+            read[:] = False
             last_rel = out_start
+        if opened is None or bits is None:
+            continue
+        shift = out_start - opened[1]
+        if shift < WINDOW_SIZE:
+            read[shift:] |= np.unpackbits(bits, count=WINDOW_SIZE - shift).view(bool)
+    if opened is not None:
+        close()
     return checkpoints
 
 
@@ -538,7 +649,7 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
                 kind=CHECKPOINT_MEMBER,
             )
         )
-        result = inflate(data, start_bit=8 * payload_start)
+        result = inflate(data, start_bit=8 * payload_start, capture_reach=True)
         if not result.final_seen:
             raise GzipFormatError(
                 "member payload ended without a final block",
@@ -548,6 +659,7 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
         mdata = result.data
         checkpoints += block_checkpoints(
             ((b.start_bit, b.out_start, b.out_end) for b in result.blocks),
+            (b.reach for b in result.blocks),
             mdata,
             uoffset,
             span,

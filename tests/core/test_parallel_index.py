@@ -2,6 +2,7 @@
 
 import gzip as stdlib_gzip
 
+import numpy as np
 import pytest
 
 from repro.core.parallel_index import pugz_build_index
@@ -30,11 +31,17 @@ class TestPugzBuildIndex:
             assert idx.read_at(gz, off, 200) == text[off : off + 200]
 
     def test_checkpoint_windows_are_preceding_output(self, built):
+        """Each stored window byte is the output at its marked position,
+        and the decoder's view of the window agrees with the text there."""
         text, gz, out, idx = built
         assert len(idx.checkpoints) >= 2
         for cp in idx.checkpoints[1:]:
-            assert len(cp.window) == 32768
-            assert cp.window == text[cp.uoffset - 32768 : cp.uoffset]
+            pos = np.flatnonzero(np.unpackbits(np.frombuffer(cp.mask, np.uint8)))
+            assert len(cp.window) == len(pos) > 0
+            assert cp.window == bytes(text[cp.uoffset - 32768 + p] for p in pos)
+            history = np.frombuffer(cp.history(), np.uint8)
+            first = 32768 - len(history)
+            assert bytes(history[pos - first]) == cp.window
 
     def test_serialisation_round_trip(self, built):
         from repro.index import GzipIndex

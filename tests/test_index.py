@@ -1,5 +1,6 @@
 """Checkpoint index (zran-style) for gzip random access."""
 
+import numpy as np
 import pytest
 
 from repro.data import gzip_zlib
@@ -28,10 +29,14 @@ class TestBuild:
         assert cp.window == b""
 
     def test_checkpoints_sorted_with_windows(self, indexed):
+        """A checkpoint stores the preceding output at exactly the
+        window positions its mask marks — a few KiB of the 32 KiB."""
         text, _, idx = indexed
         for prev, cur in zip(idx.checkpoints, idx.checkpoints[1:]):
             assert cur.uoffset > prev.uoffset
-            assert cur.window == text[max(0, cur.uoffset - 32768) : cur.uoffset]
+            pos = np.flatnonzero(np.unpackbits(np.frombuffer(cur.mask, np.uint8)))
+            assert cur.window == bytes(text[cur.uoffset - 32768 + p] for p in pos)
+            assert 0 < len(cur.window) < 32768
 
     def test_invalid_span(self, indexed):
         _, gz, _ = indexed
