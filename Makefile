@@ -37,8 +37,10 @@ lint-sarif:
 
 # The numpy kernel must decode a 2 MB bench corpus on its own: exit 1
 # if a leg (gzip_unwrap, marker_inflate, serial pugz, serial
-# pugz_build_index, block-start searches) never enters the kernel, has a block fall back to the pure
-# loop, or builds a pure decode table the kernel should not need.
+# pugz_build_index, index reads that start and stop inside blocks,
+# block-start searches) never enters the kernel, has a block fall back
+# to the pure loop, or builds a pure decode table the kernel should not
+# need.
 kernel-clean:
 	python benchmarks/check_kernel_clean.py --mb 2
 

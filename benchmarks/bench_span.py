@@ -1,17 +1,18 @@
-"""Checkpoint-span curve of the zran index under sparse windows.
+"""Checkpoint-span curve of the zran index.
 
 For each span, builds the index of one gzip file with the serial pugz
 cold start (:func:`repro.core.parallel_index.pugz_build_index`, the
 :class:`~repro.index.seekable.SeekableGzipReader` default), serialises
 it, and serves 4 KiB point ``pread`` calls at golden-ratio offsets
-through a reader holding that index.  Prints, per span: checkpoints,
-median stored window bytes per block checkpoint, ``to_bytes`` time,
-sidecar bytes, build time, p50/p90 read latency, and bytes decoded per
-read with their ratio to the bytes served (seek amplification).
+through a reader holding that index.  Prints, per span: checkpoints
+by kind (block / token / member), median stored window bytes per
+block and per token checkpoint, ``to_bytes`` time, sidecar bytes,
+build time, p50/p90 read latency, and bytes decoded per read with
+their ratio to the bytes served (seek amplification).
 
 Usage::
 
-    python benchmarks/bench_span.py FILE.gz [--spans 262144,65536,16384]
+    python benchmarks/bench_span.py FILE.gz [--spans 32768,16384,8192,4096]
         [--reads 400]
 
 Without ``FILE.gz`` it compresses an 8 MB seeded FASTQ-like corpus
@@ -32,7 +33,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from bench_decode import make_corpus  # noqa: E402
 from repro.core.parallel_index import pugz_build_index  # noqa: E402
 from repro.index.seekable import SeekableGzipReader  # noqa: E402
-from repro.index.zran import CHECKPOINT_BLOCK  # noqa: E402
 
 READ = 4096
 _PHI = (5 ** 0.5 - 1) / 2
@@ -45,7 +45,9 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
     t0 = time.perf_counter()
     blob = idx.to_bytes()
     to_bytes_s = time.perf_counter() - t0
-    stored = [len(cp.window) for cp in idx.checkpoints if cp.kind == CHECKPOINT_BLOCK]
+    kinds = {"block": [], "token": [], "member": []}
+    for cp in idx.checkpoints:
+        kinds[cp.kind].append(len(cp.window))
     reader = SeekableGzipReader(gz, index=idx)
     times = []
     for i in range(reads):
@@ -59,8 +61,8 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
     q = statistics.quantiles(times, n=10)
     return {
         "span": span,
-        "checkpoints": len(idx.checkpoints),
-        "stored_median": statistics.median(stored) if stored else 0,
+        "counts": {k: len(v) for k, v in kinds.items()},
+        "stored": {k: statistics.median(v) if v else 0 for k, v in kinds.items()},
         "to_bytes_s": to_bytes_s,
         "sidecar": len(blob),
         "build_s": build_s,
@@ -74,7 +76,7 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("gz", nargs="?", help="gzip file (default: seeded 8 MB corpus)")
-    ap.add_argument("--spans", default="262144,65536,32768,16384,8192")
+    ap.add_argument("--spans", default="32768,16384,8192,4096")
     ap.add_argument("--reads", type=int, default=400)
     args = ap.parse_args(argv)
     if args.gz:
@@ -83,16 +85,19 @@ def main(argv: list[str] | None = None) -> int:
     else:
         gz = gzip.compress(make_corpus(8_000_000), 6, mtime=0)
     print(
-        f"{'span':>8} {'ckpts':>6} {'stored':>7} {'to_bytes':>9} {'sidecar':>9}"
-        f" {'build':>7} {'p50':>8} {'p90':>8} {'decoded':>9} {'amp':>6}"
+        f"{'span':>6} {'block':>6} {'token':>6} {'member':>6} {'stored b/t':>11}"
+        f" {'to_bytes':>9} {'sidecar':>9} {'build':>7} {'p50':>8} {'p90':>8}"
+        f" {'decoded':>8} {'amp':>5}"
     )
     for span in (int(s) for s in args.spans.split(",")):
         r = measure(gz, span, args.reads)
+        c, st = r["counts"], r["stored"]
         print(
-            f"{r['span']:>8} {r['checkpoints']:>6} {r['stored_median']:>7.0f}"
+            f"{r['span']:>6} {c['block']:>6} {c['token']:>6} {c['member']:>6}"
+            f" {st['block']:>5.0f}/{st['token']:<5.0f}"
             f" {r['to_bytes_s']:>8.3f}s {r['sidecar']:>9} {r['build_s']:>6.2f}s"
-            f" {r['p50_ms']:>6.2f}ms {r['p90_ms']:>6.2f}ms {r['decoded']:>9.0f}"
-            f" {r['amplification']:>6.2f}"
+            f" {r['p50_ms']:>6.2f}ms {r['p90_ms']:>6.2f}ms {r['decoded']:>8.0f}"
+            f" {r['amplification']:>5.2f}"
         )
     return 0
 

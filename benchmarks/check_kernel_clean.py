@@ -12,7 +12,11 @@ with ``kernel="numpy"`` through
 * :func:`repro.core.pugz.pugz_decompress` on the serial executor,
 * :func:`repro.core.parallel_index.pugz_build_index` on the serial
   executor (the cold-start index build, whose pass 1 also records each
-  block's window reach), whose index must serve 4 KiB reads,
+  block's pieces and their window reach), whose index must serve 4 KiB
+  reads, and
+* 4 KiB reads through that index that start inside blocks, just past
+  ``"token"`` checkpoints, and stop mid-block, which must equal the
+  same reads under ``kernel="pure"``,
 
 byte-compares each output with :func:`gzip.decompress`, and runs
 :func:`repro.core.sync.find_block_start` from 1/4, 1/2 and 3/4 of the
@@ -48,6 +52,7 @@ from repro.core.pugz import pugz_decompress  # noqa: E402
 from repro.deflate.gzipfmt import gzip_unwrap, parse_gzip_header  # noqa: E402
 from repro.deflate.huffman import HuffmanDecoder  # noqa: E402
 from repro.deflate.inflate import inflate  # noqa: E402
+from repro.index.zran import CHECKPOINT_TOKEN, IntervalCache  # noqa: E402
 from repro.perf import npkernel  # noqa: E402
 
 
@@ -97,6 +102,14 @@ class _Spy:
     def pure_tables(self) -> int:
         return len(self.built.keys() & self.kernel_decoders.keys())
 
+    def unwatched(self, run):
+        """``run()`` without recording its pure-table builds."""
+        self.probing += 1
+        try:
+            return run()
+        finally:
+            self.probing -= 1
+
 
 def _index_serves(gz: bytes, corpus: bytes) -> bool:
     """A serial cold-start build returns the corpus, and its sparse
@@ -107,6 +120,39 @@ def _index_serves(gz: bytes, corpus: bytes) -> bool:
         idx.read_at(gz, off, 4096, kernel="numpy") == corpus[off : off + 4096]
         for off in offsets
     )
+
+
+def _mid_block_reads(spy: _Spy, gz: bytes, corpus: bytes, blocks) -> bool:
+    """4 KiB reads starting 100 bytes past ``"token"`` checkpoints and
+    ending inside the same block: under ``kernel="numpy"`` each stops
+    mid-block, at the same bit and with the same decoded bytes as the
+    same read under ``kernel="pure"`` (run unwatched: the pure loop
+    builds tables of the decoders the kernel used, by design), and
+    serves the corpus's bytes."""
+    _, idx = pugz_build_index(gz, executor="serial", kernel="numpy")
+    ends = [b.out_end for b in blocks]
+    offsets = [
+        cp.uoffset + 100
+        for cp in idx.checkpoints
+        if cp.kind == CHECKPOINT_TOKEN
+        and cp.uoffset + 100 + 4096 < min(e for e in ends if e > cp.uoffset)
+    ]
+    if not offsets:
+        return False
+    for off in offsets:
+        caches = {"numpy": IntervalCache(), "pure": IntervalCache()}
+        got = idx.read_at(gz, off, 4096, kernel="numpy", cache=caches["numpy"])
+        pure = spy.unwatched(
+            lambda: idx.read_at(gz, off, 4096, kernel="pure", cache=caches["pure"])
+        )
+        # Both kernels stop at the same token: same bytes, same bit.
+        [(_, (data, end_bit, open_block))] = caches["numpy"].items()
+        [(_, (pure_data, pure_end, _))] = caches["pure"].items()
+        if open_block is None or (data, end_bit) != (pure_data, pure_end):
+            return False
+        if not got == pure == corpus[off : off + 4096]:
+            return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
         "pugz_decompress": lambda: bytes(pugz_decompress(gz, executor="serial", kernel="numpy"))
         == corpus,
         "pugz_build_index": lambda: _index_serves(gz, corpus),
+        "mid_block_reads": lambda: _mid_block_reads(spy, gz, corpus, blocks),
         "find_block_start": lambda: all(
             sync.find_block_start(gz, payload_bit + q * span // 4).bit_offset in starts
             for q in (1, 2, 3)

@@ -265,14 +265,23 @@ def _cmd_index(args) -> int:
         offs = [cp.uoffset for cp in idx.checkpoints] + [idx.usize]
         gap = max((b - a for a, b in zip(offs, offs[1:])), default=idx.usize)
         print(f"max gap:         {gap} bytes (largest checkpoint interval)")
-        stored = sorted(len(cp.window) for cp in idx.checkpoints if cp.kind == "block")
-        if stored:
-            median = stored[len(stored) // 2]
+        if kinds.get("token"):
+            # Token checkpoints sit inside the block of the block or
+            # member checkpoint before them.
+            entered = len(idx.checkpoints) - kinds["token"]
             print(
-                f"window bytes:    {median} median per block checkpoint "
-                f"({100 * median / WINDOW_SIZE:.1f}% of 32 KiB), max {stored[-1]}, "
-                f"{sum(stored)} stored in all"
+                f"per block:       {len(idx.checkpoints) / entered:.2f} checkpoints "
+                "in each block that has one"
             )
+        for kind, label in (("block", "window bytes:   "), ("token", "token windows:  ")):
+            stored = sorted(len(cp.window) for cp in idx.checkpoints if cp.kind == kind)
+            if stored:
+                median = stored[len(stored) // 2]
+                print(
+                    f"{label} {median} median per {kind} checkpoint "
+                    f"({100 * median / WINDOW_SIZE:.1f}% of 32 KiB), max {stored[-1]}, "
+                    f"{sum(stored)} stored in all"
+                )
         return 0
 
     source = _source_arg(args.input)

@@ -30,8 +30,14 @@ import numpy as np
 from repro.core import marker
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
-from repro.deflate.inflate import _UNLIMITED_CAP, BlockInfo, read_block_header
-from repro.deflate.tokens import window_reach
+from repro.deflate.inflate import (
+    _UNLIMITED_CAP,
+    BlockInfo,
+    _block_pieces,
+    _decode_huffman_block,
+    read_block_header,
+)
+from repro.deflate.tokens import TokenStream, token_ends
 from repro.errors import BitstreamError, HuffmanError, BackrefError, ResourceLimitError
 from repro.units import BitOffset
 
@@ -93,6 +99,7 @@ def marker_inflate(
     budget=None,
     kernel=None,
     capture_reach: bool = False,
+    reach_span: int | None = None,
 ) -> MarkerInflateResult:
     """Decompress a DEFLATE stream into the marker symbol domain.
 
@@ -139,11 +146,12 @@ def marker_inflate(
         hard limit, is re-decoded by the pure symbol loop
         (:func:`_symbol_block`), so symbol streams, errors, and bit
         positions are kernel-independent.
-    capture_reach:
-        Give each compressed block's :class:`BlockInfo` its ``reach``,
-        the window positions it reads directly (as
-        :func:`repro.deflate.inflate.inflate` does), so that an index
-        built from this pass stores only those window bytes.
+    capture_reach / reach_span:
+        Give each compressed block's :class:`BlockInfo` its ``pieces``
+        and their ``reach``, the window positions each reads directly,
+        cut as :func:`repro.deflate.inflate.inflate` cuts them, so that
+        an index built from this pass enters blocks at the same tokens
+        and stores only those window bytes.
     """
     from repro.perf.kernels import resolve_kernel
 
@@ -183,7 +191,7 @@ def marker_inflate(
         block_start_bit = reader.tell_bits()
         header = read_block_header(reader)
         out_start = produced
-        reach = None
+        reach = pieces = None
 
         if header.btype == C.BTYPE_STORED:
             raw = reader.read_bytes(header.stored_len)
@@ -193,12 +201,18 @@ def marker_inflate(
                 from repro.perf.npkernel import StreamKernel
 
                 kern = StreamKernel(data)
-            block_sym, truncated, reach = _symbol_block(
+            body_bit = reader.tell_bits()
+            block_sym, truncated, toks = _symbol_block(
                 kern, reader, header, win,
                 soft_limit=None if max_output is None else max_output - out_start,
                 hard_limit=sym_cap - out_start,
                 capture_reach=capture_reach,
             )
+            if toks is not None:
+                pieces, reach = _block_pieces(
+                    header, block_start_bit, body_bit, reader.tell_bits(), out_start,
+                    *toks, reach_span,
+                )
 
         chunks.append(block_sym)
         produced += len(block_sym)
@@ -225,6 +239,7 @@ def marker_inflate(
                 btype=header.btype,
                 bfinal=header.bfinal,
                 reach=reach,
+                pieces=pieces,
             )
         )
         if sink is not None and produced - emitted >= flush_symbols:
@@ -262,12 +277,14 @@ def _symbol_block(
     soft_limit: int | None,
     hard_limit: int,
     capture_reach: bool = False,
-) -> tuple[np.ndarray, bool, np.ndarray | None]:
+) -> tuple[np.ndarray, bool, tuple | None]:
     """Decode one compressed block after the symbol window ``win``.
 
     Returns the block's ``int32`` symbols, whether ``soft_limit``
-    truncated it, and with ``capture_reach`` the window positions it
-    read directly (else ``None``).  With a
+    truncated it, and with ``capture_reach`` its token columns and
+    from the kernel their :func:`~repro.deflate.tokens.token_ends` and
+    bit positions (``None`` from the pure loop; no tokens at all for a
+    truncated block).  With a
     :class:`~repro.perf.npkernel.StreamKernel` the block runs through
     the two-stage kernel: stage 1 token decode
     (identical to the byte domain — the bitstream does not change
@@ -280,40 +297,42 @@ def _symbol_block(
     stops at the exact truncation token, or raises at the exact match
     copy that crosses the budget.
 
-    The kernel's reach comes from its tokens.  The pure loop decodes a
-    reach capture after a fresh undetermined window instead of ``win``:
-    the markers in its output are then exactly the positions the block
-    read, and each is replaced by the symbol ``win`` holds there.
+    The pure loop keeps no tokens, so a reach capture decodes the block
+    a second time, after it succeeded, with the byte-domain token loop
+    over a zero window: distances and lengths do not depend on the
+    window's contents, so the columns equal the kernel's.
     """
     if kern is not None:
         from repro.perf import npkernel
 
         try:
-            offs, vals, _fp, end_bit = kern.decode_block(
+            offs, vals, fp, end_bit = kern.decode_block(
                 reader.tell_bits(), header.litlen, header.dist,
                 max_out=hard_limit if soft_limit is None else min(hard_limit, soft_limit - 1),
             )
-            block_sym = npkernel.replay_symbols(offs, vals, win)
+            ends = token_ends(offs, vals)
+            block_sym = npkernel.replay_symbols(offs, vals, win, ends)
         except npkernel.Fallback:
             pass
         else:
             reader.seek_bits(BitOffset(end_bit))
-            return block_sym, False, window_reach(offs, vals) if capture_reach else None
-    local = (marker.undetermined_window() if capture_reach else win).tolist()
+            return block_sym, False, (offs, vals, (ends, fp)) if capture_reach else None
+    body_bit = reader.tell_bits()
+    local = win.tolist()
     truncated = _decode_block_symbols(
         reader, header, local,
         C.LENGTH_BASE, C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
         soft_limit=soft_limit, hard_limit=hard_limit,
     )
     block_sym = np.asarray(local[len(win):], dtype=np.int32)
-    if not capture_reach:
+    if not capture_reach or truncated:
         return block_sym, truncated, None
-    read = block_sym >= marker.MARKER_BASE
-    positions = block_sym[read] - marker.MARKER_BASE
-    block_sym[read] = win[positions]
-    bits = np.zeros(C.WINDOW_SIZE, dtype=bool)
-    bits[positions] = True
-    return block_sym, truncated, np.packbits(bits)
+    tokens = TokenStream()
+    _decode_huffman_block(
+        BitReader(reader._data, body_bit), header, bytearray(C.WINDOW_SIZE), tokens, None,
+        C.LENGTH_BASE, C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS, strict=False,
+    )
+    return block_sym, False, (tokens.offsets(), tokens.values(), None)
 
 
 def _decode_block_symbols(

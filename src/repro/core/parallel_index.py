@@ -4,7 +4,8 @@ Ref [11]'s checkpoint index requires "an initial sequential
 decompression of the whole file".  But the two-pass decompressor
 produces, as a by-product, everything an index needs: pass 1 decodes
 every DEFLATE block and records where each starts (its bit offset and
-output offset) and which window positions it reads (its reach: a
+output offset), where a block longer than the span is cut at token
+starts, and which window positions each piece reads (its reach: a
 match's distance and length are the same in the marker domain), and
 pass 2 resolves the whole output, so every window byte is known.  So
 on a multi-core machine the index can be built at pugz speed rather
@@ -12,8 +13,8 @@ than gunzip speed, with zero extra decompression work.
 
 Checkpoints are placed by the same ``span`` rule as the sequential
 :func:`repro.index.zran.build_index`
-(:func:`~repro.index.zran.block_checkpoints`), over the block
-boundaries pass 1 found — so the index is identical to the sequential
+(:func:`~repro.index.zran.block_checkpoints`), over the blocks and
+token cuts pass 1 found — so the index is identical to the sequential
 builder's at the same ``span``, whatever the chunk count.
 
 This is the "cold start" path of
@@ -61,10 +62,10 @@ def pugz_build_index(
     """Decompress in parallel and return ``(data, index)`` together.
 
     The index has checkpoints at most ``span`` output bytes apart,
-    placed at the block boundaries pass 1 decoded; each stores the
-    window bytes its interval reads (pass 1 records every block's
-    window reach beside its block table), taken from the decompressed
-    output, which the caller gets anyway.  It equals
+    placed at the block boundaries and token cuts pass 1 decoded; each
+    stores the window bytes its interval reads (pass 1 records every
+    piece's window reach beside its block table), taken from the
+    decompressed output, which the caller gets anyway.  It equals
     ``build_index(gz_data, span=span)`` for any ``n_chunks``.
     ``n_chunks=None`` plans one chunk per worker of the executor
     (:attr:`~repro.parallel.executor.Executor.parallelism`): a serial
@@ -112,22 +113,20 @@ def pugz_build_index(
                 ex,
                 report=report,
                 kernel=kernel,
-                capture_reach=True,
+                reach_span=span,
             )
             payload_end = (report.end_bit + 7) // 8
             check_trailer(data, payload_end, member_out)
-            # Pass-1 block tables are chunk-relative: shift each chunk's
+            # Pass-1 piece tables are chunk-relative: shift each chunk's
             # output columns by where that chunk starts in the member.
-            tables = report.chunk_blocks[first_chunk:]
+            tables = report.chunk_pieces[first_chunk:]
             sizes = report.chunk_output_sizes[first_chunk:]
             chunk_starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
-            blocks = np.concatenate(
-                [t + (0, rel, rel) for t, rel in zip(tables, chunk_starts)]
+            pieces = np.concatenate(
+                [t + (0, rel, rel, 0) for (t, _), rel in zip(tables, chunk_starts)]
             )
-            reach = np.concatenate(report.chunk_reach[first_chunk:])
-            checkpoints += block_checkpoints(
-                blocks.tolist(), reach, member_out, uoffset, span
-            )
+            reach = tables[0][1] if len(tables) == 1 else np.concatenate([r for _, r in tables])
+            checkpoints += block_checkpoints(pieces, reach, member_out, uoffset, span)
             uoffset += len(member_out)
             out_parts.append(member_out)
             offset = payload_end + 8

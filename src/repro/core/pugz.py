@@ -82,7 +82,7 @@ from repro.core.translate import translate_chunk_counted
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.crc32 import crc32
 from repro.deflate.gzipfmt import check_trailer_sums, parse_gzip_header
-from repro.deflate.inflate import inflate
+from repro.deflate.inflate import inflate, piece_table
 from repro.errors import GzipFormatError, ReproError, annotate
 from repro.parallel.executor import Executor, owned_executor
 from repro.parallel.supervision import SupervisionPolicy, is_execution_fault
@@ -183,11 +183,12 @@ class PugzReport:
     #: to the chunk's first byte; empty for a salvaged, lost or
     #: zlib-rescued chunk, whose block boundaries are not known.
     chunk_blocks: list[np.ndarray] = field(default_factory=list)
-    #: With ``capture_reach``, parallel to ``chunk_blocks``: each
-    #: block's :attr:`~repro.deflate.inflate.BlockInfo.reach` as one
-    #: ``(n, 4096)`` uint8 row (all zero for a block that reads no
-    #: window); empty otherwise.
-    chunk_reach: list[np.ndarray] = field(default_factory=list)
+    #: With a ``reach_span``, parallel to ``chunk_blocks``: each
+    #: chunk's :func:`~repro.deflate.inflate.piece_table` (its blocks'
+    #: pieces, output offsets relative to the chunk's first byte, and
+    #: their window reach); empty tables for a chunk whose blocks are
+    #: not known, and no entries without a ``reach_span``.
+    chunk_pieces: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     #: Per-chunk outcome: ``ok`` / ``salvaged`` / ``lost``.
     chunk_outcomes: list[str] = field(default_factory=list)
     #: Per-chunk supervision detail (retries, degradation rung, wall
@@ -257,8 +258,8 @@ class _Segment:
 
 #: Block table of a chunk whose block boundaries are unknown.
 _NO_BLOCKS = np.zeros((0, 3), dtype=np.int64)
-#: Reach table of a chunk whose blocks' reach is unknown or uncaptured.
-_NO_REACH = np.zeros((0, WINDOW_SIZE // 8), dtype=np.uint8)
+#: Piece table of a chunk whose blocks are unknown or uncaptured.
+_NO_PIECES = (np.zeros((0, 4), dtype=np.int64), np.zeros((0, WINDOW_SIZE // 8), dtype=np.uint8))
 
 
 def _block_table(blocks) -> np.ndarray:
@@ -271,40 +272,33 @@ def _block_table(blocks) -> np.ndarray:
     )
 
 
-def _reach_table(blocks) -> np.ndarray:
-    """Each block's reach bitmap as one ``(n, 4096)`` uint8 array."""
-    table = np.zeros((len(blocks), _NO_REACH.shape[1]), dtype=np.uint8)
-    for row, b in zip(table, blocks):
-        if b.reach is not None:
-            row[:] = b.reach
-    return table
-
-
 def _pass1_chunk(
     args,
-) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarray, np.ndarray | None]:
+) -> tuple[int, np.ndarray, np.ndarray, int, bool, np.ndarray, tuple | None]:
     """First-pass worker: decode one chunk into the marker domain.
 
     Module-level so :class:`ProcessExecutor` can pickle it.  ``args``
     is ``(data, start_bit, stop_bit, index, budget, kernel,
-    capture_reach)``.  Returns ``(index, symbols, final_window,
-    end_bit, final_seen, blocks, reach)``, ``blocks`` being the chunk's
-    :func:`_block_table` and ``reach`` its :func:`_reach_table`
-    (``None`` without ``capture_reach``).  ``symbols`` comes back at
+    reach_span)``.  Returns ``(index, symbols, final_window,
+    end_bit, final_seen, blocks, pieces)``, ``blocks`` being the chunk's
+    :func:`_block_table` and ``pieces`` its
+    :func:`~repro.deflate.inflate.piece_table` (``None`` without a
+    ``reach_span``).  ``symbols`` comes back at
     its natural width (:func:`repro.core.marker.narrow`:
     ``uint8`` for a marker-free chunk, else ``uint16``), so the trip to
     the parent costs 1-2 bytes per output byte, not the decoder's 4.
     A failure is annotated with the chunk index before propagating, so
     captured outcomes name the chunk that died.
     """
-    data, chunk_start, chunk_stop, index, budget, kernel, capture_reach = args
+    data, chunk_start, chunk_stop, index, budget, kernel, reach_span = args
+    capture_reach = reach_span is not None
     try:
         if index == 0 and chunk_stop is None:
             # Sole chunk with a fully known (empty) context: decode in the
             # byte domain, which is faster and yields a concrete window.
             result = inflate(
                 data, start_bit=chunk_start, stop_at_final=True, budget=budget,
-                kernel=kernel, capture_reach=capture_reach,
+                kernel=kernel, capture_reach=capture_reach, reach_span=reach_span,
             )
             symbols = np.frombuffer(result.data, dtype=np.uint8)
             window = _seed_window(result.data)
@@ -312,6 +306,7 @@ def _pass1_chunk(
             result = marker_inflate(
                 data, start_bit=chunk_start, window=None, stop_bit=chunk_stop,
                 budget=budget, kernel=kernel, capture_reach=capture_reach,
+                reach_span=reach_span,
             )
             symbols = marker.narrow(result.symbols)
             window = result.window
@@ -322,7 +317,7 @@ def _pass1_chunk(
             result.end_bit,
             result.final_seen,
             _block_table(result.blocks),
-            _reach_table(result.blocks) if capture_reach else None,
+            piece_table(result.blocks) if capture_reach else None,
         )
     except ReproError as exc:
         annotate(exc, chunk_index=index, stage="pass1", bit_offset=chunk_start)
@@ -503,7 +498,7 @@ def pugz_decompress_payload(
     budget=None,
     supervision: SupervisionPolicy | None = None,
     kernel: str | None = None,
-    capture_reach: bool = False,
+    reach_span: int | None = None,
 ) -> bytes:
     """Two-pass parallel decompression of one raw DEFLATE payload.
 
@@ -535,9 +530,10 @@ def pugz_decompress_payload(
     the process executor.  Kernels are output-identical; this only
     moves the speed/robustness trade-off.
 
-    ``capture_reach`` has pass 1 record each block's window reach
-    (:attr:`PugzReport.chunk_reach`), for an index build; a plain
-    decompression leaves it off and does no work for it.
+    ``reach_span`` has pass 1 record each block's pieces and their
+    window reach, cutting blocks longer than it at token starts
+    (:attr:`PugzReport.chunk_pieces`), for an index build with that
+    span; a plain decompression leaves it off and does no work for it.
 
     Every chunk runs as one stripe of the driver that
     :func:`repro.core.windowed.iter_pugz` streams a stripe at a time.
@@ -552,7 +548,7 @@ def pugz_decompress_payload(
             confirm_blocks=confirm_blocks, on_error=on_error,
             max_resync_search_bits=max_resync_search_bits, placeholder=placeholder,
             budget=budget, supervision=supervision, kernel=kernel,
-            capture_reach=capture_reach,
+            reach_span=reach_span,
         )
         return b"".join(pieces)
 
@@ -573,7 +569,7 @@ def _iter_payload(
     budget=None,
     supervision: SupervisionPolicy | None = None,
     kernel: str | None = None,
-    capture_reach: bool = False,
+    reach_span: int | None = None,
 ):
     """Yield one payload's output chunk by chunk, running both passes
     over ``stripe_chunks`` chunks at a time (``None``: all of them).
@@ -607,7 +603,7 @@ def _iter_payload(
         t0 = time.perf_counter()
         stripe = chunks[first : first + step]
         jobs = [
-            (data, c.start_bit, c.stop_bit, c.index, budget, kernel, capture_reach)
+            (data, c.start_bit, c.stop_bit, c.index, budget, kernel, reach_span)
             for c in stripe
         ]
         outcomes = ex.map_outcomes(_pass1_chunk, jobs, supervision)
@@ -615,7 +611,7 @@ def _iter_payload(
         per_chunk: list[tuple[list[_Segment], list[PugzHole], str]] = []
         details: list[ChunkOutcome] = []
         block_tables: list[np.ndarray] = []
-        reach_tables: list[np.ndarray] = []
+        piece_tables: list[tuple[np.ndarray, np.ndarray]] = []
         kept: list[Chunk] = []
         for c, oc in zip(stripe, outcomes):
             value = oc.value if oc.ok else None
@@ -634,7 +630,7 @@ def _iter_payload(
                 degraded = "restart"
                 try:
                     value = _pass1_chunk(
-                        (data, c.start_bit, c.stop_bit, c.index, budget, kernel, capture_reach)
+                        (data, c.start_bit, c.stop_bit, c.index, budget, kernel, reach_span)
                     )
                     err = None
                 except ReproError as exc:
@@ -648,7 +644,7 @@ def _iter_payload(
                 # applies in both error modes.
                 try:
                     value = _pass1_chunk(
-                        (data, c.start_bit, c.stop_bit, c.index, budget, kernel, capture_reach)
+                        (data, c.start_bit, c.stop_bit, c.index, budget, kernel, reach_span)
                     )
                     degraded = "serial"
                     err = None
@@ -669,12 +665,12 @@ def _iter_payload(
                         value = (0, symbols, _seed_window(fb_out), fb_end, True, _NO_BLOCKS, None)
                         degraded = "zlib"
             if value is not None:
-                index, symbols, window, seg_end, final_seen, blocks, reach = value
+                index, symbols, window, seg_end, final_seen, blocks, chunk_pieces = value
                 if not final_seen:
                     prev_end = seg_end
                 total_blocks += len(blocks)
                 block_tables.append(blocks)
-                reach_tables.append(_NO_REACH if reach is None else reach)
+                piece_tables.append(_NO_PIECES if chunk_pieces is None else chunk_pieces)
                 per_chunk.append(
                     (
                         [_Segment(index, symbols, window, seg_end, final_seen, True)],
@@ -699,7 +695,7 @@ def _iter_payload(
                 status = "salvaged" if any(len(s.symbols) for s in segments) else "lost"
                 per_chunk.append((segments, holes, status))
                 block_tables.append(_NO_BLOCKS)
-                reach_tables.append(_NO_REACH)
+                piece_tables.append(_NO_PIECES)
                 details.append(
                     ChunkOutcome(
                         c.index,
@@ -724,8 +720,8 @@ def _iter_payload(
         report.chunk_outcomes.extend(outcome for _, _, outcome in per_chunk)
         report.chunk_details.extend(details)
         report.chunk_blocks.extend(block_tables)
-        if capture_reach:
-            report.chunk_reach.extend(reach_tables)
+        if reach_span is not None:
+            report.chunk_pieces.extend(piece_tables)
         for _, holes, _ in per_chunk:
             report.holes.extend(holes)
         report.pass1_seconds += time.perf_counter() - t0

@@ -25,7 +25,7 @@ import numpy as np
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
 from repro.deflate.huffman import HuffmanDecoder, cached_decoder
-from repro.deflate.tokens import TokenStream, window_reach
+from repro.deflate.tokens import TokenStream, piece_reach, piece_starts, token_bits, token_ends
 from repro.units import BitOffset, ByteOffset
 from repro.errors import (
     AsciiCheckError,
@@ -52,6 +52,7 @@ __all__ = [
     "read_block_header",
     "inflate",
     "inflate_bytes",
+    "piece_table",
 ]
 
 # Fixed-code decoders are stateless; build them once.
@@ -84,10 +85,16 @@ class BlockInfo:
     out_end: ByteOffset
     btype: int
     bfinal: bool
-    #: With ``capture_reach``: the window positions the block reads
+    #: With ``capture_reach``: one packed row per piece of the block
+    #: (see ``pieces``) of the window positions that piece reads
     #: directly (:func:`repro.deflate.tokens.window_reach`); ``None``
     #: for a stored block, which reads none, or without a capture.
     reach: np.ndarray | None = None
+    #: With ``capture_reach``: ``(start_bit, out_start)`` of each piece
+    #: of a Huffman block, an ``(n, 2)`` int64 array.  Row 0 is the
+    #: block itself (its header bit); with a ``reach_span`` a longer
+    #: block adds a row at each token cut (the cut token's first bit).
+    pieces: np.ndarray | None = None
 
 
 @dataclass
@@ -104,6 +111,10 @@ class InflateResult:
     #: applied; only the minimum-size bound is waived for it) — the
     #: strongest confirmation available near the end of a stream.
     hit_final_probe: bool = False
+    #: With ``stop_output``: the header of the block the decode stopped
+    #: inside (``end_bit`` is then a symbol boundary in it, where a
+    #: decode with ``open_block`` resumes); ``None`` at a block boundary.
+    open_block: BlockHeader | None = None
 
     @property
     def window(self) -> bytes:
@@ -253,6 +264,9 @@ def inflate(
     budget=None,
     kernel=None,
     capture_reach: bool = False,
+    reach_span: int | None = None,
+    stop_output: int | None = None,
+    open_block: BlockHeader | None = None,
 ) -> InflateResult:
     """Decompress a raw DEFLATE stream.
 
@@ -272,15 +286,32 @@ def inflate(
     capture_tokens:
         Record the decoded LZ77 token stream in the result.
     capture_reach:
-        Give each Huffman block's :class:`BlockInfo` its ``reach``: the
-        window positions its tokens read directly, computed from the
-        block's own tokens as it is decoded (the whole stream's tokens
-        are never held).  Index builders use it to store only those
-        bytes of a checkpoint's window.
+        Give each Huffman block's :class:`BlockInfo` its ``pieces`` and
+        their ``reach``: the window positions each piece's tokens read
+        directly, computed from the block's own tokens as it is decoded
+        (the whole stream's tokens are never held).  Index builders use
+        it to store only those bytes of a checkpoint's window.
+    reach_span:
+        With ``capture_reach``, cut each Huffman block longer than this
+        at token starts into pieces (:func:`repro.deflate.tokens.piece_starts`),
+        each with its own start bit and reach (:attr:`BlockInfo.pieces`),
+        so an index can enter the block mid-way.  ``None`` keeps every
+        block one piece.
     max_blocks / max_output:
         Stop after this many blocks / output bytes (both soft limits
         checked at block boundaries, except the strict 4 MiB in-block
         size guard).
+    stop_output:
+        Stop once this many bytes are out, inside a block: right after
+        the first match whose copy reaches it, or at the end of the
+        block it is reached in, whichever comes first.  The result's
+        ``open_block`` says which.  Both kernels stop at the same token;
+        the pure loop folds the test into its per-match budget compare.
+        For non-strict decodes without token or reach capture.
+    open_block:
+        Start inside a Huffman block with this header: ``start_bit`` is
+        a symbol boundary of its body (as a stopped decode's
+        ``end_bit`` and ``open_block`` give).
     stop_at_final:
         Stop after a BFINAL=1 block (set ``False`` to keep decoding a
         concatenation of streams, which callers split themselves).
@@ -319,6 +350,8 @@ def inflate(
     # this module back (cycle is only at import time, not at call time).
     from repro.perf.kernels import resolve_kernel
 
+    if stop_output is not None and (strict or capture_tokens or capture_reach):
+        raise ValueError("stop_output needs a decode without probing or capture")
     vectorized = resolve_kernel(kernel).use_vectorized(len(data))
     kern = None  # built at the first block that reaches the kernel
     reader = BitReader(data, start_bit)
@@ -335,30 +368,37 @@ def inflate(
     parts: list[bytes] = []
     tail = bytes(window[-C.WINDOW_SIZE:])
     produced = 0
+    stopped_in = None
 
     while True:
         if max_blocks is not None and len(blocks) >= max_blocks:
             break
         if max_output is not None and produced >= max_output:
             break
-        if reader.bits_remaining() < 3:
-            if strict:
-                raise BitstreamError(
-                    "ran out of input at block header",
-                    bit_offset=reader.tell_bits(), stage="inflate",
-                )
+        if stop_output is not None and produced >= stop_output:
             break
-        final_probe_block = bool(strict and blocks and reader.peek(1) == 1)
-        # The candidate block itself must not be final (a probe never
-        # targets the stream's last block), but running into the final
-        # block *while confirming* is a natural success — provided the
-        # final block itself decodes cleanly, which we verify below
-        # (content checks still apply; only the BFINAL rejection and
-        # the minimum-size bound are waived for it).
-
         block_start_bit = reader.tell_bits()
-        header = read_block_header(reader, strict=strict and not final_probe_block)
-        reach = None
+        final_probe_block = False
+        if open_block is not None:
+            header, open_block = open_block, None
+        else:
+            if reader.bits_remaining() < 3:
+                if strict:
+                    raise BitstreamError(
+                        "ran out of input at block header",
+                        bit_offset=reader.tell_bits(), stage="inflate",
+                    )
+                break
+            final_probe_block = bool(strict and blocks and reader.peek(1) == 1)
+            # The candidate block itself must not be final (a probe never
+            # targets the stream's last block), but running into the final
+            # block *while confirming* is a natural success — provided the
+            # final block itself decodes cleanly, which we verify below
+            # (content checks still apply; only the BFINAL rejection and
+            # the minimum-size bound are waived for it).
+            header = read_block_header(reader, strict=strict and not final_probe_block)
+        reach = pieces = None
+        stopped = False
 
         if header.btype == C.BTYPE_STORED:
             block_out = reader.read_bytes(header.stored_len)
@@ -375,11 +415,14 @@ def inflate(
         else:
             body = bytearray(tail)  # lint: allow-unbudgeted-alloc(tail is trimmed to the 32 KiB window every block)
             base = len(body)
+            body_bit = reader.tell_bits()
             # A match may not grow a non-strict block past the budget,
             # nor a strict one past the 4 MiB probe bound.
             hard_cap = base + (C.PROBE_MAX_BLOCK if strict else cap - produced)
+            stop = None if stop_output is None else base + stop_output - produced
             # A reach capture gives each block its own token stream.
             block_tokens = TokenStream() if capture_reach else tokens
+            cols = None
             if strict and not _decode_huffman_block(
                 reader, header, body, block_tokens, C.ASCII_MASK, C.LENGTH_BASE,
                 C.LENGTH_EXTRA_BITS, C.DIST_BASE, C.DIST_EXTRA_BITS,
@@ -391,12 +434,15 @@ def inflate(
                     from repro.perf.npkernel import StreamKernel
 
                     kern = StreamKernel(data)
-                block_out = _finish_block(
-                    kern, reader, header, body, block_tokens, strict, hard_cap, base
+                block_out, stopped, cols = _finish_block(
+                    kern, reader, header, body, block_tokens, strict, hard_cap, base, stop
                 )
             if capture_reach:
                 offs, vals = block_tokens.offsets(), block_tokens.values()
-                reach = window_reach(offs, vals)
+                pieces, reach = _block_pieces(
+                    header, block_start_bit, body_bit, reader.tell_bits(), produced,
+                    offs, vals, cols, reach_span,
+                )
                 if tokens is not None:
                     tokens.add_columnar(offs, vals)
         tail = (tail + block_out[-C.WINDOW_SIZE:])[-C.WINDOW_SIZE:]
@@ -411,6 +457,9 @@ def inflate(
                 stage="inflate",
                 bit_offset=block_start_bit,
             )
+        if stopped:
+            stopped_in = header
+            break
         if strict:
             size = len(block_out)
             # An empty stored block is a sync-flush marker (pigz emits one
@@ -432,6 +481,7 @@ def inflate(
                 btype=header.btype,
                 bfinal=header.bfinal,
                 reach=reach,
+                pieces=pieces,
             )
         )
         if header.bfinal:
@@ -448,7 +498,88 @@ def inflate(
         blocks=blocks,
         tokens=tokens,
         hit_final_probe=hit_final_probe,
+        open_block=stopped_in,
     )
+
+
+def _block_pieces(
+    header: BlockHeader,
+    start_bit: int,
+    body_bit: int,
+    end_bit: int,
+    out_start: int,
+    offs: np.ndarray,
+    vals: np.ndarray,
+    cols: tuple[np.ndarray, np.ndarray] | None,
+    span: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`BlockInfo.pieces` and ``reach`` of one Huffman block
+    whose header starts at ``start_bit``, body at ``body_bit``, with
+    ``end_bit`` just past it, output at ``out_start``, these tokens
+    and, from the kernel, their ``(ends, bit positions)``.
+
+    A block longer than ``span`` is cut at
+    :func:`~repro.deflate.tokens.piece_starts`.  Each token's bit
+    follows from the token columns and the block's code lengths, save
+    that the columns do not say whether a length-258 match was written
+    with code 285 or with 284 and extra bits 31.  A block holding the
+    latter stays one piece: the pure loop sees the bits it derives not
+    sum to the block's size, the kernel sees its real bits differ from
+    them, so every decoder cuts the same blocks at the same bits.
+    """
+    ends, fp = cols if cols is not None else (token_ends(offs, vals), None)
+    firsts = [0]
+    if span is not None and len(ends) and ends[-1] > span:
+        firsts = piece_starts(ends, span)
+        dist = header.dist.lengths if header.dist is not None else ()
+        if fp is None:
+            at = body_bit + np.concatenate(
+                ([0], np.cumsum(token_bits(offs, vals, header.litlen.lengths, dist)))
+            )
+            exact = int(at[-1]) + header.litlen.lengths[C.END_OF_BLOCK] == end_bit
+        else:
+            at = fp
+            longest = np.flatnonzero((offs > 0) & (vals == C.MAX_MATCH))
+            sizes = token_bits(offs[longest], vals[longest], header.litlen.lengths, dist)
+            exact = np.array_equal(sizes, fp[longest + 1] - fp[longest])
+        if not exact:
+            firsts = [0]
+    pieces = np.empty((len(firsts), 2), dtype=np.int64)
+    pieces[0] = (start_bit, out_start)
+    if len(firsts) > 1:
+        cut = np.asarray(firsts[1:])
+        pieces[1:, 0] = at[cut]
+        pieces[1:, 1] = out_start + ends[cut - 1]
+    return pieces, piece_reach(offs, vals, ends, firsts)
+
+
+def piece_table(blocks: list[BlockInfo]) -> tuple[np.ndarray, np.ndarray]:
+    """The pieces of a reach capture's blocks, in stream order.
+
+    Returns an ``(n, 4)`` int64 array of ``(start_bit, out_start,
+    out_end, cut)`` per piece — ``cut`` is 0 for a block's first piece
+    (``start_bit`` its header) and 1 for a token cut — and the
+    ``(n, 4096)`` uint8 reach rows beside it (all zero for a stored
+    block, which reads no window).  Index builders take both to
+    :func:`repro.index.zran.block_checkpoints`.
+    """
+    n = sum(1 if b.pieces is None else len(b.pieces) for b in blocks)
+    table = np.zeros((n, 4), dtype=np.int64)
+    reach = np.zeros((n, C.WINDOW_SIZE // 8), dtype=np.uint8)
+    row = 0
+    for b in blocks:
+        if b.pieces is None:
+            table[row] = (b.start_bit, b.out_start, b.out_end, 0)
+            row += 1
+            continue
+        k = len(b.pieces)
+        table[row : row + k, :2] = b.pieces
+        table[row : row + k - 1, 2] = b.pieces[1:, 1]
+        table[row + k - 1, 2] = b.out_end
+        table[row + 1 : row + k, 3] = 1
+        reach[row : row + k] = b.reach
+        row += k
+    return table, reach
 
 
 def _finish_block(
@@ -460,42 +591,56 @@ def _finish_block(
     strict: bool,
     hard_cap: int,
     block_start: int,
-) -> bytes:
+    stop: int | None = None,
+) -> tuple[bytes, bool, tuple[np.ndarray, np.ndarray] | None]:
     """Decode the rest of a Huffman block, from the reader's bit, after
     ``body`` (the last 32 KiB of output, then the block's first bytes
-    from ``block_start`` on); return the block's bytes.
+    from ``block_start`` on).  Returns the block's bytes, whether the
+    decode stopped inside the block at ``stop`` (a ``len(body)``: after
+    the first match whose copy reaches it), and from the kernel the
+    tokens' :func:`~repro.deflate.tokens.token_ends` and bit positions
+    (``None`` from the pure loop).
 
     With a :class:`~repro.perf.npkernel.StreamKernel` the kernel decodes
     the rest of the block to token arrays, limited to ``hard_cap`` bytes
-    of ``body``; a strict decode checks them with
-    :func:`repro.perf.npkernel.check_probe_rules` and replays them under
-    a ``?`` prefix, the placeholder the pure loop writes for references
-    into the unknown context.  Without a kernel, on any kernel
-    :class:`~repro.perf.npkernel.Fallback` and on any rule violation,
-    the pure symbol loop decodes from the same bit instead, which
-    yields the reference's exact error or bytes: nothing is committed
-    before every check has passed.
+    of ``body``, and cuts them at the ``stop`` token; a strict decode
+    checks them with :func:`repro.perf.npkernel.check_probe_rules` and
+    replays them under a ``?`` prefix, the placeholder the pure loop
+    writes for references into the unknown context.  Without a kernel,
+    on any kernel :class:`~repro.perf.npkernel.Fallback` and on any rule
+    violation, the pure symbol loop decodes from the same bit instead,
+    which yields the reference's exact error, bytes and stop: nothing
+    is committed before every check has passed.
     """
     if kern is not None:
         from repro.perf import npkernel
 
         try:
-            offs, vals, _fp, end_bit = kern.decode_block(
+            offs, vals, fp, end_bit = kern.decode_block(
                 reader.tell_bits(), header.litlen, header.dist,
                 max_out=hard_cap - len(body),
             )
+            ends = token_ends(offs, vals)
             history = bytes(body[-C.WINDOW_SIZE:])
             if strict:
                 npkernel.check_probe_rules(offs, vals, len(body))
                 history = b"?" * (C.WINDOW_SIZE - len(history)) + history
-            block_out = npkernel.replay_bytes(offs, vals, history)
+            stopped = False
+            if stop is not None:
+                hit = np.flatnonzero((offs > 0) & (ends >= stop - len(body)))
+                if len(hit):
+                    k = int(hit[0]) + 1
+                    offs, vals, ends, end_bit = offs[:k], vals[:k], ends[:k], fp[k]
+                    stopped = True
+            block_out = npkernel.replay_bytes(offs, vals, history, ends)
         except npkernel.Fallback:
             pass
         else:
-            reader.seek_bits(BitOffset(end_bit))
+            reader.seek_bits(BitOffset(int(end_bit)))
             if tokens is not None:
                 tokens.add_columnar(offs, vals)
-            return bytes(body[block_start:]) + block_out
+            return bytes(body[block_start:]) + block_out, stopped, (ends, fp)
+    stopped = False
     if strict or tokens is not None:
         _decode_huffman_block(
             reader, header, body, tokens, C.ASCII_MASK if strict else None,
@@ -503,8 +648,8 @@ def _finish_block(
             strict=strict, block_start=block_start,
         )
     else:
-        _decode_huffman_block_fast(reader, header, body, hard_cap)
-    return bytes(memoryview(body)[block_start:])  # lint: allow-unbudgeted-alloc(block growth is capped by hard_cap inside the block decoders)
+        stopped = _decode_huffman_block_fast(reader, header, body, hard_cap, stop)
+    return bytes(memoryview(body)[block_start:]), stopped, None  # lint: allow-unbudgeted-alloc(block growth is capped by hard_cap inside the block decoders)
 
 
 def _decode_huffman_block(
@@ -667,7 +812,8 @@ def _decode_huffman_block_fast(
     header: BlockHeader,
     out: bytearray,
     hard_cap: int = _UNLIMITED_CAP,
-) -> None:
+    stop: int | None = None,
+) -> bool:
     """Fast-path symbol loop: non-strict decode without token capture.
 
     ``hard_cap`` is the absolute ``len(out)`` (window prefix included)
@@ -675,6 +821,10 @@ def _decode_huffman_block_fast(
     zip-bomb guard (see :func:`inflate`'s ``budget``).  It costs one
     int comparison per match; literal growth is left to the amortized
     block-boundary check, which bounds it at one block's worth.
+    ``stop`` shares that comparison: the first match whose copy brings
+    ``len(out)`` to ``stop`` or past it ends the decode right after the
+    copy, with the reader at the next symbol.  Returns ``True`` then,
+    ``False`` at end-of-block.
 
     Semantics are identical to :func:`_decode_huffman_block` with
     ``strict=False``/``tokens=None`` (the differential fuzz suite pins
@@ -717,6 +867,9 @@ def _decode_huffman_block_fast(
     bitcount = reader._bitcount
     from_bytes = int.from_bytes
     out_append = out.append
+    # The one per-match size compare: past ``limit`` the copy either
+    # breaks the budget or reaches the stop.
+    limit = hard_cap if stop is None else min(hard_cap, stop - 1)
 
     try:
         while True:
@@ -750,7 +903,7 @@ def _decode_huffman_block_fast(
                 out_append(sym)
                 continue
             if sym == end_of_block:
-                return
+                return False
             if sym > max_litlen:
                 reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
                 raise HuffmanError(
@@ -844,14 +997,17 @@ def _decode_huffman_block_fast(
                     f"distance {distance} exceeds available history {len(out)}",
                     bit_offset=reader.tell_bits(), stage="inflate",
                 )
-            if len(out) + length > hard_cap:
-                reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
-                raise ResourceLimitError(
-                    f"match copy would grow output to {len(out) + length} bytes, "
-                    f"past the {hard_cap}-byte resource budget",
-                    limit="output_bytes",
-                    bit_offset=reader.tell_bits(), stage="inflate",
-                )
+            if len(out) + length > limit:
+                if len(out) + length > hard_cap:
+                    reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
+                    raise ResourceLimitError(
+                        f"match copy would grow output to {len(out) + length} bytes, "
+                        f"past the {hard_cap}-byte resource budget",
+                        limit="output_bytes",
+                        bit_offset=reader.tell_bits(), stage="inflate",
+                    )
+                _copy_match(out, start, distance, length)
+                return True
             if distance >= length:
                 out += out[start : start + length]
             else:
@@ -862,6 +1018,15 @@ def _decode_huffman_block_fast(
         reader._pos = pos
         reader._bitbuf = bitbuf
         reader._bitcount = bitcount
+
+
+def _copy_match(out: bytearray, start: int, distance: int, length: int) -> None:
+    """Append one match's copy to ``out`` (the fast loop's stopping copy)."""
+    if distance >= length:
+        out += out[start : start + length]
+    else:
+        pattern = bytes(out[start:])  # lint: allow-unbudgeted-alloc(pattern length equals distance <= 32 KiB; the caller checked the copy against hard_cap)
+        out += (pattern * -(-length // distance))[:length]
 
 
 def inflate_bytes(data, start_bit: BitOffset = BitOffset(0), window: bytes = b"") -> bytes:

@@ -14,9 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.deflate import constants as C
 from repro.deflate.constants import WINDOW_SIZE
 
-__all__ = ["Token", "TokenStream", "TokenStats", "window_reach"]
+__all__ = [
+    "Token",
+    "TokenStream",
+    "TokenStats",
+    "piece_reach",
+    "piece_starts",
+    "token_bits",
+    "token_ends",
+    "window_reach",
+]
 
 
 @dataclass(frozen=True)
@@ -219,11 +229,22 @@ class TokenStream:
         )
 
 
-def window_reach(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+def token_ends(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Where each token's output ends in its block: the int32 running
+    sum of the token lengths (1 per literal).  One array serves a
+    block's replay (:func:`repro.perf.npkernel.replay_bytes`), its
+    reach and its piece cuts."""
+    return np.cumsum(np.where(offsets > 0, values, 1), dtype=np.int32)
+
+
+def window_reach(
+    offsets: np.ndarray, values: np.ndarray, ends: np.ndarray | None = None
+) -> np.ndarray:
     """The 32 KiB window positions one block's tokens read directly.
 
     ``offsets`` / ``values`` are the block's token columns (as in
-    :class:`TokenStream`).  A match at block output position ``p``
+    :class:`TokenStream`), ``ends`` their :func:`token_ends` if the
+    caller has them.  A match at block output position ``p``
     with distance ``d`` and length ``L`` reads ``[p - d, p - d +
     min(d, L))`` — the rest of an overlapping copy is its own output —
     and only the part before the block's first byte is the window's.
@@ -231,14 +252,18 @@ def window_reach(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
     unpacked bit ``j`` is the byte ``WINDOW_SIZE - j`` before the
     block, so ``j = 0`` is the oldest, as for the marker ``U_j`` of
     :mod:`repro.core.marker`.  Bytes whose bit is clear are never read,
-    so a decode of the block is exact with them set to anything.
+    so a decode of the block is exact with them set to anything.  Any
+    run of a block's tokens is a "block" here: its reach counts the
+    block's own output before the run as window.
     """
     offs = np.asarray(offsets, dtype=np.int32)
     vals = np.asarray(values, dtype=np.int32)
+    if ends is None:
+        ends = token_ends(offs, vals)
     is_m = offs > 0
     m_len = vals[is_m]
     m_off = offs[is_m]
-    m_start = np.cumsum(np.where(is_m, vals, 1), dtype=np.int64)[is_m] - m_len
+    m_start = ends[is_m] - m_len
     back = m_off > m_start  # matches whose source begins before the block
     src = (m_start - m_off)[back]
     count = np.minimum(src + np.minimum(m_off, m_len)[back], 0) - src
@@ -248,3 +273,70 @@ def window_reach(offsets: np.ndarray, values: np.ndarray) -> np.ndarray:
     bits = np.zeros(WINDOW_SIZE, dtype=bool)
     bits[reached + WINDOW_SIZE] = True
     return np.packbits(bits)
+
+
+def piece_starts(ends: np.ndarray, span: int) -> list[int]:
+    """Token indices where one block's pieces start, for checkpoints at
+    most ``span`` output bytes apart inside it.
+
+    ``ends`` is the block's :func:`token_ends`.  The first piece starts
+    at token 0; each next one at the last token starting at most
+    ``span`` bytes after the previous piece's start (the next token, if
+    a single token is longer than ``span``), until the rest of the
+    block fits in ``span``.  So each piece of a block longer than
+    ``span`` is at most ``span`` long, and two consecutive pieces are
+    longer than ``span`` together.
+    """
+    firsts = [0]
+    if not len(ends):
+        return firsts
+    total = int(ends[-1])
+    begin = 0
+    while total - begin > span:
+        k = max(int(np.searchsorted(ends, begin + span, "right")), firsts[-1] + 1)
+        firsts.append(k)
+        begin = int(ends[k - 1])
+    return firsts
+
+
+def piece_reach(
+    offsets: np.ndarray, values: np.ndarray, ends: np.ndarray, firsts: list[int]
+) -> np.ndarray:
+    """One packed :func:`window_reach` row per piece: the window
+    positions before each piece's first byte that its tokens read."""
+    rows = np.empty((len(firsts), WINDOW_SIZE // 8), dtype=np.uint8)
+    bounds = [*firsts, len(offsets)]
+    for row, lo, hi in zip(rows, bounds, bounds[1:]):
+        base = ends[lo - 1] if lo else 0
+        row[:] = window_reach(offsets[lo:hi], values[lo:hi], ends[lo:hi] - base)
+    return rows
+
+
+#: Extra bits of each literal/length symbol (0 for literals and EOB).
+_LL_EXTRA = np.zeros(288, dtype=np.int64)
+_LL_EXTRA[257:286] = C.LENGTH_EXTRA_BITS
+_DIST_EXTRA = np.asarray(C.DIST_EXTRA_BITS, dtype=np.int64)
+
+
+def token_bits(
+    offsets: np.ndarray, values: np.ndarray, litlen_lengths, dist_lengths
+) -> np.ndarray:
+    """Bits each token of a Huffman block takes in the stream.
+
+    A literal is its code; a match its length code and extra bits,
+    then its distance code and extra bits.  ``litlen_lengths`` /
+    ``dist_lengths`` are the block's code lengths.  Token columns do
+    not say which code wrote a length-258 match (285, or 284 with extra
+    bits 31); this counts 285, the one encoders use, so a caller checks
+    the sum against the block's real size.
+    """
+    offs = np.asarray(offsets, dtype=np.int32)
+    vals = np.asarray(values, dtype=np.int32)
+    ll = np.zeros(288, dtype=np.int64)
+    ll[: len(litlen_lengths)] = litlen_lengths
+    dl = np.zeros(32, dtype=np.int64)
+    dl[: len(dist_lengths)] = dist_lengths
+    is_m = offs > 0
+    code = np.where(is_m, C.LENGTH_TO_CODE[vals], vals)
+    dcode = C.DIST_TO_CODE[offs]
+    return ll[code] + _LL_EXTRA[code] + np.where(is_m, dl[dcode] + _DIST_EXTRA[dcode], 0)

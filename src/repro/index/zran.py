@@ -21,24 +21,34 @@ directly (:func:`repro.deflate.tokens.window_reach`, found by the
 builders as each block is decoded) and only those bytes.  A byte whose
 bit is clear is never read, so :meth:`Checkpoint.history` zero-fills
 it exactly.  Windows this small make a checkpoint at every block
-affordable (see :data:`DEFAULT_SPAN`).  Indexes written before sparse
-windows (v1, v2) load with every window position stored.
+affordable, and entry points inside blocks too (see
+:data:`DEFAULT_SPAN`).  Indexes written before sparse windows (v1, v2)
+load with every window position stored.
 
 Checkpoint kinds
 ----------------
 
 * ``"block"`` — a DEFLATE block boundary inside a member, carrying the
   bytes of the 32 KiB of history before it that its interval reads
-  (a sparse window, above).  Emitted so that no two
-  consecutive checkpoints are more than ``span`` output bytes apart
-  (the O(1)-seek guarantee: a warm seek decodes at most ``span`` bytes
-  before reaching its target).
+  (a sparse window, above).
+* ``"token"`` — a token start inside a Huffman block longer than
+  ``span``: the block is cut into pieces at most ``span`` long
+  (:func:`repro.deflate.tokens.piece_starts`), and each cut is an
+  entry point with its own sparse window, which may include the
+  block's own earlier output.  Its block's header is at the nearest
+  preceding ``"block"`` or ``"member"`` checkpoint: a decode from it
+  parses that header from a small ``pread``, then decodes the body
+  from the token's bit.
 * ``"member"`` — the first block of a gzip member, whose DEFLATE
   context is *empty* by construction.  Multi-member ("blocked") files
   get one per member, keeping ``uoffset`` continuous across member
   boundaries; extraction never decodes across a member seam with a
   stale window, because decoding from any checkpoint stops at that
   member's BFINAL block and resumes from the next member checkpoint.
+
+Together they are emitted so that no two consecutive checkpoints are
+more than ``span`` output bytes apart (the O(1)-seek guarantee: a warm
+seek decodes at most ``span`` bytes before reaching its target).
 
 Sources and ranged I/O
 ----------------------
@@ -52,13 +62,17 @@ compressed range ``[checkpoint.byte_offset, next relevant checkpoint)``
 Decoded-interval cache
 ----------------------
 
-A decode from a checkpoint never runs past the next checkpoint; a read
-crossing one continues from it.  Given an :class:`IntervalCache`,
-``read_at`` keeps what it decoded of each interval as
-``(data, end_bit, final_seen)``: a later read inside ``data`` decodes
-nothing, and one past it resumes at ``end_bit`` (always a block
-boundary) with the last 32 KiB of ``window + data`` as history — so
-while an interval stays cached, each of its bytes is decoded once.
+A decode from a checkpoint stops once it has the bytes asked for:
+right after the first match whose copy reaches them, or at the end of
+the block they are reached in (``inflate``'s ``stop_output``).  It
+never serves a byte past the next checkpoint — bytes decoded past it
+may come from window positions the checkpoint did not store — and a
+read crossing one continues from it.  Given an :class:`IntervalCache`,
+``read_at`` keeps what it decoded of each interval: a later read inside
+it decodes nothing, and one past it resumes where the decode stopped,
+inside a block if need be, with the last 32 KiB of ``window + data`` as
+history — so while an interval stays cached, each of its bytes is
+decoded once.
 """
 
 from __future__ import annotations
@@ -73,9 +87,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.deflate import constants as C
+from repro.deflate.bitio import BitReader
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
-from repro.deflate.inflate import inflate
+from repro.deflate.inflate import BlockHeader, inflate, piece_table, read_block_header
 from repro.errors import (
     DeflateError,
     GzipFormatError,
@@ -89,6 +105,7 @@ from repro.units import BitOffset, ByteOffset
 __all__ = [
     "CHECKPOINT_BLOCK",
     "CHECKPOINT_MEMBER",
+    "CHECKPOINT_TOKEN",
     "Checkpoint",
     "GzipIndex",
     "CACHED_INTERVALS",
@@ -106,32 +123,40 @@ _MAGIC = b"RPZIDX1\x00"
 _MAGIC2 = b"RPZIDX2\x00"
 #: v3 blob magic (sparse windows: a position bitmap plus stored bytes).
 _MAGIC3 = b"RPZIDX3\x00"
+#: v4 blob magic (the v3 layout plus the ``"token"`` kind).
+_MAGIC4 = b"RPZIDX4\x00"
 #: Envelope kind tags (see repro.index.integrity): each blob version
 #: gets its own tag, so a loader that predates it fails loudly instead
 #: of misparsing.
 _KIND_V1 = b"ZRAN"
 _KIND_V2 = b"ZRN2"
 _KIND_V3 = b"ZRN3"
+_KIND_V4 = b"ZRN4"
 
 CHECKPOINT_BLOCK = "block"
 CHECKPOINT_MEMBER = "member"
+CHECKPOINT_TOKEN = "token"
 
 #: Default checkpoint spacing (uncompressed bytes) for every builder
-#: and reader.  Below the output of one DEFLATE block (~32 KB for
-#: gzip -6 on FASTQ) every block gets a checkpoint, so a warm 4 KiB
-#: read decodes one block: the floor, as ``max_output`` stops only at
-#: block boundaries.  Sparse windows keep that at ~2.7 KB of sidecar
-#: per checkpoint (see docs/PERFORMANCE.md "Sparse block-granular
-#: checkpoints").
+#: and reader.  Every gzip -6 block of FASTQ (~32 KB of output) is cut
+#: once inside, so a warm 4 KiB read decodes ~12 KB on average and at
+#: most span + 4 KiB plus one token.  The curve of
+#: ``benchmarks/bench_span.py`` (docs/PERFORMANCE.md "Token-granular
+#: checkpoints") picks it: 8 KiB reads ~1 ms faster still, for a
+#: sidecar 60 % larger.
 DEFAULT_SPAN = 16 * 1024
 
 #: Decoded checkpoint intervals an :class:`IntervalCache` keeps: at
-#: most 4 x (span + one block) of output — four blocks, ~130 KB, at the
-#: default span on gzip -6 FASTQ.
+#: most 4 x span of output (~64 KB at the default span) while every
+#: block longer than the span can be cut.
 CACHED_INTERVALS = 4
 
-_KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1}
+_KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1, CHECKPOINT_TOKEN: 2}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+
+#: Bytes that always hold a block header, from any bit of its first
+#: byte: 3 + 14 + 19 x 3 bits, then at most 7 + 7 bits per code length.
+_MAX_HEADER_BYTES = (3 + 14 + 19 * 3 + (C.MAX_HLIT + C.MAX_HDIST) * 14) // 8 + 2
 
 #: Bytes of a packed 32 KiB window-position bitmap.
 MASK_BYTES = WINDOW_SIZE // 8
@@ -151,7 +176,8 @@ def _full_mask(length: int) -> bytes:
 class Checkpoint:
     """One random-access entry point into the compressed stream."""
 
-    #: Bit offset of a block header in the compressed stream.
+    #: Bit offset of a block header in the compressed stream (of the
+    #: token's first bit for a ``"token"`` checkpoint).
     bit_offset: BitOffset
     #: Uncompressed offset the block starts at (continuous across
     #: member boundaries).
@@ -160,7 +186,7 @@ class Checkpoint:
     #: the positions ``mask`` marks, oldest first (empty for
     #: member-boundary checkpoints: a fresh member has no history).
     window: bytes
-    #: ``"block"`` or ``"member"`` (see module docstring).
+    #: ``"block"``, ``"token"`` or ``"member"`` (see module docstring).
     kind: str = CHECKPOINT_BLOCK
     #: Packed bitmap (``np.packbits`` order, :data:`MASK_BYTES` long) of
     #: the stored window positions: unpacked bit ``j`` is the byte
@@ -201,35 +227,41 @@ class Checkpoint:
         return out.tobytes()
 
 
+#: An :class:`IntervalCache` entry: ``(data, end_bit, open_block)``.
+_Entry = tuple[bytes, int | None, BlockHeader | None]
+
+
 class IntervalCache:
     """LRU of decoded checkpoint intervals, keyed by checkpoint index.
 
-    An entry is ``(data, end_bit, final_seen)``: the output decoded so
-    far from the checkpoint, the absolute bit just past its last whole
-    block, and whether that block was the member's BFINAL block.
+    An entry is ``(data, end_bit, open_block)``: the output decoded so
+    far from the checkpoint, the absolute bit where that decode stopped
+    (``None`` once the interval is whole: it reached the next
+    checkpoint or the member's BFINAL block) and, when that bit is
+    inside a block, the block's header.
     Entries are immutable and replaced whole, so concurrent readers may
     decode the same blocks twice but never see a torn entry.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[int, tuple[bytes, int, bool]] = OrderedDict()
+        self._entries: OrderedDict[int, _Entry] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, index: int) -> tuple[bytes, int, bool] | None:
+    def get(self, index: int) -> _Entry | None:
         with self._lock:
             entry = self._entries.get(index)
             if entry is not None:
                 self._entries.move_to_end(index)
             return entry
 
-    def put(self, index: int, entry: tuple[bytes, int, bool]) -> None:
+    def put(self, index: int, entry: _Entry) -> None:
         with self._lock:
             self._entries[index] = entry
             self._entries.move_to_end(index)
             while len(self._entries) > CACHED_INTERVALS:
                 self._entries.popitem(last=False)
 
-    def items(self) -> list[tuple[int, tuple[bytes, int, bool]]]:
+    def items(self) -> list[tuple[int, _Entry]]:
         """Snapshot of the entries, least recently used first."""
         with self._lock:
             return list(self._entries.items())
@@ -292,20 +324,62 @@ class GzipIndex:
 
     # -- extraction ---------------------------------------------------
 
-    def _compressed_bound(self, start_index: int, target_uoffset: int, src: ByteSource) -> int:
-        """Byte offset past the compressed data needed to decode from
-        checkpoint ``start_index`` up to output ``target_uoffset``.
+    def _compressed_bound(
+        self, start_index: int, target_uoffset: int, src: ByteSource
+    ) -> tuple[int, int]:
+        """Byte offsets bounding a decode from checkpoint ``start_index``
+        up to output ``target_uoffset``: where its decoding should end,
+        and where the compressed data it may read ends.
 
-        The first checkpoint at/after the target sits at a block
-        boundary no earlier than the end of the block containing the
-        last needed byte, so its byte offset bounds the read.
+        The first checkpoint at/after the target starts at or after the
+        token that writes the last needed byte, so the decode ends near
+        it.  But a decode stops only after a match or at the end of a
+        block, so the read runs on to the first ``"block"`` or
+        ``"member"`` checkpoint from there: the end of the block holding
+        the last needed byte at the latest.
         """
+        cps = self.checkpoints
         j = bisect_left(self._offsets(), target_uoffset, lo=start_index + 1)
-        if j >= len(self.checkpoints):
-            if self.csize:
-                return min(self.csize, src.size())
-            return src.size()
-        return (self.checkpoints[j].bit_offset + 7) >> 3
+        k = j
+        while k < len(cps) and cps[k].kind == CHECKPOINT_TOKEN:
+            k += 1
+        if k < len(cps):
+            read_end = (cps[k].bit_offset + 7) >> 3
+        else:
+            read_end = min(self.csize, src.size()) if self.csize else src.size()
+        if j == k:
+            return read_end, read_end
+        return min((cps[j].bit_offset + 7) >> 3, read_end), read_end
+
+    def _block_header(self, src: ByteSource, index: int) -> BlockHeader:
+        """Header of the Huffman block that token checkpoint ``index``
+        sits in: the block at the nearest preceding ``"block"`` or
+        ``"member"`` checkpoint, parsed from a ``pread`` no longer than
+        the longest header."""
+        cp = self.checkpoints[index]
+        h = index
+        while h >= 0 and self.checkpoints[h].kind == CHECKPOINT_TOKEN:
+            h -= 1
+        if h < 0:
+            raise IndexIntegrityError(
+                f"token checkpoint {index} has no block checkpoint before it", stage="zran"
+            )
+        head = self.checkpoints[h]
+        raw = src.pread(
+            head.byte_offset, min(_MAX_HEADER_BYTES, cp.byte_offset + 1 - head.byte_offset)
+        )
+        reader = BitReader(raw, head.intra_byte_bit)
+        header = read_block_header(reader)
+        if (
+            header.btype == C.BTYPE_STORED
+            or 8 * head.byte_offset + reader.tell_bits() > cp.bit_offset
+        ):
+            raise RandomAccessError(
+                f"token checkpoint {index} is not inside the Huffman block "
+                f"at bit {head.bit_offset}",
+                stage="zran",
+            )
+        return header
 
     def _decode_from(
         self, src: ByteSource, index: int, need: int, stats=None, kernel=None,
@@ -313,23 +387,35 @@ class GzipIndex:
     ) -> bytes:
         """Output of checkpoint ``index``'s interval: at least ``need``
         bytes, unless the interval ends first (at the next checkpoint or
-        the member's BFINAL block).  Reads only the compressed range
-        that decode requires; with a ``cache``, decodes only what the
-        cached entry lacks and stores the longer entry."""
+        the member's BFINAL block), and never a byte past its end.
+        Reads only the compressed range that decode requires; with a
+        ``cache``, decodes only what the cached entry lacks and stores
+        the longer entry."""
+        from repro.perf.kernels import KERNELS, resolve_kernel
+
         cp = self.checkpoints[index]
         stop = (
             self.checkpoints[index + 1].uoffset
             if index + 1 < len(self.checkpoints)
             else self.usize
         )
-        need = min(need, stop - cp.uoffset)
+        size = stop - cp.uoffset
+        need = min(need, size)
         entry = cache.get(index) if cache is not None else None
-        data, end_bit, final_seen = entry or (b"", cp.bit_offset, False)
-        if len(data) >= need or final_seen:
+        if entry is None:
+            block = self._block_header(src, index) if cp.kind == CHECKPOINT_TOKEN else None
+            entry = (b"", cp.bit_offset, block)
+        data, end_bit, block = entry
+        if len(data) >= need or end_bit is None:
             return data
         window = (cp.history() + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
         start_byte = end_bit >> 3
-        end_byte = self._compressed_bound(index, cp.uoffset + need, src)
+        decode_end, end_byte = self._compressed_bound(index, cp.uoffset + need, src)
+        # The kernel choice sees the bytes this decode takes, not the
+        # rest of the block it may read.
+        spec = resolve_kernel(kernel)
+        if not spec.use_vectorized(decode_end - start_byte):
+            spec = KERNELS["pure"]
         while True:
             comp = src.pread(start_byte, max(0, end_byte - start_byte))
             try:
@@ -337,8 +423,9 @@ class GzipIndex:
                     comp,
                     start_bit=end_bit & 7,
                     window=window,
-                    max_output=need - len(data),
-                    kernel=kernel,
+                    stop_output=need - len(data),
+                    kernel=spec,
+                    open_block=block,
                 )
                 break
             except DeflateError as exc:
@@ -358,9 +445,15 @@ class GzipIndex:
             stats.decoded_bytes += len(result.data)
             stats.compressed_bytes_read += len(comp)
         data += result.data
+        if result.final_seen or len(data) >= size:
+            # Whole.  Bytes past the interval's end may have come from
+            # window positions this checkpoint did not store.
+            entry = (data[:size], None, None)
+        else:
+            entry = (data, 8 * start_byte + result.end_bit, result.open_block)
         if cache is not None:
-            cache.put(index, (data, 8 * start_byte + result.end_bit, result.final_seen))
-        return data
+            cache.put(index, entry)
+        return entry[0]
 
     def read_at(
         self, source, uoffset: ByteOffset, size: int, *, stats=None, kernel=None,
@@ -415,18 +508,19 @@ class GzipIndex:
     # -- serialisation ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise as a v3 blob: per checkpoint, the window bitmap and
+        """Serialise as a v4 blob: per checkpoint, the window bitmap and
         its stored bytes deflate-compressed together — ~2.7 KB for a
-        gzip -6 FASTQ block checkpoint (a whole window took ~17 KB)."""
+        gzip -6 FASTQ block checkpoint (a whole window took ~17 KB).
+        v4 is the v3 layout with the ``"token"`` kind added."""
         out = io.BytesIO()
-        out.write(_MAGIC3)
+        out.write(_MAGIC4)
         out.write(
             struct.pack(
                 "<QQQI", self.usize, self.span, self.csize, len(self.checkpoints)
             )
         )
         for cp in self.checkpoints:
-            cw = zlib.compress(cp.mask + cp.window, 6)
+            cw = zlib.compress(cp.mask + cp.window, 2)
             out.write(
                 struct.pack(
                     "<BQQII",
@@ -442,7 +536,12 @@ class GzipIndex:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GzipIndex":
-        parsers = ((_MAGIC3, cls._parse_v3), (_MAGIC2, cls._parse_v2), (_MAGIC, cls._parse_v1))
+        parsers = (
+            (_MAGIC4, cls._parse_v4),
+            (_MAGIC3, cls._parse_v3),
+            (_MAGIC2, cls._parse_v2),
+            (_MAGIC, cls._parse_v1),
+        )
         for magic, parse in parsers:
             if data[: len(magic)] == magic:
                 try:
@@ -496,14 +595,14 @@ class GzipIndex:
         return cls(checkpoints=cps, usize=usize, span=span, csize=csize)
 
     @classmethod
-    def _parse_v3(cls, data: bytes, pos: int) -> "GzipIndex":
+    def _parse_v3(cls, data: bytes, pos: int, tokens: bool = False) -> "GzipIndex":
         usize, span, csize, n = struct.unpack_from("<QQQI", data, pos)
         pos += 28
         cps = []
         for _ in range(n):
             code, bit_offset, uoffset, stored, clen = struct.unpack_from("<BQQII", data, pos)
             pos += 25
-            kind = cls._kind(code, len(cps))
+            kind = cls._kind(code, len(cps), tokens)
             payload = cls._payload(data, pos, clen, len(cps))
             pos += clen
             if len(payload) != MASK_BYTES + stored:
@@ -516,9 +615,28 @@ class GzipIndex:
             cps.append(Checkpoint(bit_offset, uoffset, window, kind, mask))
         return cls(checkpoints=cps, usize=usize, span=span, csize=csize)
 
+    @classmethod
+    def _parse_v4(cls, data: bytes, pos: int) -> "GzipIndex":
+        index = cls._parse_v3(data, pos, tokens=True)
+        head = None
+        for i, cp in enumerate(index.checkpoints):
+            if cp.kind != CHECKPOINT_TOKEN:
+                head = cp
+            elif head is None or not (
+                head.bit_offset < cp.bit_offset and head.uoffset < cp.uoffset
+            ):
+                # A decode from a token checkpoint parses its block's
+                # header at the block or member checkpoint before it.
+                raise IndexIntegrityError(
+                    f"token checkpoint {i} has no block or member checkpoint "
+                    f"before it in its block",
+                    stage="zran",
+                )
+        return index
+
     @staticmethod
-    def _kind(code: int, n_before: int) -> str:
-        if code not in _KIND_NAMES:
+    def _kind(code: int, n_before: int, tokens: bool = False) -> str:
+        if code not in _KIND_NAMES or (code == _KIND_CODES[CHECKPOINT_TOKEN] and not tokens):
             raise IndexIntegrityError(
                 f"unknown checkpoint kind {code} at checkpoint {n_before}", stage="zran"
             )
@@ -531,55 +649,63 @@ class GzipIndex:
         checksummed, see :mod:`repro.index.integrity`) and atomically
         renamed into place, so a crash mid-write can never leave a
         torn sidecar."""
-        atomic_write_bytes(path, seal(_KIND_V3, self.to_bytes()))
+        atomic_write_bytes(path, seal(_KIND_V4, self.to_bytes()))
 
     @classmethod
     def load(cls, path: str) -> "GzipIndex":
         """Read an index file written by :meth:`save`.
 
-        Accepts every generation: the current sealed v3 envelope, the
-        sealed v2 and v1 envelopes (kinds ``ZRN2`` and ``ZRAN``) and the
-        bare legacy v1 and v2 blobs; anything else that fails validation
+        Accepts every generation: the current sealed v4 envelope, the
+        sealed v3, v2 and v1 envelopes (kinds ``ZRN3``, ``ZRN2`` and
+        ``ZRAN``) and bare blobs; anything else that fails validation
         raises :class:`~repro.errors.IndexIntegrityError`.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
-        if blob[: len(_MAGIC)] in (_MAGIC, _MAGIC2, _MAGIC3):
+        if blob[: len(_MAGIC)] in (_MAGIC, _MAGIC2, _MAGIC3, _MAGIC4):
             return cls.from_bytes(blob)  # legacy unsealed file
         kind = blob[8:12]
-        known = kind in (_KIND_V1, _KIND_V2, _KIND_V3)
-        return cls.from_bytes(unseal(blob, kind if known else _KIND_V3))
+        known = kind in (_KIND_V1, _KIND_V2, _KIND_V3, _KIND_V4)
+        return cls.from_bytes(unseal(blob, kind if known else _KIND_V4))
 
 
 def block_checkpoints(
-    blocks, reach, member_out: bytes, uoffset: int, span: int
+    pieces, reach, member_out: bytes, uoffset: int, span: int
 ) -> list[Checkpoint]:
-    """The ``"block"`` checkpoints of one member, ``span`` bytes apart.
+    """The ``"block"`` and ``"token"`` checkpoints of one member,
+    ``span`` bytes apart.
 
-    ``blocks`` yields ``(start_bit, out_start, out_end)`` per DEFLATE
-    block in stream order, output offsets relative to the member's
-    first byte, and ``reach`` each block's window reach (a packed
-    bitmap, :func:`repro.deflate.tokens.window_reach`, or ``None`` for
-    none); ``member_out`` is the member's decompressed output and
+    ``pieces`` holds ``(start_bit, out_start, out_end, cut)`` per piece
+    of each DEFLATE block, in stream order, output offsets relative to
+    the member's first byte, and ``reach`` each piece's window reach
+    as a packed row (:func:`repro.deflate.inflate.piece_table` gives
+    both); ``member_out`` is the member's decompressed output and
     ``uoffset`` where it starts in the file's.  A checkpoint lands at a
-    block start whenever finishing that block would leave the previous
-    checkpoint (the member start at first) more than ``span`` bytes
-    behind — so consecutive checkpoints are <= ``span`` apart as long
-    as no single block exceeds ``span``, which is the warm-seek bound.
+    piece start whenever finishing that piece — the whole block, for a
+    block's first piece — would leave the previous checkpoint (the
+    member start at first) more than ``span`` bytes behind.  A block
+    longer than ``span`` thus starts at a checkpoint, which a
+    ``"token"`` checkpoint at each of its cuts needs (a read from one
+    parses the block's header there), and its pieces are at most
+    ``span`` long, so consecutive checkpoints are <= ``span`` apart as
+    long as every block longer than ``span`` is cut: Huffman blocks of
+    a member whose first block is not empty.  An empty block gets no
+    checkpoint: the block after it starts at the same output byte.
 
     A checkpoint stores the window bytes its interval reads directly:
-    the union of its blocks' reach, each shifted by the block's
-    distance from the checkpoint (a block 32 KiB or more past it reads
+    the union of its pieces' reach, each shifted by the piece's
+    distance from the checkpoint (a piece 32 KiB or more past it reads
     none of its window).  Every builder shares this rule, so indexes
-    agree checkpoint for checkpoint whichever pass found the blocks.
+    agree checkpoint for checkpoint whichever pass found the pieces.
     """
+    rows = np.asarray(pieces, dtype=np.int64).reshape(-1, 4).tolist()
     out = np.frombuffer(member_out, dtype=np.uint8)
     checkpoints: list[Checkpoint] = []
-    opened: tuple[int, int] | None = None  # (start_bit, out_start)
+    opened: tuple[int, int, str] | None = None  # (start_bit, out_start, kind)
     read = np.zeros(WINDOW_SIZE, dtype=bool)
 
     def close() -> None:
-        start_bit, out_start = opened
+        start_bit, out_start, kind = opened
         # A decode that succeeded read nothing before the member start.
         read[: max(0, WINDOW_SIZE - out_start)] = False
         pos = np.flatnonzero(read)
@@ -588,20 +714,39 @@ def block_checkpoints(
                 bit_offset=BitOffset(start_bit),
                 uoffset=ByteOffset(uoffset + out_start),
                 window=out[pos + (out_start - WINDOW_SIZE)].tobytes(),
-                kind=CHECKPOINT_BLOCK,
+                kind=kind,
                 mask=np.packbits(read).tobytes(),
             )
         )
 
+    def open_at(start_bit: int, out_start: int, kind: str) -> None:
+        nonlocal opened, last_rel
+        if opened is not None:
+            close()
+        opened = (start_bit, out_start, kind)
+        read[:] = False
+        last_rel = out_start
+
+    # Each block's end: the end of its last piece.
+    block_end = [0] * len(rows)
+    end = 0
+    for i in range(len(rows) - 1, -1, -1):
+        if i + 1 == len(rows) or not rows[i + 1][3]:
+            end = rows[i][2]
+        block_end[i] = end
     last_rel = 0
-    for (start_bit, out_start, out_end), bits in zip(blocks, reach):
-        if out_start > last_rel and out_end - last_rel > span:
-            if opened is not None:
-                close()
-            opened = (start_bit, out_start)
-            read[:] = False
-            last_rel = out_start
-        if opened is None or bits is None:
+    # The bit of the latest block or member checkpoint's block header.
+    header_bit = rows[0][0] if rows else None
+    block_bit = None
+    for i, ((start_bit, out_start, out_end, cut), bits) in enumerate(zip(rows, reach)):
+        if not cut:
+            block_bit = start_bit
+            if out_start < block_end[i] and out_start > last_rel and block_end[i] - last_rel > span:
+                open_at(start_bit, out_start, CHECKPOINT_BLOCK)
+                header_bit = start_bit
+        elif header_bit == block_bit and out_start > last_rel and out_end - last_rel > span:
+            open_at(start_bit, out_start, CHECKPOINT_TOKEN)
+        if opened is None:
             continue
         shift = out_start - opened[1]
         if shift < WINDOW_SIZE:
@@ -615,7 +760,9 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
     """Build an index with checkpoints at most ``span`` output bytes apart.
 
     Performs the full sequential decompression the technique requires
-    (that is its cost); checkpoints land on block boundaries, so access
+    (that is its cost).  Checkpoints land on block boundaries, and at
+    token starts inside blocks longer than ``span``, whose bits come
+    from the decoded tokens and the block's code lengths, so access
     never needs bit-level probing.  ``source`` may be bytes, a path, a
     binary file object, or a :class:`~repro.io.source.ByteSource`.
 
@@ -649,7 +796,9 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
                 kind=CHECKPOINT_MEMBER,
             )
         )
-        result = inflate(data, start_bit=8 * payload_start, capture_reach=True)
+        result = inflate(
+            data, start_bit=8 * payload_start, capture_reach=True, reach_span=span
+        )
         if not result.final_seen:
             raise GzipFormatError(
                 "member payload ended without a final block",
@@ -657,13 +806,7 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
                 stage="zran",
             )
         mdata = result.data
-        checkpoints += block_checkpoints(
-            ((b.start_bit, b.out_start, b.out_end) for b in result.blocks),
-            (b.reach for b in result.blocks),
-            mdata,
-            uoffset,
-            span,
-        )
+        checkpoints += block_checkpoints(*piece_table(result.blocks), mdata, uoffset, span)
         uoffset += len(mdata)
         payload_end = (result.end_bit + 7) // 8
         check_trailer(data, payload_end, mdata)

@@ -36,11 +36,14 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Below this payload size auto-detection keeps the pure kernel: the
-#: numpy kernel pays ~3 ms of fixed numpy-dispatch cost per DEFLATE
-#: block, which the pure loop beats outright on short streams (2-vCPU
-#: Xeon VM: a one-block 200-byte DNA stream takes 3.2 ms against
-#: 0.13 ms pure; at 16 KB of output per block, 5.1 ms against 4.1 ms).
+#: Below this many compressed bytes to decode, auto-detection keeps
+#: the pure kernel: the numpy kernel pays fixed numpy-dispatch costs
+#: per DEFLATE block that the pure loop beats on short decodes (2-vCPU
+#: Xeon VM, one gzip -6 FASTQ block after its window, pure against
+#: numpy: 4 KB of output 0.97 against 2.57 ms, 16 KB 2.93 against
+#: 4.57 ms, 32 KB 6.28 against 6.40 ms).  Callers that decode less
+#: than their buffer holds gate on what they decode: an index read
+#: stops mid-block once it has its bytes.
 MIN_AUTO_NUMPY_BYTES = 1 << 14
 
 _ENV_VAR = "REPRO_KERNEL"

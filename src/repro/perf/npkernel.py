@@ -40,6 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.deflate import constants as C
+from repro.deflate.tokens import token_ends
 
 __all__ = [
     "Fallback",
@@ -461,7 +462,8 @@ class StreamKernel:
 
         Returns ``(offs, vals, fp, end_bit)``: columnar token arrays
         (match distance / literal-or-length value), each token's bit
-        position, and the bit just past the EOB code.  Raises
+        position followed by the EOB code's, and the bit just past the
+        EOB code.  Raises
         :class:`Fallback` whenever the pure kernel would raise — the
         caller re-decodes the block purely for the exact error.
 
@@ -509,7 +511,7 @@ class StreamKernel:
                         raise Fallback("block output exceeds max_out")
                 offs_l.append(off[:-1])
                 vals_l.append(val[:-1])
-                fp_l.append(fp[:-1])
+                fp_l.append(fp)
                 self.est_bits = 0.7 * self.est_bits + 0.3 * (end_bit - h_bit)
                 return (
                     _cat(offs_l).astype(np.int32),
@@ -631,8 +633,9 @@ def _replay_matches(out, m_start, m_len, m_off):
     out[bdst] = out.take(final)
 
 
-def _replay(offs, vals, win, dtype):
-    """Shared replay core: seeded window ``win`` (array), token arrays."""
+def _replay(offs, vals, win, dtype, ends=None):
+    """Shared replay core: seeded window ``win`` (array), token arrays
+    and, if the caller has them, their :func:`~repro.deflate.tokens.token_ends`."""
     offs = np.ascontiguousarray(offs, np.int32)
     vals = np.ascontiguousarray(vals, np.int32)
     wlen = len(win)
@@ -641,8 +644,8 @@ def _replay(offs, vals, win, dtype):
         # streams such outputs instead of materializing them.
         raise Fallback("output too large for int32 replay")
     is_m = offs > 0
-    lengths = np.where(is_m, vals, np.int32(1))
-    ends = np.cumsum(lengths, dtype=np.int32)
+    if ends is None:
+        ends = token_ends(offs, vals)
     total = int(ends[-1]) if len(ends) else 0
     out = np.empty(wlen + total, dtype)
     out[:wlen] = win
@@ -660,14 +663,14 @@ def _replay(offs, vals, win, dtype):
     return out
 
 
-def replay_bytes(offs, vals, window: bytes) -> bytes:
+def replay_bytes(offs, vals, window: bytes, ends=None) -> bytes:
     """Replay byte-domain tokens against up to 32 KiB of history."""
     win = np.frombuffer(window, np.uint8) if window else np.empty(0, np.uint8)
-    out = _replay(offs, vals, win, np.uint8)
+    out = _replay(offs, vals, win, np.uint8, ends)
     return out[len(win):].tobytes()
 
 
-def replay_symbols(offs, vals, window_arr: np.ndarray) -> np.ndarray:
+def replay_symbols(offs, vals, window_arr: np.ndarray, ends=None) -> np.ndarray:
     """Replay marker-domain tokens; symbols stay int32.
 
     ``window_arr`` is the int32 symbol window (markers included: a
@@ -677,5 +680,5 @@ def replay_symbols(offs, vals, window_arr: np.ndarray) -> np.ndarray:
     array *excluding* the window prefix; it is never byte-cast here —
     resolution stays the job of :mod:`repro.core.translate`.
     """
-    out = _replay(offs, vals, window_arr, np.int32)
+    out = _replay(offs, vals, window_arr, np.int32, ends)
     return out[len(window_arr):]

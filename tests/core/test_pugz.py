@@ -250,7 +250,7 @@ class TestPass1Transport:
         start, *_ = parse_gzip_header(gz, 0)
         chunks = plan_chunks(gz, 8 * start, 8 * (len(gz) - 8), n_chunks)
         assert len(chunks) == n_chunks
-        return [(gz, c.start_bit, c.stop_bit, c.index, None, None, False) for c in chunks]
+        return [(gz, c.start_bit, c.stop_bit, c.index, None, None, None) for c in chunks]
 
     def test_widths(self, fastq_medium, fastq_medium_gz6):
         first, second = (_pass1_chunk(job) for job in self._jobs(fastq_medium_gz6, 2))

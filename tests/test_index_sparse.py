@@ -43,6 +43,7 @@ from repro.deflate.inflate import inflate
 from repro.errors import IndexIntegrityError
 from repro.index.zran import (
     CHECKPOINT_BLOCK,
+    CHECKPOINT_MEMBER,
     DEFAULT_SPAN,
     MASK_BYTES,
     Checkpoint,
@@ -68,7 +69,7 @@ def _full_windows(idx: GzipIndex, text: bytes) -> GzipIndex:
         Checkpoint(
             cp.bit_offset,
             cp.uoffset,
-            text[max(0, cp.uoffset - 32768) : cp.uoffset] if cp.kind == CHECKPOINT_BLOCK else b"",
+            text[max(0, cp.uoffset - 32768) : cp.uoffset] if cp.kind != CHECKPOINT_MEMBER else b"",
             cp.kind,
         )
         for cp in idx.checkpoints
@@ -200,13 +201,13 @@ class TestLegacySidecars:
             assert cp.history() == cp.window == text[cp.uoffset - 32768 : cp.uoffset]
         _assert_reads(idx, gz, text[: idx.usize])
 
-    def test_v2_resaves_as_v3_with_the_same_reads(self, corpus, tmp_path):
+    def test_v2_resaves_as_v4_with_the_same_reads(self, corpus, tmp_path):
         gz, text = corpus
         idx = GzipIndex.load(os.path.join(COMPAT, "multi.v2.idx"))
         path = str(tmp_path / "again.idx")
         idx.save(path)
         with open(path, "rb") as fh:
-            assert b"ZRN3" in fh.read(16)
+            assert b"ZRN4" in fh.read(16)
         again = GzipIndex.load(path)
         assert again == idx
         _assert_reads(again, gz, text)

@@ -16,6 +16,7 @@ import random
 import threading
 import zlib
 
+import numpy as np
 import pytest
 
 import repro.core.parallel_index as parallel_index_mod
@@ -27,7 +28,7 @@ from repro.deflate.inflate import inflate
 from repro.errors import DeflateError, GzipFormatError, RandomAccessError
 from repro.index import DEFAULT_SPAN, GzipIndex, build_index
 from repro.index.seekable import SeekableGzipReader, detect_backend
-from repro.index.zran import CACHED_INTERVALS
+from repro.index.zran import CACHED_INTERVALS, CHECKPOINT_MEMBER, CHECKPOINT_TOKEN
 from repro.io.source import ByteSource
 from repro.parallel.executor import ThreadExecutor
 from tests.deflate.test_differential_fuzz import SEEDS, SHAPES, compress_shape, make_text
@@ -160,10 +161,10 @@ class TestSpanGuarantee:
     def test_warm_seek_decodes_at_most_span(self, text, monkeypatch):
         """The O(1)-seek contract: after the index exists, a warm seek
         asks inflate for at most ``span`` output bytes (plus the bytes
-        actually requested) and the decode overshoots the request only
-        by block granularity.  Blocks are kept under 8 KiB so no single
-        block exceeds the span — the one case where the floor is the
-        block, not the span."""
+        actually requested) and the decode overshoots the request by at
+        most the rest of a block.  Blocks are kept under 8 KiB, so the
+        index has no token checkpoints (``tests/test_index_tokens.py``
+        covers blocks longer than the span)."""
         block = 8192
         span = 32768
         gz = _sync_flush_gzip(text, block)
@@ -182,7 +183,7 @@ class TestSpanGuarantee:
 
         def spy(data, **kwargs):
             result = real_inflate(data, **kwargs)
-            calls.append((kwargs.get("max_output"), len(result.data)))
+            calls.append((kwargs.get("stop_output"), len(result.data)))
             return result
 
         monkeypatch.setattr(zran_mod, "inflate", spy)
@@ -191,8 +192,8 @@ class TestSpanGuarantee:
         for off in range(0, len(text), step):
             assert reader.pread(off, 1) == text[off : off + 1]
         assert calls, "no inflate calls observed"
-        for max_output, decoded in calls:
-            assert max_output is not None and max_output <= span + 1
+        for stop_output, decoded in calls:
+            assert stop_output is not None and stop_output <= span + 1
             assert decoded <= span + 1 + block
 
     @pytest.mark.parametrize(
@@ -336,6 +337,26 @@ def _blocks(gz: bytes):
     return [(b.start_bit, b.out_start, b.out_end) for b in inflate(gz, start_bit=8 * start).blocks]
 
 
+def decoded_past_cuts(gz: bytes, idx: GzipIndex) -> int:
+    """The most a decode can run past all token checkpoints: at each,
+    to the end of the first match reaching it, or of its block."""
+    total = 0
+    member = None
+    for cp in idx.checkpoints:
+        if cp.kind == CHECKPOINT_MEMBER:
+            member = cp
+            result = inflate(gz, start_bit=cp.bit_offset, capture_tokens=True)
+            offs, vals = result.tokens.offsets(), result.tokens.values()
+            ends = np.cumsum(np.where(offs > 0, vals, 1))
+        if cp.kind != CHECKPOINT_TOKEN:
+            continue
+        cut = cp.uoffset - member.uoffset
+        block_end = next(b.out_end for b in result.blocks if b.out_start < cut < b.out_end)
+        reach = np.flatnonzero((offs > 0) & (ends >= cut))
+        total += min(block_end, int(ends[reach[0]]) if len(reach) else block_end) - cut
+    return total
+
+
 def _read_sequentially(reader, size: int = 4096) -> bytes:
     out = bytearray()
     while chunk := reader.read(size):
@@ -354,12 +375,20 @@ class TestIntervalCache:
             + stdlib_gzip.compress(text[200_000:], 6)
         )
 
-    @pytest.mark.parametrize("which", ["single", "multi"])
+    @pytest.mark.parametrize("which", ["single", "multi", "sync8k"])
     def test_sequential_reads_decode_each_byte_once(self, gz, multi, text, which):
-        blob = gz if which == "single" else multi
-        reader = SeekableGzipReader(blob, index=build_index(blob, span=SPAN))
+        """Each byte is decoded once, apart from what a decode runs past
+        a token checkpoint before its stop rule lets it stop (a decode
+        stops only after a match or at the end of a block); with no
+        token checkpoint (blocks under the span), exactly once."""
+        blob = {"single": gz, "multi": multi, "sync8k": _sync_flush_gzip(text, 8192)}[which]
+        idx = build_index(blob, span=SPAN)
+        reader = SeekableGzipReader(blob, index=idx)
         assert _read_sequentially(reader) == text
-        assert reader.stats.decoded_bytes == reader.usize == len(text)
+        assert reader.usize == len(text)
+        bound = decoded_past_cuts(blob, idx)
+        assert (bound == 0) == (which == "sync8k")  # token checkpoints, or none
+        assert 0 <= reader.stats.decoded_bytes - len(text) <= bound
         assert reader.stats.served_bytes == len(text)
 
     def test_whole_read_keeps_few_bounded_entries(self, text):
@@ -372,25 +401,29 @@ class TestIntervalCache:
         for _, (data, _, _) in entries:
             assert len(data) <= SPAN + largest
 
-    def test_scan_reads_after_the_first_do_not_inflate(self, gz, indexed, text):
-        # A scan of four 4 KiB reads inside one (large) block: the first
-        # read decodes through that block, the other three are hits.
-        start_bit, out_start, out_end = next(
-            b for b in _blocks(gz) if b[1] > 0 and b[2] - b[1] > 5 * 4096
+    def test_scan_reads_resume_where_the_last_stopped(self, gz, indexed, text):
+        # A scan of four 4 KiB reads inside one checkpoint interval: each
+        # read decodes only past where the one before it stopped, inside
+        # a block if need be, and a read inside what it decoded is a hit.
+        cps = indexed.checkpoints
+        i = next(
+            i for i in range(1, len(cps) - 1) if cps[i + 1].uoffset - cps[i].uoffset > 5 * 4096
         )
         reader = SeekableGzipReader(gz, index=indexed)
-        off = out_start + 100
+        off = cps[i].uoffset + 100
         reader.seek(off)
-        assert reader.read(4096) == text[off : off + 4096]
-        assert reader.stats.inflate_calls == 1
+        for n in range(1, 5):
+            assert reader.read(4096) == text[off + (n - 1) * 4096 : off + n * 4096]
+            assert reader.stats.inflate_calls == n
+        [(index, (data, end_bit, _))] = reader._cache.items()
+        assert index == i and end_bit is not None
+        assert data == text[cps[i].uoffset : cps[i].uoffset + len(data)]
+        # Each byte of the interval decoded once, and none far past the scan.
+        assert reader.stats.decoded_bytes == len(data) < 100 + 4 * 4096 + 2048
         reader.stats.reset_counters()
-        for i in range(1, 4):
-            pos = off + i * 4096
-            assert reader.read(4096) == text[pos : pos + 4096]
+        assert reader.pread(off, 4096) == text[off : off + 4096]
         assert reader.stats.inflate_calls == 0
-        assert reader.stats.decoded_bytes == 0
-        assert reader.stats.cache_hits == 3
-        assert reader.stats.served_bytes == 3 * 4096
+        assert reader.stats.cache_hits == 1
 
     def test_lru_evicts_the_least_recent_interval(self, gz, indexed, text):
         cps = indexed.checkpoints
