@@ -98,7 +98,6 @@ def marker_inflate(
     stop_at_final: bool = True,
     budget=None,
     kernel=None,
-    capture_reach: bool = False,
     reach_span: int | None = None,
 ) -> MarkerInflateResult:
     """Decompress a DEFLATE stream into the marker symbol domain.
@@ -146,12 +145,12 @@ def marker_inflate(
         hard limit, is re-decoded by the pure symbol loop
         (:func:`_symbol_block`), so symbol streams, errors, and bit
         positions are kernel-independent.
-    capture_reach / reach_span:
+    reach_span:
         Give each compressed block's :class:`BlockInfo` its ``pieces``
         and their ``reach``, the window positions each reads directly,
         cut as :func:`repro.deflate.inflate.inflate` cuts them, so that
         an index built from this pass enters blocks at the same tokens
-        and stores only those window bytes.
+        and stores only those window bytes.  ``None`` captures nothing.
     """
     from repro.perf.kernels import resolve_kernel
 
@@ -206,7 +205,7 @@ def marker_inflate(
                 kern, reader, header, win,
                 soft_limit=None if max_output is None else max_output - out_start,
                 hard_limit=sym_cap - out_start,
-                capture_reach=capture_reach,
+                reach_span=reach_span,
             )
             if toks is not None:
                 pieces, reach = _block_pieces(
@@ -276,12 +275,12 @@ def _symbol_block(
     win: np.ndarray,
     soft_limit: int | None,
     hard_limit: int,
-    capture_reach: bool = False,
+    reach_span: int | None = None,
 ) -> tuple[np.ndarray, bool, tuple | None]:
     """Decode one compressed block after the symbol window ``win``.
 
     Returns the block's ``int32`` symbols, whether ``soft_limit``
-    truncated it, and with ``capture_reach`` its token columns and
+    truncated it, and with a ``reach_span`` its token columns and
     from the kernel their :func:`~repro.deflate.tokens.token_ends` and
     bit positions (``None`` from the pure loop; no tokens at all for a
     truncated block).  With a
@@ -316,7 +315,7 @@ def _symbol_block(
             pass
         else:
             reader.seek_bits(BitOffset(end_bit))
-            return block_sym, False, (offs, vals, (ends, fp)) if capture_reach else None
+            return block_sym, False, None if reach_span is None else (offs, vals, (ends, fp))
     body_bit = reader.tell_bits()
     local = win.tolist()
     truncated = _decode_block_symbols(
@@ -325,7 +324,7 @@ def _symbol_block(
         soft_limit=soft_limit, hard_limit=hard_limit,
     )
     block_sym = np.asarray(local[len(win):], dtype=np.int32)
-    if not capture_reach or truncated:
+    if reach_span is None or truncated:
         return block_sym, truncated, None
     tokens = TokenStream()
     _decode_huffman_block(

@@ -291,22 +291,20 @@ def _pass1_chunk(
     captured outcomes name the chunk that died.
     """
     data, chunk_start, chunk_stop, index, budget, kernel, reach_span = args
-    capture_reach = reach_span is not None
     try:
         if index == 0 and chunk_stop is None:
             # Sole chunk with a fully known (empty) context: decode in the
             # byte domain, which is faster and yields a concrete window.
             result = inflate(
                 data, start_bit=chunk_start, stop_at_final=True, budget=budget,
-                kernel=kernel, capture_reach=capture_reach, reach_span=reach_span,
+                kernel=kernel, reach_span=reach_span,
             )
             symbols = np.frombuffer(result.data, dtype=np.uint8)
             window = _seed_window(result.data)
         else:
             result = marker_inflate(
                 data, start_bit=chunk_start, window=None, stop_bit=chunk_stop,
-                budget=budget, kernel=kernel, capture_reach=capture_reach,
-                reach_span=reach_span,
+                budget=budget, kernel=kernel, reach_span=reach_span,
             )
             symbols = marker.narrow(result.symbols)
             window = result.window
@@ -317,7 +315,7 @@ def _pass1_chunk(
             result.end_bit,
             result.final_seen,
             _block_table(result.blocks),
-            piece_table(result.blocks) if capture_reach else None,
+            None if reach_span is None else piece_table(result.blocks),
         )
     except ReproError as exc:
         annotate(exc, chunk_index=index, stage="pass1", bit_offset=chunk_start)

@@ -85,15 +85,15 @@ class BlockInfo:
     out_end: ByteOffset
     btype: int
     bfinal: bool
-    #: With ``capture_reach``: one packed row per piece of the block
+    #: With a ``reach_span``: one packed row per piece of the block
     #: (see ``pieces``) of the window positions that piece reads
     #: directly (:func:`repro.deflate.tokens.window_reach`); ``None``
     #: for a stored block, which reads none, or without a capture.
     reach: np.ndarray | None = None
-    #: With ``capture_reach``: ``(start_bit, out_start)`` of each piece
+    #: With a ``reach_span``: ``(start_bit, out_start)`` of each piece
     #: of a Huffman block, an ``(n, 2)`` int64 array.  Row 0 is the
-    #: block itself (its header bit); with a ``reach_span`` a longer
-    #: block adds a row at each token cut (the cut token's first bit).
+    #: block itself (its header bit); a block longer than the span adds
+    #: a row at each token cut (the cut token's first bit).
     pieces: np.ndarray | None = None
 
 
@@ -263,7 +263,6 @@ def inflate(
     stop_at_final: bool = True,
     budget=None,
     kernel=None,
-    capture_reach: bool = False,
     reach_span: int | None = None,
     stop_output: int | None = None,
     open_block: BlockHeader | None = None,
@@ -285,18 +284,16 @@ def inflate(
         history *plus* assumed context, and implausible block sizes.
     capture_tokens:
         Record the decoded LZ77 token stream in the result.
-    capture_reach:
-        Give each Huffman block's :class:`BlockInfo` its ``pieces`` and
-        their ``reach``: the window positions each piece's tokens read
-        directly, computed from the block's own tokens as it is decoded
-        (the whole stream's tokens are never held).  Index builders use
-        it to store only those bytes of a checkpoint's window.
     reach_span:
-        With ``capture_reach``, cut each Huffman block longer than this
-        at token starts into pieces (:func:`repro.deflate.tokens.piece_starts`),
-        each with its own start bit and reach (:attr:`BlockInfo.pieces`),
-        so an index can enter the block mid-way.  ``None`` keeps every
-        block one piece.
+        Cut each Huffman block longer than this right after matches
+        into pieces (:func:`repro.deflate.tokens.piece_starts`), so an
+        index can enter the block mid-way, and give its
+        :class:`BlockInfo` the ``pieces`` and their ``reach``: the
+        window positions each piece's tokens read directly, computed
+        from the block's own tokens as it is decoded (the whole
+        stream's tokens are never held).  Index builders use it to
+        store only those bytes of a checkpoint's window.  ``None``
+        (the default) captures nothing.
     max_blocks / max_output:
         Stop after this many blocks / output bytes (both soft limits
         checked at block boundaries, except the strict 4 MiB in-block
@@ -350,6 +347,7 @@ def inflate(
     # this module back (cycle is only at import time, not at call time).
     from repro.perf.kernels import resolve_kernel
 
+    capture_reach = reach_span is not None
     if stop_output is not None and (strict or capture_tokens or capture_reach):
         raise ValueError("stop_output needs a decode without probing or capture")
     vectorized = resolve_kernel(kernel).use_vectorized(len(data))
@@ -511,7 +509,7 @@ def _block_pieces(
     offs: np.ndarray,
     vals: np.ndarray,
     cols: tuple[np.ndarray, np.ndarray] | None,
-    span: int | None,
+    span: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:attr:`BlockInfo.pieces` and ``reach`` of one Huffman block
     whose header starts at ``start_bit``, body at ``body_bit``, with
@@ -529,8 +527,8 @@ def _block_pieces(
     """
     ends, fp = cols if cols is not None else (token_ends(offs, vals), None)
     firsts = [0]
-    if span is not None and len(ends) and ends[-1] > span:
-        firsts = piece_starts(ends, span)
+    if len(ends) and ends[-1] > span:
+        firsts = piece_starts(offs, ends, span)
         dist = header.dist.lengths if header.dist is not None else ()
         if fp is None:
             at = body_bit + np.concatenate(
@@ -818,13 +816,13 @@ def _decode_huffman_block_fast(
 
     ``hard_cap`` is the absolute ``len(out)`` (window prefix included)
     that a match copy may not exceed — the in-loop half of the
-    zip-bomb guard (see :func:`inflate`'s ``budget``).  It costs one
-    int comparison per match; literal growth is left to the amortized
-    block-boundary check, which bounds it at one block's worth.
-    ``stop`` shares that comparison: the first match whose copy brings
-    ``len(out)`` to ``stop`` or past it ends the decode right after the
-    copy, with the reader at the next symbol.  Returns ``True`` then,
-    ``False`` at end-of-block.
+    zip-bomb guard (see :func:`inflate`'s ``budget``).  It costs two
+    int comparisons per match, shared with ``stop``; literal growth is
+    left to the amortized block-boundary check, which bounds it at one
+    block's worth.  The first match whose copy brings ``len(out)`` to
+    ``stop`` or past it ends the decode right after the copy, with the
+    reader at the next symbol.  Returns ``True`` then, ``False`` at
+    end-of-block.
 
     Semantics are identical to :func:`_decode_huffman_block` with
     ``strict=False``/``tokens=None`` (the differential fuzz suite pins
@@ -867,8 +865,10 @@ def _decode_huffman_block_fast(
     bitcount = reader._bitcount
     from_bytes = int.from_bytes
     out_append = out.append
-    # The one per-match size compare: past ``limit`` the copy either
-    # breaks the budget or reaches the stop.
+    # A match's ``grown`` output is compared with ``limit`` before and
+    # after its copy: past it, the copy either breaks the budget
+    # (refused before copying) or reaches the stop (the decode ends
+    # after it).
     limit = hard_cap if stop is None else min(hard_cap, stop - 1)
 
     try:
@@ -997,36 +997,27 @@ def _decode_huffman_block_fast(
                     f"distance {distance} exceeds available history {len(out)}",
                     bit_offset=reader.tell_bits(), stage="inflate",
                 )
-            if len(out) + length > limit:
-                if len(out) + length > hard_cap:
-                    reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
-                    raise ResourceLimitError(
-                        f"match copy would grow output to {len(out) + length} bytes, "
-                        f"past the {hard_cap}-byte resource budget",
-                        limit="output_bytes",
-                        bit_offset=reader.tell_bits(), stage="inflate",
-                    )
-                _copy_match(out, start, distance, length)
-                return True
+            grown = len(out) + length
+            if grown > limit and grown > hard_cap:
+                reader._pos, reader._bitbuf, reader._bitcount = pos, bitbuf, bitcount
+                raise ResourceLimitError(
+                    f"match copy would grow output to {grown} bytes, "
+                    f"past the {hard_cap}-byte resource budget",
+                    limit="output_bytes",
+                    bit_offset=reader.tell_bits(), stage="inflate",
+                )
             if distance >= length:
                 out += out[start : start + length]
             else:
                 pattern = bytes(out[start:])  # lint: allow-unbudgeted-alloc(pattern length equals distance <= 32 KiB; total growth capped by the hard_cap check above)
                 reps = -(-length // distance)
                 out += (pattern * reps)[:length]
+            if grown > limit:
+                return True
     finally:
         reader._pos = pos
         reader._bitbuf = bitbuf
         reader._bitcount = bitcount
-
-
-def _copy_match(out: bytearray, start: int, distance: int, length: int) -> None:
-    """Append one match's copy to ``out`` (the fast loop's stopping copy)."""
-    if distance >= length:
-        out += out[start : start + length]
-    else:
-        pattern = bytes(out[start:])  # lint: allow-unbudgeted-alloc(pattern length equals distance <= 32 KiB; the caller checked the copy against hard_cap)
-        out += (pattern * -(-length // distance))[:length]
 
 
 def inflate_bytes(data, start_bit: BitOffset = BitOffset(0), window: bytes = b"") -> bytes:

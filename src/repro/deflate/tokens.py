@@ -275,27 +275,34 @@ def window_reach(
     return np.packbits(bits)
 
 
-def piece_starts(ends: np.ndarray, span: int) -> list[int]:
+def piece_starts(offsets: np.ndarray, ends: np.ndarray, span: int) -> list[int]:
     """Token indices where one block's pieces start, for checkpoints at
     most ``span`` output bytes apart inside it.
 
-    ``ends`` is the block's :func:`token_ends`.  The first piece starts
-    at token 0; each next one at the last token starting at most
-    ``span`` bytes after the previous piece's start (the next token, if
-    a single token is longer than ``span``), until the rest of the
-    block fits in ``span``.  So each piece of a block longer than
-    ``span`` is at most ``span`` long, and two consecutive pieces are
-    longer than ``span`` together.
+    ``offsets`` is the block's token distance column and ``ends`` its
+    :func:`token_ends`.  A piece starts only right after a match, so a
+    decode that stops after the first match reaching the bytes it wants
+    never runs past the next piece's start.  The first piece starts at
+    token 0; each next one at the last token after a match that starts
+    at most ``span`` bytes past the previous piece's start (the first
+    one after that, if a run of literals leaves none), until the rest
+    of the block fits in ``span``.  So a piece is longer than ``span``
+    only where a literal run of nearly ``span`` bytes crosses it.
     """
     firsts = [0]
-    if not len(ends):
-        return firsts
-    total = int(ends[-1])
+    # Candidate starts: each token after a match, and where it begins.
+    after = np.flatnonzero(np.asarray(offsets[:-1]) > 0) + 1
+    at = ends[after - 1]
+    total = int(ends[-1]) if len(ends) else 0
     begin = 0
     while total - begin > span:
-        k = max(int(np.searchsorted(ends, begin + span, "right")), firsts[-1] + 1)
-        firsts.append(k)
-        begin = int(ends[k - 1])
+        i = int(np.searchsorted(at, begin + span, "right")) - 1
+        if i < 0 or at[i] <= begin:
+            i = int(np.searchsorted(at, begin, "right"))
+            if i == len(after):
+                break
+        firsts.append(int(after[i]))
+        begin = int(at[i])
     return firsts
 
 

@@ -32,9 +32,10 @@ Checkpoint kinds
   bytes of the 32 KiB of history before it that its interval reads
   (a sparse window, above).
 * ``"token"`` — a token start inside a Huffman block longer than
-  ``span``: the block is cut into pieces at most ``span`` long
-  (:func:`repro.deflate.tokens.piece_starts`), and each cut is an
-  entry point with its own sparse window, which may include the
+  ``span``: the block is cut right after matches into pieces at most
+  ``span`` long (:func:`repro.deflate.tokens.piece_starts`; longer
+  only across a literal run of nearly ``span`` bytes), and each cut
+  is an entry point with its own sparse window, which may include the
   block's own earlier output.  Its block's header is at the nearest
   preceding ``"block"`` or ``"member"`` checkpoint: a decode from it
   parses that header from a small ``pread``, then decodes the body
@@ -64,10 +65,10 @@ Decoded-interval cache
 
 A decode from a checkpoint stops once it has the bytes asked for:
 right after the first match whose copy reaches them, or at the end of
-the block they are reached in (``inflate``'s ``stop_output``).  It
-never serves a byte past the next checkpoint — bytes decoded past it
-may come from window positions the checkpoint did not store — and a
-read crossing one continues from it.  Given an :class:`IntervalCache`,
+the block they are reached in (``inflate``'s ``stop_output``).  Every
+checkpoint starts at a block boundary or right after a match, so the
+decode stops at the next checkpoint at the latest, and a read crossing
+one continues from it.  Given an :class:`IntervalCache`,
 ``read_at`` keeps what it decoded of each interval: a later read inside
 it decodes nothing, and one past it resumes where the decode stopped,
 inside a block if need be, with the last 32 KiB of ``window + data`` as
@@ -331,12 +332,13 @@ class GzipIndex:
         up to output ``target_uoffset``: where its decoding should end,
         and where the compressed data it may read ends.
 
-        The first checkpoint at/after the target starts at or after the
-        token that writes the last needed byte, so the decode ends near
-        it.  But a decode stops only after a match or at the end of a
-        block, so the read runs on to the first ``"block"`` or
-        ``"member"`` checkpoint from there: the end of the block holding
-        the last needed byte at the latest.
+        The first checkpoint at/after the target starts right after the
+        match that writes the last needed byte or later (a block
+        boundary, or a piece start, which follows a match), so the
+        decode ends at it or before.  But the numpy kernel decodes a
+        whole block before it cuts it at the stop, so the read runs on
+        to the first ``"block"`` or ``"member"`` checkpoint from there:
+        the end of the block holding the last needed byte at the latest.
         """
         cps = self.checkpoints
         j = bisect_left(self._offsets(), target_uoffset, lo=start_index + 1)
@@ -446,7 +448,9 @@ class GzipIndex:
             stats.compressed_bytes_read += len(comp)
         data += result.data
         if result.final_seen or len(data) >= size:
-            # Whole.  Bytes past the interval's end may have come from
+            # Whole.  Only an index whose token checkpoint follows a
+            # literal (none this module builds) lets a decode run past
+            # the interval's end, and bytes past it may have come from
             # window positions this checkpoint did not store.
             entry = (data[:size], None, None)
         else:
@@ -689,8 +693,9 @@ def block_checkpoints(
     parses the block's header there), and its pieces are at most
     ``span`` long, so consecutive checkpoints are <= ``span`` apart as
     long as every block longer than ``span`` is cut: Huffman blocks of
-    a member whose first block is not empty.  An empty block gets no
-    checkpoint: the block after it starts at the same output byte.
+    a member whose first block is not empty, without a literal run of
+    nearly ``span`` bytes.  An empty block gets no checkpoint: the
+    block after it starts at the same output byte.
 
     A checkpoint stores the window bytes its interval reads directly:
     the union of its pieces' reach, each shifted by the piece's
@@ -796,9 +801,7 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
                 kind=CHECKPOINT_MEMBER,
             )
         )
-        result = inflate(
-            data, start_bit=8 * payload_start, capture_reach=True, reach_span=span
-        )
+        result = inflate(data, start_bit=8 * payload_start, reach_span=span)
         if not result.final_seen:
             raise GzipFormatError(
                 "member payload ended without a final block",

@@ -82,6 +82,10 @@ def _assert_reads(idx: GzipIndex, gz: bytes, text: bytes) -> None:
         assert idx.read_at(gz, off, READ) == text[off : off + READ], off
 
 
+#: A reach span longer than any block: every block stays one piece.
+WHOLE = 1 << 30
+
+
 def _bits(packed) -> np.ndarray:
     return np.unpackbits(np.frombuffer(bytes(packed), np.uint8)).astype(bool)
 
@@ -93,7 +97,7 @@ class TestReach:
         """Decoded after a fully undetermined window, a block outputs
         marker ``U_j`` exactly when it reads window position ``j``."""
         payload = compress_shape(make_text(seed, 60_000), shape, pieces=5)
-        blocks = inflate(payload, capture_reach=True).blocks
+        blocks = inflate(payload, reach_span=WHOLE).blocks
         assert len(blocks) >= 3
         for b in blocks[1:]:
             symbols = marker_inflate(payload, start_bit=b.start_bit, max_blocks=1).symbols
@@ -105,10 +109,10 @@ class TestReach:
     @pytest.mark.parametrize("kernel", ["pure", "numpy"])
     def test_both_domains_find_the_same_sets(self, kernel, fastq_small):
         payload = compress_shape(fastq_small, "dynamic_fast", pieces=6)
-        ref = inflate(payload, kernel="pure", capture_reach=True).blocks
+        ref = inflate(payload, kernel="pure", reach_span=WHOLE).blocks
         for got in (
-            inflate(payload, kernel=kernel, capture_reach=True).blocks,
-            marker_inflate(payload, kernel=kernel, capture_reach=True).blocks,
+            inflate(payload, kernel=kernel, reach_span=WHOLE).blocks,
+            marker_inflate(payload, kernel=kernel, reach_span=WHOLE).blocks,
         ):
             assert [b.start_bit for b in got] == [b.start_bit for b in ref]
             for a, b in zip(got, ref):

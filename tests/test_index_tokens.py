@@ -1,9 +1,9 @@
 """Token-granular checkpoints: entry points inside DEFLATE blocks.
 
-A block longer than the span is cut at token starts into pieces at
-most ``span`` long, and each cut is a ``"token"`` checkpoint with its
-own sparse window; a decode from one parses its block's header at the
-``"block"`` or ``"member"`` checkpoint before it.  Every decode stops
+A block longer than the span is cut right after matches into pieces
+at most ``span`` long, and each cut is a ``"token"`` checkpoint with
+its own sparse window; a decode from one parses its block's header at
+the ``"block"`` or ``"member"`` checkpoint before it.  Every decode stops
 right after the first match whose copy reaches the bytes asked for, or
 at the end of the block.  This module pins that
 
@@ -12,8 +12,10 @@ at the end of the block.  This module pins that
 * both kernels stop at the same ``(data, end_bit)`` for every stop
   offset, that the stop is the one the rule names, and that a decode
   resumed inside the block continues exactly;
-* a decode that runs past its interval's end never serves or caches
-  the bytes past it;
+* pieces start right after a match, so a read ending at a token
+  checkpoint decodes exactly its interval, even where a far match
+  follows the cut; and should a hand-made index let a decode run past
+  an interval's end, the bytes past it are never served or cached;
 * the sequential and pugz builders agree on token checkpoints for 1, 3
   and 5 chunks under both kernels;
 * a v3 sidecar written before token checkpoints existed
@@ -26,7 +28,9 @@ at the end of the block.  This module pins that
 from __future__ import annotations
 
 import gzip as stdlib_gzip
+import importlib
 import os
+import random
 import struct
 import zlib
 
@@ -37,6 +41,7 @@ from repro.cli import main
 from repro.core.parallel_index import pugz_build_index
 from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
 from repro.deflate.inflate import inflate
+from repro.deflate.tokens import piece_starts, token_ends
 from repro.errors import IndexIntegrityError
 from repro.index.seekable import SeekableGzipReader
 from repro.index.zran import (
@@ -61,6 +66,21 @@ def _blocks(gz: bytes):
 @pytest.fixture(scope="module")
 def indexed(fastq_medium_gz6):
     return build_index(fastq_medium_gz6, span=SPAN)
+
+
+@pytest.fixture(scope="module")
+def block(fastq_small):
+    """The second block of a gzip -6 file, with its window, output
+    and token ends."""
+    gz = stdlib_gzip.compress(fastq_small, 6, mtime=0)
+    b = _blocks(gz)[1]
+    window = fastq_small[b.out_start - 32768 : b.out_start]
+    result = inflate(
+        gz, start_bit=b.start_bit, window=window, max_blocks=1, capture_tokens=True
+    )
+    offs, vals = result.tokens.offsets(), result.tokens.values()
+    ends = np.cumsum(np.where(offs > 0, vals, 1))
+    return gz, b, window, result.data, offs, ends
 
 
 class TestSpan:
@@ -88,20 +108,6 @@ class TestSpan:
 
 
 class TestStopRule:
-    @pytest.fixture(scope="class")
-    def block(self, fastq_small):
-        """The second block of a gzip -6 file, with its window, output
-        and token ends."""
-        gz = stdlib_gzip.compress(fastq_small, 6, mtime=0)
-        b = _blocks(gz)[1]
-        window = fastq_small[b.out_start - 32768 : b.out_start]
-        result = inflate(
-            gz, start_bit=b.start_bit, window=window, max_blocks=1, capture_tokens=True
-        )
-        offs, vals = result.tokens.offsets(), result.tokens.values()
-        ends = np.cumsum(np.where(offs > 0, vals, 1))
-        return gz, b, window, result.data, offs, ends
-
     def test_kernels_stop_at_the_same_token(self, block):
         gz, b, window, out, offs, ends = block
         stops = list(range(1, len(out) + 40, 97)) + [int(e) for e in ends[100:140]]
@@ -143,17 +149,82 @@ class TestStopRule:
             inflate(gz, start_bit=b.start_bit, stop_output=10, capture_tokens=True)
 
 
+def _far_match_text(n: int = 400_000, seed: int = 7) -> bytes:
+    """Random bytes in runs of 200 literals, each followed by a 30-byte
+    match 300 bytes back or, every ~5 KB, by a 40-byte match 30,000
+    bytes back: most 4 KiB intervals read only a few hundred bytes
+    before them, and a far match may come right after one ends."""
+    rng = random.Random(seed)
+    out = bytearray(rng.randbytes(33_000))
+    last_far = len(out)
+    while len(out) < n:
+        out += rng.randbytes(200)
+        if len(out) - last_far > 5000:
+            out += out[-30_000:-29_960]
+            last_far = len(out)
+        else:
+            out += out[-300:-270]
+    return bytes(out)
+
+
+def _cut_anywhere(offsets, ends, span):
+    """:func:`~repro.deflate.tokens.piece_starts` without its rule that
+    a piece starts right after a match."""
+    firsts, begin = [0], 0
+    while int(ends[-1]) - begin > span:
+        k = max(int(np.searchsorted(ends, begin + span, "right")), firsts[-1] + 1)
+        firsts.append(k)
+        begin = int(ends[k - 1])
+    return firsts
+
+
 class TestIntervalEnd:
+    def test_pieces_start_after_a_match(self, block):
+        *_, offs, ends = block
+        firsts = piece_starts(offs, ends, 4096)
+        assert len(firsts) > 3
+        assert all(offs[k - 1] > 0 for k in firsts[1:])
+        starts = [0, *(int(ends[k - 1]) for k in firsts[1:]), int(ends[-1])]
+        assert max(b - a for a, b in zip(starts, starts[1:])) <= 4096
+
+    def test_a_literal_run_longer_than_the_span_is_not_cut(self):
+        offs = np.zeros(20_000, dtype=np.int32)
+        offs[[100, 9000]] = 50
+        ends = token_ends(offs, np.full(20_000, 3))
+        assert piece_starts(offs, ends, 4096) == [0, 101, 9001]
+
+    def test_reads_ending_at_a_token_checkpoint_decode_its_interval(self):
+        """Every interval decode stops exactly at the next checkpoint.
+        Here most intervals read only recent history, and a far match
+        may follow an interval's end: a decode that ran past the end
+        would need window bytes its checkpoint does not hold."""
+        text = _far_match_text()
+        gz = stdlib_gzip.compress(text, 6, mtime=0)
+        idx = build_index(gz, span=4096)
+        cps = idx.checkpoints
+        cuts = [i for i in range(len(cps) - 1) if cps[i + 1].kind == CHECKPOINT_TOKEN]
+        assert sum(len(cps[i].history()) < 8192 for i in cuts) > 5
+        for i in cuts:
+            cut = cps[i + 1].uoffset
+            reader = SeekableGzipReader(gz, index=idx)
+            assert reader.pread(cut - 10, 10) == text[cut - 10 : cut], i
+            assert reader.stats.decoded_bytes == cut - cps[i].uoffset, i
+
     def test_bytes_past_the_interval_are_never_kept(
-        self, fastq_medium, fastq_medium_gz6, indexed
+        self, fastq_medium, fastq_medium_gz6, monkeypatch
     ):
-        """A read up to a token checkpoint whose last token is a literal
-        decodes past it (a decode stops only after a match); those bytes
-        may come from window positions the checkpoint did not store, so
-        the interval is cut at its end, cached whole, and never resumed."""
+        """An index whose token checkpoints may follow a literal (not
+        one this package builds) lets a decode run past an interval's
+        end, to the next match.  Those bytes may come from window
+        positions the checkpoint did not store, so the interval is cut
+        at its end, cached whole, and never resumed."""
         gz, text = fastq_medium_gz6, fastq_medium
-        cps = indexed.checkpoints
-        reader = SeekableGzipReader(gz, index=indexed)
+        inflate_mod = importlib.import_module("repro.deflate.inflate")
+        monkeypatch.setattr(inflate_mod, "piece_starts", _cut_anywhere)
+        idx = build_index(gz, span=SPAN)
+        cps = idx.checkpoints
+        reader = SeekableGzipReader(gz, index=idx)
+        overshot = 0
         for i in range(len(cps) - 1):
             if cps[i + 1].kind != CHECKPOINT_TOKEN:
                 continue
@@ -161,14 +232,11 @@ class TestIntervalEnd:
             reader.stats.reset_counters()
             cut = cps[i + 1].uoffset
             assert reader.pread(cut - 10, 10) == text[cut - 10 : cut]
-            decoded = reader.stats.decoded_bytes
+            overshot += reader.stats.decoded_bytes > size
             entry = dict(reader._cache.items())[i]
             assert entry[0] == text[cps[i].uoffset : cut] and entry[1] is None
             assert reader.pread(cut - 10, 20) == text[cut - 10 : cut + 10]
-            if decoded > size:
-                break  # the decode from cps[i] ran past the cut
-        else:
-            pytest.fail("no interval decode ran past its token checkpoint")
+        assert overshot
 
 
 class TestBuilders:
