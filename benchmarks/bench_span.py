@@ -4,11 +4,14 @@ For each span, builds the index of one gzip file with the serial pugz
 cold start (:func:`repro.core.parallel_index.pugz_build_index`, the
 :class:`~repro.index.seekable.SeekableGzipReader` default), serialises
 it, and serves 4 KiB point ``pread`` calls at golden-ratio offsets
-through a reader holding that index.  Prints, per span: checkpoints
-by kind (block / token / member), median stored window bytes per
-block and per token checkpoint, ``to_bytes`` time, sidecar bytes,
-build time, p50/p90 read latency, and bytes decoded per read with
-their ratio to the bytes served (seek amplification).
+through a reader holding that index, twice over the same offsets.
+Prints, per span: checkpoints by kind (block / token / member), median
+stored window bytes per block and per token checkpoint, ``to_bytes``
+time, sidecar bytes, build time, and for the second pass (warm: the
+reader holds the block headers the first pass parsed) p50/p90 read
+latency, block headers parsed and ``pread`` calls per read, and bytes
+decoded per read with their ratio to the bytes served (seek
+amplification).
 
 Usage::
 
@@ -49,15 +52,18 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
     for cp in idx.checkpoints:
         kinds[cp.kind].append(len(cp.window))
     reader = SeekableGzipReader(gz, index=idx)
-    times = []
-    for i in range(reads):
-        off = int(((0.5 + i * _PHI) % 1.0) * (len(plain) - READ))
-        t0 = time.perf_counter()
-        out = reader.pread(off, READ)
-        times.append(time.perf_counter() - t0)
-        if out != plain[off : off + READ]:
-            raise SystemExit(f"span {span}: wrong bytes at {off}")
-    decoded = reader.stats.decoded_bytes / reads
+    offsets = [int(((0.5 + i * _PHI) % 1.0) * (len(plain) - READ)) for i in range(reads)]
+    for _ in range(2):
+        reader.stats.reset_counters()
+        times = []
+        for off in offsets:
+            t0 = time.perf_counter()
+            out = reader.pread(off, READ)
+            times.append(time.perf_counter() - t0)
+            if out != plain[off : off + READ]:
+                raise SystemExit(f"span {span}: wrong bytes at {off}")
+    stats = reader.stats
+    decoded = stats.decoded_bytes / reads
     q = statistics.quantiles(times, n=10)
     return {
         "span": span,
@@ -68,6 +74,8 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
         "build_s": build_s,
         "p50_ms": 1e3 * statistics.median(times),
         "p90_ms": 1e3 * q[8],
+        "headers": stats.headers_parsed / reads,
+        "preads": stats.pread_calls / reads,
         "decoded": decoded,
         "amplification": decoded / READ,
     }
@@ -87,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"{'span':>6} {'block':>6} {'token':>6} {'member':>6} {'stored b/t':>11}"
         f" {'to_bytes':>9} {'sidecar':>9} {'build':>7} {'p50':>8} {'p90':>8}"
-        f" {'decoded':>8} {'amp':>5}"
+        f" {'hdrs':>5} {'preads':>6} {'decoded':>8} {'amp':>5}"
     )
     for span in (int(s) for s in args.spans.split(",")):
         r = measure(gz, span, args.reads)
@@ -96,7 +104,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{r['span']:>6} {c['block']:>6} {c['token']:>6} {c['member']:>6}"
             f" {st['block']:>5.0f}/{st['token']:<5.0f}"
             f" {r['to_bytes_s']:>8.3f}s {r['sidecar']:>9} {r['build_s']:>6.2f}s"
-            f" {r['p50_ms']:>6.2f}ms {r['p90_ms']:>6.2f}ms {r['decoded']:>8.0f}"
+            f" {r['p50_ms']:>6.2f}ms {r['p90_ms']:>6.2f}ms {r['headers']:>5.2f}"
+            f" {r['preads']:>6.2f} {r['decoded']:>8.0f}"
             f" {r['amplification']:>5.2f}"
         )
     return 0

@@ -350,6 +350,7 @@ def _cmd_cat(args) -> int:
             f"cat: backend={s.backend} inflate_calls={s.inflate_calls} "
             f"cache_hits={s.cache_hits} served={s.served_bytes} "
             f"decoded={s.decoded_bytes} compressed_read={s.compressed_bytes_read} "
+            f"preads={s.pread_calls} headers={s.headers_parsed} "
             f"index_builds={s.index_builds} index_loaded={s.index_loaded}",
             file=sys.stderr,
         )

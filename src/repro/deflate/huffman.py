@@ -210,6 +210,12 @@ def cached_decoder(lengths, allow_incomplete: bool = False) -> HuffmanDecoder:
     without populating the cache (``lru_cache`` does not cache
     exceptions), so error behaviour is identical to direct
     construction.
+
+    A dynamic header takes three entries (code-length, litlen and
+    distance), so the 256 cover ~85 headers, and random reads over a
+    file with more dynamic blocks than that rebuild tables on nearly
+    every header parse.  Index readers therefore keep their own parsed
+    headers, tables included (:class:`repro.index.zran.IntervalCache`).
     """
     return _cached_decoder(tuple(lengths), allow_incomplete)
 

@@ -34,7 +34,10 @@ the cold start happens once per file, not once per process.
 The reader keeps the last :data:`~repro.index.zran.CACHED_INTERVALS`
 checkpoint intervals it decoded (:class:`~repro.index.zran.IntervalCache`),
 so a read inside an interval an earlier read decoded costs no inflate,
-and sequential reads decode every byte exactly once.
+and sequential reads decode every byte exactly once.  The same cache
+keeps the last :data:`~repro.index.zran.CACHED_HEADERS` block headers
+parsed at checkpoints, with their decode tables, so a read from a block
+an earlier read touched reads and parses no header.
 
 All warm reads are ranged: the compressed file is never materialised
 for a warm seek, whichever backend serves it.
@@ -97,8 +100,15 @@ class SeekStats:
     inflate_calls: int = 0
     #: Uncompressed bytes produced by those invocations.
     decoded_bytes: int = 0
-    #: Compressed bytes fetched with ranged I/O for those invocations.
+    #: Compressed bytes fetched with ranged I/O on behalf of reads
+    #: (zran backend): for decodes, headers and short-bound retries.
     compressed_bytes_read: int = 0
+    #: ``pread`` calls those bytes took (zran backend).
+    pread_calls: int = 0
+    #: DEFLATE block headers parsed on behalf of reads (zran backend):
+    #: the reader keeps those at checkpoints, so each is parsed once
+    #: while it stays cached.
+    headers_parsed: int = 0
     #: Reads that returned bytes without an inflate call: served from
     #: the decoded-interval cache (zran backend).
     cache_hits: int = 0
@@ -115,6 +125,8 @@ class SeekStats:
         self.inflate_calls = 0
         self.decoded_bytes = 0
         self.compressed_bytes_read = 0
+        self.pread_calls = 0
+        self.headers_parsed = 0
         self.cache_hits = 0
         self.served_bytes = 0
 

@@ -38,8 +38,8 @@ Checkpoint kinds
   is an entry point with its own sparse window, which may include the
   block's own earlier output.  Its block's header is at the nearest
   preceding ``"block"`` or ``"member"`` checkpoint: a decode from it
-  parses that header from a small ``pread``, then decodes the body
-  from the token's bit.
+  takes that header from the :class:`IntervalCache`, or parses it
+  from a small ``pread``, then decodes the body from the token's bit.
 * ``"member"`` — the first block of a gzip member, whose DEFLATE
   context is *empty* by construction.  Multi-member ("blocked") files
   get one per member, keeping ``uoffset`` continuous across member
@@ -73,7 +73,9 @@ one continues from it.  Given an :class:`IntervalCache`,
 it decodes nothing, and one past it resumes where the decode stopped,
 inside a block if need be, with the last 32 KiB of ``window + data`` as
 history — so while an interval stays cached, each of its bytes is
-decoded once.
+decoded once.  The cache also keeps the block headers parsed at
+``"block"`` and ``"member"`` checkpoints, decode tables included, so
+while a header stays cached no read parses it or reads it again.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ __all__ = [
     "CHECKPOINT_TOKEN",
     "Checkpoint",
     "GzipIndex",
+    "CACHED_HEADERS",
     "CACHED_INTERVALS",
     "DEFAULT_SPAN",
     "IntervalCache",
@@ -152,6 +155,15 @@ DEFAULT_SPAN = 16 * 1024
 #: block longer than the span can be cut.
 CACHED_INTERVALS = 4
 
+#: Parsed block headers an :class:`IntervalCache` keeps.  Each holds
+#: the decode tables its decodes built: ~54 KB per dynamic header of
+#: gzip -6 FASTQ (13.3 MB for the 249 blocks of an 8 MB file, measured
+#: with tracemalloc), about 0.5 MB for one whose litlen and distance
+#: codes are both 15 bits long, more where the numpy kernel decoded
+#: the block.  256 covers every block of an 8 MB gzip -6 file, so
+#: random reads over one parse each header once.
+CACHED_HEADERS = 256
+
 _KIND_CODES = {CHECKPOINT_BLOCK: 0, CHECKPOINT_MEMBER: 1, CHECKPOINT_TOKEN: 2}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
 
@@ -171,6 +183,16 @@ def _full_mask(length: int) -> bytes:
     zero_bytes, zero_bits = divmod(WINDOW_SIZE - length, 8)
     partial = bytes([0xFF >> zero_bits]) if zero_bits else b""
     return b"\0" * zero_bytes + partial + b"\xff" * (MASK_BYTES - zero_bytes - len(partial))
+
+
+def _pread(src: ByteSource, offset: int, size: int, stats) -> bytes:
+    """``src.pread``, counted in ``stats`` (a
+    :class:`~repro.index.seekable.SeekStats`) when given."""
+    raw = src.pread(offset, size)
+    if stats is not None:
+        stats.pread_calls += 1
+        stats.compressed_bytes_read += len(raw)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -220,11 +242,12 @@ class Checkpoint:
         """The window a decode from this checkpoint starts after: from
         the oldest stored position up to ``uoffset``, zero at every
         position not stored (the interval never reads those)."""
-        pos = np.flatnonzero(np.unpackbits(np.frombuffer(self.mask, dtype=np.uint8)))
-        if not len(pos):
+        if not self.window:
             return b""
-        out = np.zeros(WINDOW_SIZE - int(pos[0]), dtype=np.uint8)
-        out[pos - pos[0]] = np.frombuffer(self.window, dtype=np.uint8)
+        stored = np.unpackbits(np.frombuffer(self.mask, dtype=np.uint8)).view(bool)
+        first = int(stored.argmax())
+        out = np.zeros(WINDOW_SIZE - first, dtype=np.uint8)
+        out[stored[first:]] = np.frombuffer(self.window, dtype=np.uint8)
         return out.tobytes()
 
 
@@ -233,43 +256,69 @@ _Entry = tuple[bytes, int | None, BlockHeader | None]
 
 
 class IntervalCache:
-    """LRU of decoded checkpoint intervals, keyed by checkpoint index.
+    """LRU of decoded checkpoint intervals, keyed by checkpoint index,
+    and LRU of parsed block headers, keyed by the index of the
+    ``"block"`` or ``"member"`` checkpoint at the header.
 
-    An entry is ``(data, end_bit, open_block)``: the output decoded so
-    far from the checkpoint, the absolute bit where that decode stopped
-    (``None`` once the interval is whole: it reached the next
-    checkpoint or the member's BFINAL block) and, when that bit is
-    inside a block, the block's header.
+    An interval entry is ``(data, end_bit, open_block)``: the output
+    decoded so far from the checkpoint, the absolute bit where that
+    decode stopped (``None`` once the interval is whole: it reached the
+    next checkpoint or the member's BFINAL block) and, when that bit is
+    inside a block, the block's header.  A header entry is
+    ``(header, body_bit)``: a Huffman block's header, with its decode
+    tables once a decode has built them, and the absolute bit its body
+    starts at, so a later decode from that checkpoint, or from a
+    ``"token"`` checkpoint inside its block, reads and parses no header.
     Entries are immutable and replaced whole, so concurrent readers may
     decode the same blocks twice but never see a torn entry.
     """
 
     def __init__(self) -> None:
         self._entries: OrderedDict[int, _Entry] = OrderedDict()
+        self._headers: OrderedDict[int, tuple[BlockHeader, int]] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, index: int) -> _Entry | None:
+    def _get(self, lru: OrderedDict, index: int):
         with self._lock:
-            entry = self._entries.get(index)
-            if entry is not None:
-                self._entries.move_to_end(index)
-            return entry
+            value = lru.get(index)
+            if value is not None:
+                lru.move_to_end(index)
+            return value
+
+    def _put(self, lru: OrderedDict, index: int, value, bound: int) -> None:
+        with self._lock:
+            lru[index] = value
+            lru.move_to_end(index)
+            while len(lru) > bound:
+                lru.popitem(last=False)
+
+    def get(self, index: int) -> _Entry | None:
+        return self._get(self._entries, index)
 
     def put(self, index: int, entry: _Entry) -> None:
-        with self._lock:
-            self._entries[index] = entry
-            self._entries.move_to_end(index)
-            while len(self._entries) > CACHED_INTERVALS:
-                self._entries.popitem(last=False)
+        self._put(self._entries, index, entry, CACHED_INTERVALS)
+
+    def header(self, index: int) -> tuple[BlockHeader, int] | None:
+        return self._get(self._headers, index)
+
+    def put_header(self, index: int, header: BlockHeader, body_bit: int) -> None:
+        self._put(self._headers, index, (header, body_bit), CACHED_HEADERS)
 
     def items(self) -> list[tuple[int, _Entry]]:
-        """Snapshot of the entries, least recently used first."""
+        """Snapshot of the interval entries, least recently used first."""
         with self._lock:
             return list(self._entries.items())
+
+    def header_indexes(self) -> list[int]:
+        """Checkpoint indexes of the cached headers, least recently
+        used first."""
+        with self._lock:
+            return list(self._headers)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._headers.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -353,11 +402,13 @@ class GzipIndex:
             return read_end, read_end
         return min((cps[j].bit_offset + 7) >> 3, read_end), read_end
 
-    def _block_header(self, src: ByteSource, index: int) -> BlockHeader:
+    def _block_header(
+        self, src: ByteSource, index: int, stats=None, cache: IntervalCache | None = None
+    ) -> BlockHeader:
         """Header of the Huffman block that token checkpoint ``index``
         sits in: the block at the nearest preceding ``"block"`` or
-        ``"member"`` checkpoint, parsed from a ``pread`` no longer than
-        the longest header."""
+        ``"member"`` checkpoint, from ``cache`` or else parsed from a
+        ``pread`` no longer than the longest header (and then cached)."""
         cp = self.checkpoints[index]
         h = index
         while h >= 0 and self.checkpoints[h].kind == CHECKPOINT_TOKEN:
@@ -366,21 +417,27 @@ class GzipIndex:
             raise IndexIntegrityError(
                 f"token checkpoint {index} has no block checkpoint before it", stage="zran"
             )
+        cached = cache.header(h) if cache is not None else None
+        if cached is not None and cached[1] <= cp.bit_offset:
+            return cached[0]
         head = self.checkpoints[h]
-        raw = src.pread(
-            head.byte_offset, min(_MAX_HEADER_BYTES, cp.byte_offset + 1 - head.byte_offset)
+        raw = _pread(
+            src, head.byte_offset, min(_MAX_HEADER_BYTES, cp.byte_offset + 1 - head.byte_offset),
+            stats,
         )
         reader = BitReader(raw, head.intra_byte_bit)
         header = read_block_header(reader)
-        if (
-            header.btype == C.BTYPE_STORED
-            or 8 * head.byte_offset + reader.tell_bits() > cp.bit_offset
-        ):
+        if stats is not None:
+            stats.headers_parsed += 1
+        body_bit = 8 * head.byte_offset + reader.tell_bits()
+        if header.btype == C.BTYPE_STORED or body_bit > cp.bit_offset:
             raise RandomAccessError(
                 f"token checkpoint {index} is not inside the Huffman block "
                 f"at bit {head.bit_offset}",
                 stage="zran",
             )
+        if cache is not None:
+            cache.put_header(h, header, body_bit)
         return header
 
     def _decode_from(
@@ -392,7 +449,8 @@ class GzipIndex:
         the member's BFINAL block), and never a byte past its end.
         Reads only the compressed range that decode requires; with a
         ``cache``, decodes only what the cached entry lacks and stores
-        the longer entry."""
+        the longer entry, and starts a decode from a block or member
+        checkpoint whose header it holds at the block's body."""
         from repro.perf.kernels import KERNELS, resolve_kernel
 
         cp = self.checkpoints[index]
@@ -404,9 +462,16 @@ class GzipIndex:
         size = stop - cp.uoffset
         need = min(need, size)
         entry = cache.get(index) if cache is not None else None
+        # Parse the header at the checkpoint here, to keep it.
+        parse_header = False
         if entry is None:
-            block = self._block_header(src, index) if cp.kind == CHECKPOINT_TOKEN else None
-            entry = (b"", cp.bit_offset, block)
+            if cp.kind == CHECKPOINT_TOKEN:
+                entry = (b"", cp.bit_offset, self._block_header(src, index, stats, cache))
+            elif cache is not None and (held := cache.header(index)) is not None:
+                entry = (b"", held[1], held[0])
+            else:
+                entry = (b"", cp.bit_offset, None)
+                parse_header = cache is not None
         data, end_bit, block = entry
         if len(data) >= need or end_bit is None:
             return data
@@ -419,11 +484,22 @@ class GzipIndex:
         if not spec.use_vectorized(decode_end - start_byte):
             spec = KERNELS["pure"]
         while True:
-            comp = src.pread(start_byte, max(0, end_byte - start_byte))
+            comp = _pread(src, start_byte, max(0, end_byte - start_byte), stats)
             try:
+                if parse_header and 8 * len(comp) - (end_bit & 7) >= 3:
+                    # The bits inflate would parse it from (a failed
+                    # parse raises what inflate would, and keeps nothing).
+                    reader = BitReader(comp, end_bit & 7)
+                    block = read_block_header(reader)
+                    end_bit = 8 * start_byte + reader.tell_bits()
+                    parse_header = False
+                    if stats is not None:
+                        stats.headers_parsed += 1
+                    if block.btype != C.BTYPE_STORED:
+                        cache.put_header(index, block, end_bit)
                 result = inflate(
                     comp,
-                    start_bit=end_bit & 7,
+                    start_bit=end_bit - 8 * start_byte,
                     window=window,
                     stop_output=need - len(data),
                     kernel=spec,
@@ -445,7 +521,11 @@ class GzipIndex:
         if stats is not None:
             stats.inflate_calls += 1
             stats.decoded_bytes += len(result.data)
-            stats.compressed_bytes_read += len(comp)
+            # inflate parsed the header of every block it decoded or
+            # stopped in but the one it was given.
+            stats.headers_parsed += (
+                len(result.blocks) + (result.open_block is not None) - (block is not None)
+            )
         data += result.data
         if result.final_seen or len(data) >= size:
             # Whole.  Only an index whose token checkpoint follows a

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.data import synthetic_fastq
+from repro.deflate.gzipfmt import parse_gzip_header
+from repro.deflate.inflate import inflate
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,10 @@ class TestCatCommand:
         # A whole-file read decodes every byte exactly once.
         assert int(fields["served"]) == int(fields["decoded"]) == len(text)
         assert int(fields["cache_hits"]) == 0
+        # ... and parses each block's header once.
+        gz = (d / "reads.fastq.gz").read_bytes()
+        start, *_ = parse_gzip_header(gz)
+        assert int(fields["headers"]) == len(inflate(gz, start_bit=8 * start).blocks)
 
 
 class TestBgzfCommand:

@@ -22,11 +22,19 @@ at the end of the block.  This module pins that
   (``tests/data/index_compat/multi.v3.idx``, by the block-granular
   builder at span 16384) still loads and serves identical bytes;
 * a v4 token checkpoint without a block or member checkpoint before it
-  in its block raises :class:`~repro.errors.IndexIntegrityError`.
+  in its block raises :class:`~repro.errors.IndexIntegrityError`;
+* a reader parses each block header at a checkpoint once: once every
+  block is touched, reads parse no header and build no decode table; a
+  corrupt header raises the same error class and bit offset on first
+  and repeated reads, with and without a cache, and is never kept; an
+  evicted header is parsed again and serves the same bytes;
+* :meth:`~repro.index.zran.Checkpoint.history` equals the
+  ``flatnonzero`` scatter it replaced.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gzip as stdlib_gzip
 import importlib
 import os
@@ -37,21 +45,28 @@ import zlib
 import numpy as np
 import pytest
 
+import repro.index.zran as zran_mod
 from repro.cli import main
 from repro.core.parallel_index import pugz_build_index
+from repro.deflate.bitio import BitReader
 from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
-from repro.deflate.inflate import inflate
+from repro.deflate.huffman import HuffmanDecoder, _cached_decoder
+from repro.deflate.inflate import inflate, read_block_header
 from repro.deflate.tokens import piece_starts, token_ends
-from repro.errors import IndexIntegrityError
+from repro.errors import BlockHeaderError, DeflateError, IndexIntegrityError, RandomAccessError
 from repro.index.seekable import SeekableGzipReader
 from repro.index.zran import (
     CHECKPOINT_BLOCK,
     CHECKPOINT_MEMBER,
     CHECKPOINT_TOKEN,
+    MASK_BYTES,
+    WINDOW_SIZE,
+    Checkpoint,
     GzipIndex,
     IntervalCache,
     build_index,
 )
+from tests.test_seekable import _sync_flush_gzip
 
 READ = 4096
 SPAN = 16384
@@ -341,6 +356,213 @@ class TestSidecars:
         mid = len(fastq_medium) // 2
         got = loaded.read_at(fastq_medium_gz6, mid, READ, cache=cache)
         assert got == fastq_medium[mid : mid + READ]
+
+
+class TestHeaderCache:
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """Counts of block-header parses and pure decode-table builds."""
+        counts = {"headers": 0, "tables": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return spy
+
+        parse = counting("headers", read_block_header)
+        monkeypatch.setattr(zran_mod, "read_block_header", parse)
+        monkeypatch.setattr(
+            importlib.import_module("repro.deflate.inflate"), "read_block_header", parse
+        )
+        monkeypatch.setattr(
+            HuffmanDecoder, "_build_table", counting("tables", HuffmanDecoder._build_table)
+        )
+        return counts
+
+    def test_touched_blocks_parse_no_header_and_build_no_table(
+        self, fastq_medium, fastq_medium_gz6, indexed, spies
+    ):
+        gz, text = fastq_medium_gz6, fastq_medium
+        cps = indexed.checkpoints
+        # Every block starts at a checkpoint, whose header a reader keeps.
+        heads = {cp.bit_offset for cp in cps if cp.kind != CHECKPOINT_TOKEN}
+        assert {b.start_bit for b in _blocks(gz)} <= heads
+        spies["headers"] = spies["tables"] = 0
+        # Tables the index build left in the process-wide LRU would
+        # hide the builds a first touch makes.
+        _cached_decoder.cache_clear()
+        reader = SeekableGzipReader(gz, index=indexed)
+        for cp in cps:
+            assert reader.pread(cp.uoffset, 16) == text[cp.uoffset : cp.uoffset + 16]
+        assert reader.stats.headers_parsed == len(heads) == spies["headers"]
+        assert spies["tables"] > 0
+        spies["headers"] = spies["tables"] = 0
+        reader.stats.reset_counters()
+        for off in range(1, len(text) - READ, 7919):
+            assert reader.pread(off, READ) == text[off : off + READ], off
+        assert reader.stats.inflate_calls > 100
+        assert spies == {"headers": 0, "tables": 0}
+        assert reader.stats.headers_parsed == 0
+        # One pread per decode: none for a header.
+        assert reader.stats.pread_calls == reader.stats.inflate_calls
+
+    @pytest.mark.parametrize("shape", ["gzip6", "sync8k"])
+    def test_sequential_read_parses_each_header_once(
+        self, fastq_medium, fastq_medium_gz6, indexed, shape, spies
+    ):
+        """``headers_parsed`` counts every parse: each block's header
+        once, with every block at a checkpoint (``gzip6``) or most
+        inside intervals (``sync8k``: 8 KiB blocks, whose empty
+        sync-flush blocks right before a checkpoint no read decodes)."""
+        gz, idx = fastq_medium_gz6, indexed
+        if shape == "sync8k":
+            gz = _sync_flush_gzip(fastq_medium, 8192)
+            idx = build_index(gz, span=SPAN)
+        blocks = len(_blocks(gz))
+        spies["headers"] = 0
+        reader = SeekableGzipReader(gz, index=idx)
+        out = bytearray()
+        while chunk := reader.read(READ):
+            out += chunk
+        assert out == fastq_medium
+        assert reader.stats.headers_parsed == spies["headers"] <= blocks
+        if shape == "gzip6":
+            assert spies["headers"] == blocks
+
+    @staticmethod
+    def _corrupt(gz: bytes, cp: Checkpoint, how: str) -> bytes:
+        """``gz`` with the header at ``cp`` made invalid: a reserved
+        BTYPE (3 bits in), or HLIT 288 (17 bits in, past the BTYPE)."""
+        bad = bytearray(gz)
+        bits = (1, 2) if how == "btype" else range(3, 8)
+        for b in (cp.bit_offset + k for k in bits):
+            bad[b >> 3] |= 1 << (b & 7)
+        return bytes(bad)
+
+    @pytest.mark.parametrize("how", ["btype", "hlit"])
+    @pytest.mark.parametrize("order", ["block_first", "token_first"])
+    def test_corrupt_header_raises_alike_and_is_never_kept(
+        self, fastq_medium_gz6, indexed, how, order
+    ):
+        cps = indexed.checkpoints
+        i = next(
+            i for i in range(1, len(cps) - 1)
+            if cps[i].kind == CHECKPOINT_BLOCK and cps[i + 1].kind == CHECKPOINT_TOKEN
+        )
+        head = cps[i]
+        bad = self._corrupt(fastq_medium_gz6, head, how)
+        # The error a parse at the checkpoint raises, its bit offset
+        # taken from the checkpoint's byte.
+        with pytest.raises(BlockHeaderError) as excinfo:
+            read_block_header(BitReader(bad, head.bit_offset))
+        want = (BlockHeaderError, excinfo.value.bit_offset - 8 * head.byte_offset)
+        assert want[1] == head.intra_byte_bit + (3 if how == "btype" else 17)
+        offs = [head.uoffset + 10, cps[i + 1].uoffset + 10]
+        if order == "token_first":
+            offs.reverse()
+
+        def error(off, cache):
+            with pytest.raises(BlockHeaderError) as excinfo:
+                indexed.read_at(bad, off, READ, cache=cache)
+            return type(excinfo.value), excinfo.value.bit_offset
+
+        for cache in (None, IntervalCache()):
+            for off in offs + offs:
+                assert error(off, cache) == want, (off, cache)
+            if cache is not None:
+                assert cache.header_indexes() == [] and cache.items() == []
+        reader = SeekableGzipReader(bad, index=indexed)
+        for off in offs + offs:
+            with pytest.raises(BlockHeaderError) as excinfo:
+                reader.pread(off, READ)
+            assert excinfo.value.bit_offset == want[1]
+        assert reader.stats.headers_parsed == 0
+
+    def test_token_inside_its_header_raises_with_the_header_cached(
+        self, fastq_medium_gz6, indexed
+    ):
+        """A hand-made index whose token checkpoint sits inside its
+        block's header (20 bits in, or on its last bit): a read raises
+        what it raises without a cache, with the header cached too."""
+        i = next(i for i, cp in enumerate(indexed.checkpoints) if cp.kind == CHECKPOINT_TOKEN)
+        reader = BitReader(fastq_medium_gz6, indexed.checkpoints[i - 1].bit_offset)
+        read_block_header(reader)
+        for bit in (indexed.checkpoints[i - 1].bit_offset + 20, reader.tell_bits() - 1):
+            cps = list(indexed.checkpoints)
+            cps[i] = dataclasses.replace(cps[i], bit_offset=bit)
+            bad = dataclasses.replace(indexed, checkpoints=cps)
+            off = cps[i].uoffset + 10
+
+            def error(cache):
+                with pytest.raises((RandomAccessError, DeflateError)) as excinfo:
+                    bad.read_at(fastq_medium_gz6, off, READ, cache=cache)
+                return type(excinfo.value), excinfo.value.bit_offset, str(excinfo.value)
+
+            want = error(None)
+            cache = IntervalCache()
+            assert bad.read_at(fastq_medium_gz6, cps[i - 1].uoffset, 16, cache=cache)
+            assert cache.header_indexes() == [i - 1]
+            assert error(cache) == error(cache) == want
+
+    def test_evicted_header_is_parsed_again(
+        self, fastq_medium, fastq_medium_gz6, indexed, monkeypatch
+    ):
+        monkeypatch.setattr(zran_mod, "CACHED_HEADERS", 2)
+        cps = indexed.checkpoints
+        heads = [i for i, cp in enumerate(cps) if cp.kind != CHECKPOINT_TOKEN][:3]
+        assert all(cps[h + 1].kind == CHECKPOINT_TOKEN for h in heads)
+        reader = SeekableGzipReader(fastq_medium_gz6, index=indexed)
+
+        def parses(i):
+            off = cps[i].uoffset + 100
+            before = reader.stats.headers_parsed
+            assert reader.pread(off, READ) == fastq_medium[off : off + READ]
+            return reader.stats.headers_parsed - before
+
+        assert [parses(h) for h in heads] == [1, 1, 1]
+        assert reader._cache.header_indexes() == heads[1:]
+        # The first block's token checkpoint: its header was evicted,
+        # and parsing it again evicts the least recent, the second's.
+        assert parses(heads[0] + 1) == 1
+        assert reader._cache.header_indexes() == [heads[2], heads[0]]
+        assert parses(heads[2] + 1) == 0
+        assert parses(heads[1] + 1) == 1
+        reader.close()
+        assert reader._cache.header_indexes() == []
+
+
+def _old_history(cp: Checkpoint) -> bytes:
+    """``Checkpoint.history`` as a ``flatnonzero`` scatter."""
+    pos = np.flatnonzero(np.unpackbits(np.frombuffer(cp.mask, dtype=np.uint8)))
+    if not len(pos):
+        return b""
+    out = np.zeros(WINDOW_SIZE - int(pos[0]), dtype=np.uint8)
+    out[pos - pos[0]] = np.frombuffer(cp.window, dtype=np.uint8)
+    return out.tobytes()
+
+
+class TestHistory:
+    @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 1000, WINDOW_SIZE - 1, WINDOW_SIZE])
+    def test_whole_windows(self, length):
+        """v1/v2 windows, stored whole, and empty member windows."""
+        window = bytes(random.Random(length).randrange(256) for _ in range(length))
+        cp = Checkpoint(0, 0, window)
+        assert cp.history() == _old_history(cp) == window
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        density = (0.0005, 0.01, 0.2, 0.5, 0.9, 1.0)[seed]
+        read = rng.random(WINDOW_SIZE) < density
+        window = rng.integers(1, 256, int(read.sum()), dtype=np.uint8).tobytes()
+        cp = Checkpoint(0, WINDOW_SIZE, window, CHECKPOINT_BLOCK, np.packbits(read).tobytes())
+        assert len(cp.mask) == MASK_BYTES
+        assert cp.history() == _old_history(cp)
+
+    def test_index_checkpoints(self, indexed):
+        assert all(cp.history() == _old_history(cp) for cp in indexed.checkpoints)
 
 
 def test_index_info_prints_token_windows(tmp_path, fastq_small, capsys):

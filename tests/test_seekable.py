@@ -13,6 +13,7 @@ corpus.
 import gzip as stdlib_gzip
 import io
 import random
+import sys
 import threading
 import zlib
 
@@ -452,8 +453,10 @@ class TestIntervalCache:
         assert reader.pread(cp.uoffset + 50, 50) == text[cp.uoffset + 50 : cp.uoffset + 100]
         assert reader.stats.cache_hits == 1
 
-    def test_concurrent_preads_are_byte_identical(self, text):
-        gz = _sync_flush_gzip(text, 8192)
+    @staticmethod
+    def _concurrent_preads(gz: bytes, text: bytes) -> SeekableGzipReader:
+        """4 threads x 200 seeded preads through one reader, switching
+        threads every 0.1 ms."""
         reader = SeekableGzipReader(gz, index=build_index(gz, span=16384))
         failures = []
 
@@ -466,11 +469,31 @@ class TestIntervalCache:
                     failures.append((seed, off, size))
 
         threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not failures
+        assert reader._cache.header_indexes()
+        return reader
+
+    def test_concurrent_preads_are_byte_identical(self, text):
+        self._concurrent_preads(_sync_flush_gzip(text, 8192), text)
+
+    def test_concurrent_preads_share_headers_across_token_checkpoints(self, gz, text):
+        """Blocks longer than the span: reads from token checkpoints
+        take their block's header from the cache another thread filled."""
+        reader = self._concurrent_preads(gz, text)
+        reader.stats.reset_counters()
+        for off in range(0, len(text), 7919):
+            assert reader.pread(off, 4096) == text[off : off + 4096]
+        assert reader.stats.headers_parsed == 0
 
 
 class TestClosedReader:
