@@ -423,22 +423,21 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    from repro.deflate import split_members
-    from repro.deflate.inflate import inflate
+    from repro.deflate.gzipfmt import inflate_member, iter_members
 
     data = _read(args.input)
-    members = split_members(data)
+    # One decode per member finds its end, checks its trailer and lists its blocks.
+    members = [(m, inflate_member(m).blocks) for m in iter_members(data)]
     print(f"{len(members)} member(s)")
-    for i, m in enumerate(members):
+    for i, (m, blocks) in enumerate(members):
         print(
             f"  member {i}: header@{m.header_start} payload@{m.payload_start}"
             f"..{m.payload_end} isize={m.isize} crc={m.crc:#010x}"
             + (f" name={m.filename!r}" if m.filename else "")
         )
         if args.blocks:
-            result = inflate(data, start_bit=m.payload_start_bit)
             kinds = {0: "stored", 1: "fixed", 2: "dynamic"}
-            for b in result.blocks:
+            for b in blocks:
                 print(
                     f"    block @bit {b.start_bit}: {kinds[b.btype]}, "
                     f"{b.out_end - b.out_start} bytes"

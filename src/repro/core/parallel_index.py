@@ -11,11 +11,12 @@ pass 2 resolves the whole output, so every window byte is known.  So
 on a multi-core machine the index can be built at pugz speed rather
 than gunzip speed, with zero extra decompression work.
 
-Checkpoints are placed by the same ``span`` rule as the sequential
-:func:`repro.index.zran.build_index`
-(:func:`~repro.index.zran.block_checkpoints`), over the blocks and
-token cuts pass 1 found — so the index is identical to the sequential
-builder's at the same ``span``, whatever the chunk count.
+Checkpoints are placed by one ``span`` rule
+(:func:`~repro.index.zran.block_checkpoints`) over the blocks and
+token cuts pass 1 found — so the index is the same whatever the chunk
+count.  The sequential :func:`repro.index.zran.build_index` is this
+builder's one-chunk serial case (:func:`index_members` without the
+output kept).
 
 This is the "cold start" path of
 :class:`repro.index.seekable.SeekableGzipReader`: the first touch of an
@@ -23,7 +24,8 @@ un-indexed plain gzip file runs the pugz first pass anyway, and this
 module turns that pass into checkpoints — so the *second* touch is
 already checkpoint-driven.
 
-Multi-member ("blocked") files are walked member by member; every
+Multi-member ("blocked") files are walked member by member
+(:func:`~repro.deflate.gzipfmt.iter_members`); every
 member start becomes a ``"member"`` checkpoint (empty context by
 construction) and ``uoffset`` stays continuous across boundaries, so
 the resulting index addresses the file as one uncompressed stream.
@@ -36,8 +38,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.pugz import PugzReport, pugz_decompress_payload
-from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
-from repro.errors import GzipFormatError
+from repro.deflate.crc32 import crc32
+from repro.deflate.gzipfmt import iter_members
 from repro.index.zran import (
     CHECKPOINT_MEMBER,
     DEFAULT_SPAN,
@@ -47,7 +49,7 @@ from repro.index.zran import (
 )
 from repro.io.source import ByteSource
 from repro.parallel.executor import Executor, owned_executor
-from repro.units import BitOffset, ByteOffset
+from repro.units import ByteOffset
 
 __all__ = ["pugz_build_index"]
 
@@ -65,8 +67,9 @@ def pugz_build_index(
     placed at the block boundaries and token cuts pass 1 decoded; each
     stores the window bytes its interval reads (pass 1 records every
     piece's window reach beside its block table), taken from the
-    decompressed output, which the caller gets anyway.  It equals
-    ``build_index(gz_data, span=span)`` for any ``n_chunks``.
+    decompressed output, which the caller gets anyway.  It is the same
+    for any ``n_chunks``: :func:`repro.index.zran.build_index` is the
+    one-chunk serial build.
     ``n_chunks=None`` plans one chunk per worker of the executor
     (:attr:`~repro.parallel.executor.Executor.parallelism`): a serial
     build is then one chunk, with no block-start search and no marker
@@ -78,36 +81,33 @@ def pugz_build_index(
     mismatch raises :class:`~repro.errors.GzipFormatError`
     (``stage="trailer"``).
     """
+    parts: list[bytes] = []
+    index = index_members(gz_data, n_chunks, executor, kernel, span, parts.append)
+    return b"".join(parts), index
+
+
+def index_members(
+    gz_data, n_chunks: int | None, executor: Executor | str, kernel: str | None,
+    span: int, keep=None,
+) -> GzipIndex:
+    """Build the index of :func:`pugz_build_index` one member at a time,
+    handing each member's output to ``keep`` (when given) and then
+    dropping it, so only one member's output is held at once."""
     if span <= 0:
         raise ValueError("span must be positive")
-    src = ByteSource.wrap(gz_data)
-    data = src.read_all()
-    if not data:
-        raise GzipFormatError("empty input", bit_offset=0, stage="parallel_index")
-
-    out_parts: list[bytes] = []
+    data = ByteSource.wrap(gz_data).read_all()
+    members = iter_members(data)
     checkpoints: list[Checkpoint] = []
     uoffset = 0
-    offset = 0
     n = len(data)
     with owned_executor(executor, n_chunks) as ex:
         if n_chunks is None:
             n_chunks = ex.parallelism
-        report = PugzReport(n_chunks_requested=n_chunks)
-        while offset < n:
-            payload_start, *_ = parse_gzip_header(data, offset)
-            checkpoints.append(
-                Checkpoint(
-                    bit_offset=BitOffset(8 * payload_start),
-                    uoffset=ByteOffset(uoffset),
-                    window=b"",
-                    kind=CHECKPOINT_MEMBER,
-                )
-            )
-            first_chunk = len(report.chunks)
+        for member in members:
+            report = PugzReport(n_chunks_requested=n_chunks)
             member_out = pugz_decompress_payload(
                 data,
-                8 * payload_start,
+                member.payload_start_bit,
                 8 * (n - 8),
                 n_chunks,
                 ex,
@@ -115,12 +115,19 @@ def pugz_build_index(
                 kernel=kernel,
                 reach_span=span,
             )
-            payload_end = (report.end_bit + 7) // 8
-            check_trailer(data, payload_end, member_out)
+            member.finish(report.end_bit, report.final_seen, crc32(member_out), len(member_out))
+            checkpoints.append(
+                Checkpoint(
+                    bit_offset=member.payload_start_bit,
+                    uoffset=ByteOffset(uoffset),
+                    window=b"",
+                    kind=CHECKPOINT_MEMBER,
+                )
+            )
             # Pass-1 piece tables are chunk-relative: shift each chunk's
             # output columns by where that chunk starts in the member.
-            tables = report.chunk_pieces[first_chunk:]
-            sizes = report.chunk_output_sizes[first_chunk:]
+            tables = report.chunk_pieces
+            sizes = report.chunk_output_sizes
             chunk_starts = np.cumsum([0, *sizes[:-1]], dtype=np.int64)
             pieces = np.concatenate(
                 [t + (0, rel, rel, 0) for (t, _), rel in zip(tables, chunk_starts)]
@@ -128,9 +135,6 @@ def pugz_build_index(
             reach = tables[0][1] if len(tables) == 1 else np.concatenate([r for _, r in tables])
             checkpoints += block_checkpoints(pieces, reach, member_out, uoffset, span)
             uoffset += len(member_out)
-            out_parts.append(member_out)
-            offset = payload_end + 8
-
-    out = b"".join(out_parts)
-    index = GzipIndex(checkpoints=checkpoints, usize=len(out), span=span, csize=n)
-    return out, index
+            if keep is not None:
+                keep(member_out)
+    return GzipIndex(checkpoints=checkpoints, usize=uoffset, span=span, csize=n)

@@ -68,7 +68,6 @@ explicit, and the report says precisely what is missing.
 from __future__ import annotations
 
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, field
 
@@ -81,7 +80,7 @@ from repro.core.sync import find_block_start
 from repro.core.translate import translate_chunk_counted
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.crc32 import crc32
-from repro.deflate.gzipfmt import check_trailer_sums, parse_gzip_header
+from repro.deflate.gzipfmt import iter_members
 from repro.deflate.inflate import inflate, piece_table
 from repro.errors import GzipFormatError, ReproError, annotate
 from repro.parallel.executor import Executor, owned_executor
@@ -210,8 +209,11 @@ class PugzReport:
     pass2_seconds: float = 0.0
     output_size: int = 0
     members: int = 0
-    #: Bit offset just past the last member's BFINAL block.
+    #: Bit offset just past the last payload decoded (past its BFINAL
+    #: block when ``final_seen``).
     end_bit: int = 0
+    #: Whether the last payload's decode reached its BFINAL block.
+    final_seen: bool = False
     #: Stripes decoded (all members); a whole-file call is one per member.
     stripes: int = 0
     #: Most pass-1 symbols one stripe held at once — the resident
@@ -765,6 +767,7 @@ def _iter_payload(
         if final_any:
             break
 
+    report.final_seen = final_any
     if total_blocks == 0 and not final_any:
         raise GzipFormatError(
             "no DEFLATE blocks decodable in payload",
@@ -874,9 +877,10 @@ def _iter_members(
     allow_trailing_garbage: bool = False,
     **payload_kw,
 ):
-    """Yield a gzip file's output member by member: the one member walk
-    behind :func:`pugz_decompress` (``stripe_chunks=None``: each member
-    is one :func:`pugz_decompress_payload` call) and the striped
+    """Yield a gzip file's output member by member, over the member
+    walk of :func:`~repro.deflate.gzipfmt.iter_members`: behind
+    :func:`pugz_decompress` (``stripe_chunks=None``: each member is one
+    :func:`pugz_decompress_payload` call) and the striped
     :func:`repro.core.windowed.iter_pugz`.
 
     Every trailer must be present.  With ``verify`` each member's CRC32
@@ -886,32 +890,13 @@ def _iter_members(
     ``report.verify_failures`` in recover mode.  ``payload_kw`` is
     passed on to the payload decoder.
     """
-    if not gz_data:
-        raise GzipFormatError("empty input", bit_offset=0, stage="container")
-    offset = 0
+    members = iter_members(
+        gz_data, allow_trailing_garbage=allow_trailing_garbage or on_error == "recover"
+    )
     n = len(gz_data)
     with owned_executor(executor, min(n_chunks, stripe_chunks or n_chunks)) as ex:
-        while offset < n:
-            try:
-                payload_start, *_ = parse_gzip_header(gz_data, offset)
-            except GzipFormatError as exc:
-                if offset == 0:
-                    raise
-                if allow_trailing_garbage or on_error == "recover":
-                    warnings.warn(
-                        f"ignoring {n - offset} bytes of trailing garbage after the "
-                        f"last gzip member (byte offset {offset}): {exc.message}",
-                        stacklevel=3,
-                    )
-                    report.trailing_garbage_offset = offset
-                    return
-                raise GzipFormatError(
-                    f"trailing garbage after last gzip member: {n - offset} bytes "
-                    f"at byte offset {offset} are not a gzip header ({exc.message})",
-                    bit_offset=8 * offset,
-                    stage="container",
-                ) from exc
-            payload = (gz_data, 8 * payload_start, 8 * (n - 8), n_chunks, ex)
+        for member in members:
+            payload = (gz_data, member.payload_start_bit, 8 * (n - 8), n_chunks, ex)
             if stripe_chunks is None:
                 pieces = [
                     pugz_decompress_payload(
@@ -928,25 +913,16 @@ def _iter_members(
                     crc = crc32(piece, crc)
                 size += len(piece)
                 yield piece
-            payload_end = (report.end_bit + 7) // 8
-            if n - payload_end < 8:
-                if on_error == "recover":
-                    report.verify_failures.append(
-                        f"member {report.members}: truncated trailer at byte {payload_end}"
-                    )
+            try:
+                member.finish(report.end_bit, report.final_seen, crc if verify else None, size)
+            except GzipFormatError as exc:
+                if on_error != "recover":
+                    raise
+                report.verify_failures.append(f"member {report.members}: {exc}")
+                if not member.member_end:
+                    # No trailer: nothing after this member can be found.
                     report.members += 1
                     return
-                raise GzipFormatError(
-                    "truncated gzip trailer",
-                    bit_offset=8 * payload_end,
-                    stage="trailer",
-                )
-            if verify:
-                try:
-                    check_trailer_sums(gz_data, payload_end, crc, size)
-                except GzipFormatError as exc:
-                    if on_error != "recover":
-                        raise
-                    report.verify_failures.append(f"member {report.members}: {exc}")
-            offset = payload_end + 8
             report.members += 1
+    if member.member_end < n:
+        report.trailing_garbage_offset = member.member_end

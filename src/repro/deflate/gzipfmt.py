@@ -1,16 +1,22 @@
 """gzip (RFC 1952) and zlib (RFC 1950) container framing.
 
 The parallel decompressor operates on the *raw DEFLATE payload* inside
-a gzip member; this module locates that payload (:func:`member_payload`),
-builds and verifies containers around our own compressor/decompressor,
-and understands multi-member ("blocked") gzip files — the bgzip-style
-files the paper's related-work section discusses.
+a gzip member.  :func:`iter_members` is the one walk over the members
+of a (possibly multi-member, "blocked") gzip file — the bgzip-style
+files the paper's related-work section discusses: it parses each
+header, hands the caller the payload's first bit to decode however it
+likes (our inflate, pugz's two passes, the index builders), then finds
+and checks the trailer and the next member.  It owns every container
+rule: empty input, trailing garbage, truncated trailers, CRC32/ISIZE.
+The module also builds and verifies containers around our own
+compressor/decompressor.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 from repro.deflate.adler import adler32
 from repro.deflate.constants import GZIP_MAGIC as _GZIP_MAGIC
@@ -24,8 +30,9 @@ __all__ = [
     "parse_gzip_header",
     "gzip_wrap",
     "gzip_unwrap",
-    "check_trailer",
     "check_trailer_sums",
+    "inflate_member",
+    "iter_members",
     "split_members",
     "member_payload",
     "zlib_wrap",
@@ -46,7 +53,9 @@ class GzipMember:
     """One member of a gzip file.
 
     ``payload_start``/``payload_end`` delimit the raw DEFLATE stream in
-    bytes; ``crc`` and ``isize`` are the trailer fields.
+    bytes; ``crc`` and ``isize`` are the trailer fields.  A member from
+    :func:`iter_members` has its trailer fields (and ``payload_end``,
+    ``member_end``) filled in by :meth:`finish`.
     """
 
     header_start: int
@@ -59,11 +68,42 @@ class GzipMember:
     mtime: int = 0
     filename: bytes | None = None
     comment: bytes | None = None
+    #: The file this member was walked in (see :func:`iter_members`).
+    data: bytes | None = field(default=None, repr=False, compare=False)
 
     @property
     def payload_start_bit(self) -> BitOffset:
         """Bit offset of the first DEFLATE block header."""
         return BitOffset(8 * self.payload_start)
+
+    def finish(
+        self, end_bit: int, final_seen: bool, crc: int | None = None, size: int = 0
+    ) -> None:
+        """Close the member after its payload was decoded to ``end_bit``.
+
+        Raises :class:`GzipFormatError` when the decode did not reach a
+        final block (``stage="inflate"``) or the 8-byte trailer is cut
+        short (``stage="trailer"``); otherwise records the trailer.
+        Given the ``crc`` and ``size`` of the member's output, it then
+        compares them with the trailer (:func:`check_trailer_sums`): a
+        mismatch raises after the trailer is recorded, so a caller that
+        tolerates it can walk on.
+        """
+        if not final_seen:
+            raise GzipFormatError(
+                "member payload ended without a final block",
+                bit_offset=end_bit,
+                stage="inflate",
+            )
+        payload_end = (end_bit + 7) // 8
+        if len(self.data) - payload_end < 8:
+            raise GzipFormatError(
+                "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
+            )
+        self.crc, self.isize = struct.unpack_from("<II", self.data, payload_end)
+        self.payload_end, self.member_end = payload_end, payload_end + 8
+        if crc is not None:
+            check_trailer_sums(self.data, payload_end, crc, size)
 
 
 def parse_gzip_header(data: bytes, offset: ByteOffset = ByteOffset(0)) -> tuple[int, int, int, bytes | None, bytes | None]:
@@ -168,66 +208,90 @@ def gzip_wrap(
     return header + deflate_payload + trailer
 
 
-def member_payload(data: bytes, offset: ByteOffset = ByteOffset(0)) -> GzipMember:
-    """Locate the DEFLATE payload of the member starting at ``offset``.
+def iter_members(
+    data, offset: ByteOffset = ByteOffset(0), *, allow_trailing_garbage: bool = False
+):
+    """Walk the members of a (possibly multi-member) gzip file.
 
-    Decodes the member's blocks (without keeping the output) to find the
-    end of the payload, then reads the trailer.  Returns a fully
-    populated :class:`GzipMember`.
+    The one loop over gzip members: it yields a :class:`GzipMember`
+    per member, with the header fields and ``payload_start`` filled in,
+    starting with the member at ``offset``.  The caller decodes the
+    payload from :attr:`GzipMember.payload_start_bit` however it likes,
+    then calls :meth:`GzipMember.finish` before asking for the next
+    member; ``finish`` finds the trailer, so the walk knows where the
+    next member starts.
+
+    Empty input raises :class:`GzipFormatError` (``stage="container"``)
+    at once.  A bad header at ``offset`` raises as it is; bytes after a
+    member that are not a gzip header are trailing garbage, which
+    raises (``stage="container"``, at the garbage's first byte) or,
+    with ``allow_trailing_garbage``, ends the walk with a warning.
     """
-    payload_start, flags, mtime, filename, comment = parse_gzip_header(data, offset)
-    result = inflate(data, start_bit=8 * payload_start)
-    if not result.final_seen:
-        raise GzipFormatError(
-            "member payload ended without a final block",
-            bit_offset=result.end_bit,
-            stage="inflate",
+    if not data:
+        raise GzipFormatError("empty input", bit_offset=0, stage="container")
+    return _walk(data, offset, allow_trailing_garbage)
+
+
+def _walk(data, offset: ByteOffset, allow_trailing_garbage: bool):
+    start = offset
+    while True:
+        try:
+            payload_start, flags, mtime, filename, comment = parse_gzip_header(data, offset)
+        except GzipFormatError as exc:
+            if offset == start:
+                raise
+            garbage = f"{len(data) - offset} bytes at byte offset {offset}"
+            if allow_trailing_garbage:
+                warnings.warn(
+                    f"ignoring {garbage} of trailing garbage after the last gzip "
+                    f"member: {exc.message}",
+                    stacklevel=4,
+                )
+                return
+            raise GzipFormatError(
+                f"trailing garbage after last gzip member: {garbage} are not a "
+                f"gzip header ({exc.message})",
+                bit_offset=8 * offset,
+                stage="container",
+            ) from exc
+        member = GzipMember(
+            offset, payload_start, 0, 0, 0, 0, flags, mtime, filename, comment, data=data
         )
-    payload_end = (result.end_bit + 7) // 8
-    if len(data) - payload_end < 8:
-        raise GzipFormatError(
-            "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
-        )
-    crc, isize = struct.unpack_from("<II", data, payload_end)
-    return GzipMember(
-        header_start=offset,
-        payload_start=payload_start,
-        payload_end=payload_end,
-        member_end=payload_end + 8,
-        crc=crc,
-        isize=isize,
-        flags=flags,
-        mtime=mtime,
-        filename=filename,
-        comment=comment,
-    )
+        yield member
+        if not member.member_end:
+            raise ValueError("finish() each gzip member before walking to the next")
+        offset = member.member_end
+        if offset >= len(data):
+            return
+
+
+def inflate_member(member: GzipMember, verify: bool = True, kernel=None) -> InflateResult:
+    """Decode a member from :func:`iter_members` with our own inflate and
+    :meth:`~GzipMember.finish` it, checking its CRC32 and ISIZE when
+    ``verify``; returns the :class:`InflateResult`."""
+    result = inflate(member.data, start_bit=member.payload_start_bit, kernel=kernel)
+    out = result.data
+    member.finish(result.end_bit, result.final_seen, crc32(out) if verify else None, len(out))
+    return result
+
+
+def member_payload(data: bytes, offset: ByteOffset = ByteOffset(0)) -> GzipMember:
+    """Locate the member starting at ``offset``: decode it (without
+    keeping the output) to find the end of its payload, check its
+    trailer, and return the fully populated :class:`GzipMember`."""
+    member = next(iter_members(data, offset))
+    inflate_member(member)
+    return member
 
 
 def split_members(data: bytes) -> list[GzipMember]:
-    """Enumerate all members of a (possibly multi-member) gzip file."""
+    """Enumerate all members of a (possibly multi-member) gzip file,
+    each decoded once and checked against its trailer."""
     members = []
-    offset = 0
-    while offset < len(data):
-        member = member_payload(data, offset)
+    for member in iter_members(data):
+        inflate_member(member)
         members.append(member)
-        offset = member.member_end
     return members
-
-
-def check_trailer(data, payload_end: int, output: bytes | None) -> None:
-    """Check the 8-byte member trailer that starts at byte ``payload_end``.
-
-    Raises :class:`GzipFormatError` (``stage="trailer"``) when the
-    trailer is cut short, or when its CRC32 or ISIZE disagrees with
-    ``output``, the member's decompressed bytes.  ``output=None`` checks
-    only that the trailer is there.
-    """
-    if len(data) - payload_end < 8:
-        raise GzipFormatError(
-            "truncated gzip trailer", bit_offset=8 * payload_end, stage="trailer"
-        )
-    if output is not None:
-        check_trailer_sums(data, payload_end, crc32(output), len(output))
 
 
 def check_trailer_sums(data, payload_end: int, crc: int, size: int) -> None:
@@ -257,23 +321,8 @@ def gzip_unwrap(data: bytes, verify: bool = True, kernel=None) -> bytes:
     member are checked.  ``kernel`` selects the decode kernel (see
     :mod:`repro.perf.kernels`); output is kernel-independent.
     """
-    members = []
-    offset = 0
-    while offset < len(data):
-        payload_start, *_ = parse_gzip_header(data, offset)
-        result = inflate(data, start_bit=8 * payload_start, kernel=kernel)
-        if not result.final_seen:
-            raise GzipFormatError(
-            "member payload ended without a final block",
-            bit_offset=result.end_bit,
-            stage="inflate",
-        )
-        payload_end = (result.end_bit + 7) // 8
-        check_trailer(data, payload_end, result.data if verify else None)
-        members.append(result.data)
-        offset = payload_end + 8
     # join returns a lone bytes member itself: one member is never copied.
-    return b"".join(members)
+    return b"".join([inflate_member(m, verify, kernel).data for m in iter_members(data)])
 
 
 # ---------------------------------------------------------------------------

@@ -93,8 +93,7 @@ import numpy as np
 from repro.deflate import constants as C
 from repro.deflate.bitio import BitReader
 from repro.deflate.constants import WINDOW_SIZE
-from repro.deflate.gzipfmt import check_trailer, parse_gzip_header
-from repro.deflate.inflate import BlockHeader, inflate, piece_table, read_block_header
+from repro.deflate.inflate import BlockHeader, inflate, read_block_header
 from repro.errors import (
     DeflateError,
     GzipFormatError,
@@ -845,56 +844,25 @@ def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:
     """Build an index with checkpoints at most ``span`` output bytes apart.
 
     Performs the full sequential decompression the technique requires
-    (that is its cost).  Checkpoints land on block boundaries, and at
-    token starts inside blocks longer than ``span``, whose bits come
-    from the decoded tokens and the block's code lengths, so access
-    never needs bit-level probing.  ``source`` may be bytes, a path, a
-    binary file object, or a :class:`~repro.io.source.ByteSource`.
+    (that is its cost): the serial one-chunk case of
+    :func:`repro.core.parallel_index.pugz_build_index`, keeping one
+    member's output at a time.  Checkpoints land on block boundaries,
+    and at token starts inside blocks longer than ``span``, whose bits
+    come from the decoded tokens and the block's code lengths, so
+    access never needs bit-level probing.  ``source`` may be bytes, a
+    path, a binary file object, or a :class:`~repro.io.source.ByteSource`.
 
-    Multi-member ("blocked") files are walked member by member —
-    trailer-aware, with ``uoffset`` kept continuous — and every member
-    start becomes a ``"member"`` checkpoint, including empty members.
-    Each member's CRC32 and ISIZE are checked against its output
-    (:func:`~repro.deflate.gzipfmt.check_trailer`), so a corrupt file
-    raises instead of yielding an index that serves wrong bytes.
+    Multi-member ("blocked") files are walked member by member
+    (:func:`~repro.deflate.gzipfmt.iter_members`), with ``uoffset``
+    kept continuous, and every member start becomes a ``"member"``
+    checkpoint, including empty members.  Each member's CRC32 and ISIZE
+    are checked against its output, so a corrupt file raises instead of
+    yielding an index that serves wrong bytes.
     """
-    if span <= 0:
-        raise ValueError("span must be positive")
-    src = ByteSource.wrap(source)
-    # A build decodes every byte once by definition; reading the whole
-    # compressed stream here costs no more than that pass itself.
-    data = src.read_all()
-    if not data:
-        raise GzipFormatError("empty input", bit_offset=0, stage="zran")
+    # Late import: the pugz builder imports this module.
+    from repro.core.parallel_index import index_members
 
-    checkpoints: list[Checkpoint] = []
-    uoffset = 0
-    offset = 0
-    n = len(data)
-    while offset < n:
-        payload_start, *_ = parse_gzip_header(data, offset)
-        checkpoints.append(
-            Checkpoint(
-                bit_offset=BitOffset(8 * payload_start),
-                uoffset=ByteOffset(uoffset),
-                window=b"",
-                kind=CHECKPOINT_MEMBER,
-            )
-        )
-        result = inflate(data, start_bit=8 * payload_start, reach_span=span)
-        if not result.final_seen:
-            raise GzipFormatError(
-                "member payload ended without a final block",
-                bit_offset=result.end_bit,
-                stage="zran",
-            )
-        mdata = result.data
-        checkpoints += block_checkpoints(*piece_table(result.blocks), mdata, uoffset, span)
-        uoffset += len(mdata)
-        payload_end = (result.end_bit + 7) // 8
-        check_trailer(data, payload_end, mdata)
-        offset = payload_end + 8
-    return GzipIndex(checkpoints=checkpoints, usize=uoffset, span=span, csize=n)
+    return index_members(source, 1, "serial", None, span)
 
 
 def load_or_rebuild(

@@ -74,6 +74,33 @@ class TestSyncAndInfo:
         assert main(["info", str(d / "reads.fastq.gz"), "--blocks"]) == 0
         assert "dynamic" in capsys.readouterr().out
 
+    def test_info_blocks_decodes_each_member_once(self, workdir, tmp_path, capsys, monkeypatch):
+        import importlib
+
+        gzipfmt = importlib.import_module("repro.deflate.gzipfmt")
+        # The package re-exports the function under the submodule's name.
+        inflate_module = importlib.import_module("repro.deflate.inflate")
+
+        _, text = workdir
+        gz = tmp_path / "multi.gz"
+        gz.write_bytes(
+            stdlib_gzip.compress(text[:20000]) + stdlib_gzip.compress(b"")
+            + stdlib_gzip.compress(text[20000:40000])
+        )
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("start_bit"))
+            return inflate(*args, **kwargs)
+
+        for module in (gzipfmt, inflate_module):
+            monkeypatch.setattr(module, "inflate", spy)
+        assert main(["info", str(gz), "--blocks"]) == 0
+        out = capsys.readouterr().out
+        assert "3 member(s)" in out
+        assert len(calls) == 3 and len(set(calls)) == 3
+        assert out.count("(final)") == 3
+
 
 class TestRandomAccess:
     def test_random_access_reports(self, workdir, capsys):
