@@ -22,7 +22,8 @@ fuzz-quick:
 	PYTHONPATH=src python -m repro fuzz --seeds 3
 
 # AST + dataflow + interprocedural + interval invariant checker
-# (REP001-REP021, REP017 retired into REP020;
+# (REP001-REP021; REP003, REP005, REP009, REP010 and REP017 retired
+# into REP016, REP018, REP014, REP015 and REP020;
 # docs/STATIC_ANALYSIS.md).  Exit 0 clean / 1 findings / 2 internal
 # error; the shipped baseline is empty, so any finding is a regression.
 # The per-module rule phase fans out over 2 worker processes; the

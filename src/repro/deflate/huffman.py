@@ -186,7 +186,7 @@ class HuffmanDecoder:
 
     def decode(self, reader: BitReader) -> int:
         """Decode one symbol from ``reader``."""
-        length, sym = self.table[reader.peek(self.max_bits)]  # lint: allow-unvalidated-decode(peek masks to max_bits bits and table has exactly 1<<max_bits entries)
+        length, sym = self.table[reader.peek(self.max_bits)]  # lint: allow-cross-decode-taint(peek masks to max_bits bits and table has exactly 1<<max_bits entries)
         if length == 0:
             raise HuffmanError("invalid Huffman code in stream", stage="huffman")
         reader.consume(length)

@@ -4,20 +4,19 @@ A domain-specific static-analysis pass enforcing the contracts the
 repository's correctness story depends on but ordinary linters cannot
 see: structured error context at every ``ReproError`` raise site
 (REP001), no broad exception handlers in the decode path (REP002),
-process-pool pickle safety for executor-bound callables (REP003),
-seeded-only randomness (REP004), explicit width masking in the bit-level
-hot paths (REP005), no mutable default arguments (REP006), no
-module-level mutable state in fork-sensitive packages (REP007),
+seeded-only randomness (REP004), no mutable default arguments (REP006),
+no module-level mutable state in fork-sensitive packages (REP007),
 ``__all__``/export agreement in package ``__init__`` files (REP008),
-the flow-sensitive unit/taint/marker analyses (REP009–REP011), pragma
-hygiene and bounded retries (REP012–REP013), and the interprocedural
-call-graph rules — cross-function unit confusion, cross-function decode
-taint, executor race/fork-safety (REP014–REP016) — plus the interval
-abstract interpretation layer (:mod:`repro.lint.intervals`): proved
-shift widths (REP018), proved index bounds (REP019), budget-or-proved
-allocations (REP020, superseding REP017) and spec-literal provenance
+the flow-sensitive marker-escape analysis (REP011), pragma hygiene and
+bounded retries (REP012–REP013), and the interprocedural call-graph
+rules — bit/byte unit confusion, decode-value taint, executor
+race/fork/pickle safety (REP014–REP016) — plus the interval abstract
+interpretation layer (:mod:`repro.lint.intervals`): proved shift widths
+and ``<<`` result widths (REP018), proved index bounds (REP019),
+budget-or-proved allocations (REP020) and spec-literal provenance
 (REP021), built on :mod:`repro.lint.callgraph` and
-:mod:`repro.lint.summaries`.
+:mod:`repro.lint.summaries`.  REP003, REP005, REP009, REP010 and REP017
+are retired into REP016, REP018, REP014, REP015 and REP020.
 
 Three front doors:
 

@@ -126,8 +126,10 @@ class SubmissionSite:
 
     ``callee`` is the resolved qualname of the submitted callable (or
     ``None`` when it cannot be resolved); ``callable_expr`` is the raw
-    argument expression, kept so REP016 can classify lambdas and bound
-    methods even when resolution fails.
+    argument expression and ``resolved_expr`` what a local alias named
+    by it stands for.  REP016 classifies lambdas and ``self.``/``cls.``
+    bound methods from ``resolved_expr or callable_expr``, so direct
+    and aliased submissions are judged alike, resolved or not.
     """
 
     caller: str
@@ -363,6 +365,18 @@ class Project:
                     visit(
                         node.body, f"{prefix}.{node.name}", node.name,
                         enclosing, outer_scopes,
+                    )
+                else:
+                    # ``if``/``try``/``with``/loop bodies define in the
+                    # enclosing scope.
+                    visit(
+                        [
+                            child for child in ast.iter_child_nodes(node)
+                            if isinstance(
+                                child, (ast.stmt, ast.excepthandler, ast.match_case)
+                            )
+                        ],
+                        prefix, class_name, enclosing, outer_scopes,
                     )
 
         visit(module.tree.body, module.name, None, None, [])

@@ -1,9 +1,10 @@
 """Intraprocedural control-flow graphs over ``ast`` statement lists.
 
-The dataflow rules (REP009–REP011) need more than per-node matching:
-a bit offset assigned in one statement and misused three statements
-later, or a bounds check that dominates a table index, are *flow*
-facts.  This module builds the basic-block CFG those analyses run on.
+The dataflow rules (REP011, REP014, REP015, REP018–REP020) need more
+than per-node matching: a bit offset assigned in one statement and
+misused three statements later, or a bounds check that dominates a
+table index, are *flow* facts.  This module builds the basic-block CFG
+those analyses run on.
 
 Design points, chosen for a lint (not a compiler):
 
@@ -33,7 +34,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-__all__ = ["BasicBlock", "CFG", "build_cfg", "stmt_expressions"]
+__all__ = ["BasicBlock", "CFG", "build_cfg", "stmt_expressions", "walk_own_expressions"]
 
 
 @dataclass
@@ -313,3 +314,9 @@ def stmt_expressions(stmt: ast.stmt) -> list[ast.expr]:
     if isinstance(stmt, ast.ClassDef):
         return [*stmt.decorator_list, *stmt.bases, *[k.value for k in stmt.keywords]]
     return []
+
+
+def walk_own_expressions(stmt: ast.stmt) -> Iterator[ast.AST]:
+    """Every AST node in the statement's own expressions (shallow)."""
+    for expr in stmt_expressions(stmt):
+        yield from ast.walk(expr)

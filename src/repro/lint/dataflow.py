@@ -133,7 +133,7 @@ def replay_blocks(cfg: CFG, analysis: ForwardAnalysis, envs_in: dict[int, Env]):
     statement with the environment holding *before* its transfer (a
     sink in ``x = f(x)`` must see the pre-assignment binding of ``x``),
     then the block's branch test under the post-block environment.
-    Shared by the intraprocedural FlowRule driver and the summary
+    Shared by the intraprocedural REP011 driver and the summary
     builder, so both phases agree on what an environment "at" a
     statement means.
     """

@@ -75,7 +75,7 @@ def _lint_batch_task(task: tuple[tuple[str, ...], str, tuple[str, ...]]) -> list
     pickled :class:`Finding` lists, never ASTs.  One batch per worker
     (not one per file) keeps pool overhead amortised over the whole
     slice.  Module level and closure-free on purpose (the analyzer
-    must pass its own REP003).
+    must pass its own REP016).
     """
     paths, root, rule_ids = task
     rules = [

@@ -1,6 +1,6 @@
 """Integer interval abstract interpretation over the lint CFG.
 
-The flow rules up to REP017 reason about *kinds* of values — bit vs
+The unit, taint and budget rules reason about *kinds* of values — bit vs
 byte, tainted vs clean, budget-checked vs not — but the decode hot
 paths are correct because of *quantitative* invariants the DEFLATE
 spec fixes: match length ≤ 258, window distance ≤ 32768, Huffman code

@@ -74,10 +74,6 @@ class ModuleInfo:
 
         return hashlib.sha1(self.source.encode()).hexdigest()
 
-    def line_text(self, lineno: int) -> str:
-        lines = self.source.splitlines()
-        return lines[lineno - 1] if 1 <= lineno <= len(lines) else ""
-
 
 def load_module(path: Path, root: Path | None = None) -> ModuleInfo:
     """Parse ``path`` into a :class:`ModuleInfo`.

@@ -7,7 +7,8 @@ carries a pragma whose slug matches the rule that produced it, e.g.::
 
 The reason is mandatory — an empty ``allow-broad-except()`` does not
 suppress anything, so every exemption is self-documenting at the site.
-Several pragmas may share one line (``# lint: allow-a(x) allow-b(y)``).
+Several pragmas may share one line, each an ``allow-<slug>(<reason>)``
+after the line's one ``# lint:`` marker.
 """
 
 from __future__ import annotations

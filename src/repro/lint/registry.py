@@ -80,8 +80,9 @@ class Rule:
 class ProjectRule(Rule):
     """A rule that analyses the *whole project* at once.
 
-    The interprocedural rules (REP014–REP020) need the call graph and
-    function summaries spanning every module of the run, so the engine
+    The interprocedural rules (REP014–REP016, REP018–REP020) need the
+    call graph and function summaries spanning every module of the run,
+    so the engine
     calls :meth:`check_project` exactly once per run — after all files
     parse — instead of :meth:`check` per module.  Findings are still
     anchored at a concrete ``(path, line)``, so pragma suppression and
@@ -95,17 +96,6 @@ class ProjectRule(Rule):
     def check_project(self, project) -> Iterator[Finding]:
         """Yield findings over a :class:`repro.lint.callgraph.Project`."""
         raise NotImplementedError
-
-    def finding_at(
-        self,
-        module: ModuleInfo,
-        node: ast.AST,
-        message: str,
-        hint: str = "",
-        witness: str = "",
-    ) -> Finding:
-        """Alias of :meth:`Rule.finding`, kept for call-site clarity."""
-        return self.finding(module, node, message, hint, witness)
 
 
 _REGISTRY: dict[str, type[Rule]] = {}

@@ -12,16 +12,12 @@ from repro.lint.rules.exec_safety import ExecSafetyRule
 from repro.lint.rules.exports import ExportSyncRule
 from repro.lint.rules.index_bounds import IndexBoundsRule
 from repro.lint.rules.marker_escape import MarkerEscapeRule
-from repro.lint.rules.masking import UnmaskedWidthRule
 from repro.lint.rules.modstate import ModuleStateRule
-from repro.lint.rules.pickle_safety import PickleSafetyRule
 from repro.lint.rules.pragma_reason import PragmaReasonRule
 from repro.lint.rules.proven_alloc import ProvenAllocRule
 from repro.lint.rules.randomness import UnseededRandomnessRule
 from repro.lint.rules.shift_width import ShiftWidthRule
 from repro.lint.rules.spec_literals import SpecLiteralRule
-from repro.lint.rules.unit_confusion import UnitConfusionRule
-from repro.lint.rules.unvalidated_decode import UnvalidatedDecodeRule
 from repro.lint.rules.xfunc_taint import CrossDecodeTaintRule
 from repro.lint.rules.xfunc_units import CrossUnitConfusionRule
 
@@ -31,12 +27,8 @@ __all__ = [
     "MutableDefaultRule",
     "BroadExceptRule",
     "ExportSyncRule",
-    "UnmaskedWidthRule",
     "ModuleStateRule",
-    "PickleSafetyRule",
     "UnseededRandomnessRule",
-    "UnitConfusionRule",
-    "UnvalidatedDecodeRule",
     "MarkerEscapeRule",
     "PragmaReasonRule",
     "CrossUnitConfusionRule",

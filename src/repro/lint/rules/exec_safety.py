@@ -2,10 +2,9 @@
 
 Everything submitted to an :class:`~repro.parallel.executor.Executor`
 runs concurrently — thread pools share the interpreter, process pools
-fork/spawn and pickle.  REP003 checks the submitted callable *itself*
-(lambda/closure/bound method at the call site); this rule walks the
-call graph from every submission site and checks everything
-**transitively reachable**:
+fork/spawn and pickle.  This rule checks the submitted callable itself
+and walks the call graph from every submission site to check
+everything **transitively reachable**:
 
 * **module-state races** — a reachable function mutates module-level
   state (appends to a module list, writes a module dict, rebinds a
@@ -16,11 +15,12 @@ call graph from every submission site and checks everything
   lock (``threading.Lock``-shaped; ``RLock`` is exempt) across a
   function call: if any callee ever takes the same lock, the pool
   deadlocks, and a preempted worker holding it stalls every sibling;
-* **unpicklable closures** — the submission resolves (through a local
-  alias the intraprocedural REP003 cannot see) to a lambda or to a
-  nested function that closes over enclosing-scope names: pickling
-  fails only when the ``process`` backend is selected, the classic
-  works-on-my-machine bug.
+* **unpicklable callables** — the submitted callable is, directly or
+  through a local alias, a lambda, a ``self.``/``cls.`` bound method or
+  a nested function (a closure over enclosing-scope names, or merely
+  defined inside another function): pickling fails only when the
+  ``process`` backend is selected, the classic works-on-my-machine
+  bug.
 
 Findings anchor at the submission site — that is where the parallel
 region begins and where the fix (or the pragma, with its documented
@@ -110,26 +110,39 @@ class ExecSafetyRule(ProjectRule):
     def _check_closure(
         self, project: Project, site: SubmissionSite
     ) -> Iterator[Finding]:
-        """Alias-resolved lambdas/closures (REP003 sees only direct ones)."""
-        if isinstance(site.resolved_expr, ast.Lambda):
-            yield self.finding(
-                site.module,
-                site.node,
-                f"{site.method}() callable is a lambda (via a local "
-                "alias); it cannot cross a process-pool pickle boundary",
-                hint=_HINT,
+        """Lambdas, bound methods and nested functions, direct or aliased."""
+        fn = site.resolved_expr or site.callable_expr
+        problem = None
+        if isinstance(fn, ast.Lambda):
+            problem = "is a lambda"
+        elif (
+            isinstance(fn, ast.Attribute)
+            and isinstance(fn.value, ast.Name)
+            and fn.value.id in ("self", "cls")
+        ):
+            problem = (
+                f"is the bound method {fn.value.id}.{fn.attr}, which drags "
+                "its instance through pickle"
             )
-            return
-        if site.callee is None:
-            return
-        info = project.function(site.callee)
-        if info is not None and info.is_closure:
-            names = ", ".join(sorted(info.closure_names))
+        elif site.callee is not None:
+            info = project.function(site.callee)
+            if info is not None and info.is_closure:
+                names = ", ".join(sorted(info.closure_names))
+                problem = (
+                    f"{site.callee} is a closure over enclosing-scope state "
+                    f"({names}); pickling drags that state across the fork "
+                    "— or fails outright"
+                )
+            elif info is not None and info.is_nested:
+                problem = (
+                    f"{site.callee} is a nested function, which pickle "
+                    "cannot look up by name"
+                )
+        if problem is not None:
             yield self.finding(
                 site.module,
                 site.node,
-                f"{site.method}() callable {site.callee} closes over "
-                f"enclosing-scope state ({names}); pickling drags that "
-                "state across the fork — or fails outright",
+                f"{site.method}() callable {problem}; process pools need "
+                "picklable module-level functions",
                 hint=_HINT,
             )

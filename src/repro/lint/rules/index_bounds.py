@@ -19,7 +19,7 @@ interval engine evaluates every judged subscript index and requires:
   (``1 << MAX_CODE_BITS`` entries, resp. the window-sized hash side
   arrays).  The per-table relational bound (``peek(max_bits)`` against
   *this* table's size) is out of reach for a non-relational domain and
-  stays covered by the REP010 pragma discipline;
+  stays covered by the REP015 pragma discipline;
 * the output buffer ``out``: index ∈ ``[-32768, -1]`` — loads from
   ``out`` in the decode loops are pure back-references, and the
   negative-index form both proves the window bound and avoids the

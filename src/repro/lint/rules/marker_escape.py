@@ -38,10 +38,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.dataflow import Env
+from repro.lint.cfg import build_cfg, walk_own_expressions
+from repro.lint.dataflow import Env, ForwardAnalysis, replay_blocks, solve
+from repro.lint.findings import Finding
 from repro.lint.module import ModuleInfo
-from repro.lint.registry import register
-from repro.lint.rules._flow import FlowAnalysis, FlowRule, walk_own_expressions
+from repro.lint.registry import Rule, register
 
 __all__ = ["MarkerEscapeRule"]
 
@@ -100,7 +101,7 @@ def _mentions_marker_base(node: ast.expr) -> bool:
     return False
 
 
-class _MarkerTaintAnalysis(FlowAnalysis):
+class _MarkerTaintAnalysis(ForwardAnalysis):
     # -- taint evaluation ----------------------------------------------------
 
     def taint_of(self, node: ast.expr, env: Env) -> str | None:
@@ -271,7 +272,7 @@ class _MarkerTaintAnalysis(FlowAnalysis):
     def refine_edge(self, test: ast.expr, label: str, env: Env) -> None:
         # ``if sym < MARKER_BASE: ...`` — comparing a tainted scalar
         # against the marker boundary counts as a domain check on both
-        # arms (documented imprecision, mirroring REP010's guards).
+        # arms (documented imprecision, mirroring REP015's guards).
         for node in ast.walk(test):
             if not isinstance(node, ast.Compare):
                 continue
@@ -363,7 +364,7 @@ class _MarkerTaintAnalysis(FlowAnalysis):
 
 
 @register
-class MarkerEscapeRule(FlowRule):
+class MarkerEscapeRule(Rule):
     rule_id = "REP011"
     slug = "marker-escape"
     summary = (
@@ -384,8 +385,21 @@ class MarkerEscapeRule(FlowRule):
         "    return chr(byte)\n"
     )
 
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return module.name not in ("repro.core.translate", "repro.core.marker")
-
-    def make_analysis(self, module: ModuleInfo, func) -> FlowAnalysis:
-        return _MarkerTaintAnalysis()
+    def check(self, module: ModuleInfo) -> Iterator[Finding]:
+        if module.name in ("repro.core.translate", "repro.core.marker"):
+            return
+        # One analysis unit per function body plus the module top level
+        # (nested ``def`` bodies are units of their own).
+        bodies = [module.tree.body] + [
+            node.body
+            for node in ast.walk(module.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for body in bodies:
+            analysis = _MarkerTaintAnalysis()
+            cfg = build_cfg(body)
+            envs_in = solve(cfg, analysis)
+            for kind, node, env in replay_blocks(cfg, analysis, envs_in):
+                checker = analysis.check_stmt if kind == "stmt" else analysis.check_test
+                for hit, message, hint in checker(node, env):
+                    yield self.finding(module, hit, message, hint=hint)

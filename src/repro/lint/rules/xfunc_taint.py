@@ -1,9 +1,21 @@
-"""REP015 — unvalidated decode values reaching sinks in a *callee*.
+"""REP015 — decoded bit values must be bounds-checked before risky use.
 
-REP010 reports a raw ``BitReader.read()`` value hitting a shift, index
-or allocation sink in the same function.  Corrupt-input amplification
-does not respect function boundaries, though: the two cross-function
-shapes are
+Every value produced by ``BitReader.read()``/``peek()`` (or a
+``read_bits``/``peek_bits`` helper) comes straight from attacker- or
+corruption-controlled input: the fault-injection campaign showed that
+unchecked decode values turn flipped bits into hangs and memory
+blow-ups instead of clean :class:`~repro.errors.DeflateError` failures.
+This rule taints raw decode results and reports them reaching a sink
+that amplifies a bad value:
+
+* shift amounts — ``1 << v`` allocates unbounded big-ints;
+* plain list/table indexing — ``table[v]`` (slices clamp in Python and
+  are deliberately *not* sinks);
+* allocation sizes — ``bytes(v)``, ``bytearray(v)``, ``seq * v``.
+
+Corrupt-input amplification does not respect function boundaries, so
+besides the direct read-then-sink in one function the rule follows the
+two cross-function shapes:
 
 * **taint down** — a fresh, unvalidated decode value is passed as an
   argument to a project function whose summary says that parameter
@@ -13,18 +25,19 @@ shapes are
   (``returns_fresh_taint`` in its summary) and the caller sinks the
   helper's result locally.
 
-Sanitization contracts match REP010 exactly — masks, modulo,
-``min``/``max`` against a clean bound, and any dominating comparison
-clear the taint, in caller or callee.  Direct read-then-sink in one
-function stays REP010's finding; this rule only fires when the flow
-crossed a resolved call edge, so the two never double-report.
+Sanitizers clear the taint, in caller or callee: a mask (``v & 0x1F``),
+a modulo, a ``min()``/``max()`` against a clean bound, or a
+*dominating* comparison — any branch whose test compares ``v`` marks it
+validated on both arms (the guard idiom here is ``if v > LIMIT:
+raise``; accepting every comparison as a bounds check is a documented
+imprecision, favouring silence over noise).  Each sink is reported
+once.
 
 Escape hatch: ``# lint: allow-cross-decode-taint(<reason>)``.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.callgraph import MODULE_UNIT, Project
@@ -40,9 +53,9 @@ from repro.lint.summaries import (
 __all__ = ["CrossDecodeTaintRule"]
 
 _HINT = (
-    "bounds-check the decoded value before the call (if v > LIMIT: "
-    "raise ...), sanitize with a mask/min(), or validate the parameter "
-    "inside the callee before it reaches the sink"
+    "bounds-check the decoded value first (if v > LIMIT: raise ...), "
+    "sanitize it with a mask/min(), or validate the parameter inside the "
+    "callee before it reaches the sink"
 )
 
 _SINK_LABELS = {
@@ -58,8 +71,8 @@ class CrossDecodeTaintRule(ProjectRule):
     rule_id = "REP015"
     slug = "cross-decode-taint"
     summary = (
-        "raw BitReader values must not cross a call boundary into a "
-        "shift/index/allocation sink — in either direction"
+        "raw BitReader.read()/peek() values need a dominating bounds check "
+        "before a shift/index/allocation sink, locally or across a call"
     )
     example_bad = (
         "def expand(count, table):\n"
@@ -97,28 +110,20 @@ class CrossDecodeTaintRule(ProjectRule):
                 )
                 if not fresh and not via_return:
                     continue  # parameter labels are summary facts, not findings
+                origin = (
+                    f"decode value returned by {via_return[0]}()"
+                    if via_return and not fresh
+                    else "raw decode value"
+                )
                 if event.kind == "call-arg":
-                    origin = (
-                        f"decode value returned by {via_return[0]}()"
-                        if via_return and not fresh
-                        else "raw decode value"
-                    )
-                    yield self.finding(
-                        module,
-                        event.node,
+                    message = (
                         f"unvalidated {origin} passed to parameter "
                         f"{event.param!r} of {event.callee}(), which uses "
-                        f"it in a taint sink ({where})",
-                        hint=_HINT,
+                        f"it in a taint sink ({where})"
                     )
-                elif via_return:
-                    # Local sink fed by a callee's raw return value.
-                    # (FRESH-only local sinks are REP010's findings.)
-                    yield self.finding(
-                        module,
-                        event.node,
-                        f"unvalidated decode value returned by "
-                        f"{via_return[0]}() used as "
-                        f"{_SINK_LABELS.get(event.kind, 'a sink')} in {where}",
-                        hint=_HINT,
+                else:
+                    message = (
+                        f"unvalidated {origin} used as "
+                        f"{_SINK_LABELS.get(event.kind, 'a sink')} in {where}"
                     )
+                yield self.finding(module, event.node, message, hint=_HINT)

@@ -22,8 +22,8 @@ own name as a label and fresh decode values carry ``"*"`` (or a
 ``ret:<qualname>`` label once they crossed a return boundary).  One
 dataflow pass then yields every summary fact at once — which labels
 reach sinks, which reach the return value — and the REP015 rule replays
-the same analysis to turn ``*``-labelled boundary crossings into
-findings.
+the same analysis to turn ``*``-labelled sinks and boundary crossings
+into findings.
 
 The :class:`SummaryStore` persists a computed summary table as JSON
 keyed on the *project-wide* source hash: cross-module facts make
@@ -44,7 +44,7 @@ from repro.lint.callgraph import (
     Project,
     _local_aliases,
 )
-from repro.lint.cfg import build_cfg, stmt_expressions
+from repro.lint.cfg import build_cfg, stmt_expressions, walk_own_expressions
 from repro.lint.dataflow import (
     Env,
     ForwardAnalysis,
@@ -333,13 +333,90 @@ class SummaryUnitEvaluator(UnitEvaluator):
         return super()._unit_of_call(node)
 
 
-def UnitsSummaryAnalysis(func: ast.FunctionDef | None, resolve):
-    """The REP009 transfer functions with a summary-aware evaluator."""
-    from repro.lint.rules.unit_confusion import _UnitsAnalysis
+class UnitsSummaryAnalysis(ForwardAnalysis):
+    """Bit/byte units transfer functions with the summary-aware evaluator.
 
-    return _UnitsAnalysis(
-        func, make_evaluator=lambda env: SummaryUnitEvaluator(env, resolve)
-    )
+    The dataflow half of REP014 (its sinks live in the rule) and of the
+    return-unit summaries: every expression is classified by
+    :class:`SummaryUnitEvaluator`, so a resolved callee's return unit
+    flows into the caller's bindings.
+    """
+
+    def __init__(self, func: ast.FunctionDef | None, resolve) -> None:
+        self.func = func
+        self.resolve = resolve
+
+    def evaluator(self, env: Env) -> SummaryUnitEvaluator:
+        return SummaryUnitEvaluator(env, self.resolve)
+
+    def initial_env(self) -> Env:
+        env: Env = {}
+        if self.func is not None:
+            args = self.func.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                unit = unit_from_annotation(arg.annotation)
+                if unit is not Unit.UNKNOWN:
+                    env[arg.arg] = unit
+        return env
+
+    def join_values(self, a, b):
+        return join_units(a, b)
+
+    def transfer_stmt(self, stmt: ast.stmt, env: Env) -> None:
+        ev = self.evaluator(env)
+        if isinstance(stmt, ast.Assign):
+            self._bind_targets(stmt.targets, stmt.value, ev, env)
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            unit = unit_from_annotation(stmt.annotation)
+            if unit is Unit.UNKNOWN and stmt.value is not None:
+                unit = ev.unit_of(stmt.value)
+            env[stmt.target.id] = unit
+        elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.target, ast.Name):
+            synthetic = ast.BinOp(
+                left=ast.Name(id=stmt.target.id, ctx=ast.Load()),
+                op=stmt.op,
+                right=stmt.value,
+            )
+            env[stmt.target.id] = ev.unit_of(synthetic)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            # Header form: bind the loop target from the iterable's
+            # element unit (a name like ``block_start_bits`` carries it).
+            element = Unit.UNKNOWN
+            if isinstance(stmt.iter, ast.Name):
+                element = unit_of_name(stmt.iter.id)
+            elif isinstance(stmt.iter, ast.Attribute):
+                element = unit_of_name(stmt.iter.attr)
+            for name in _target_names(stmt.target):
+                env[name] = element
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                if item.optional_vars is not None:
+                    for name in _target_names(item.optional_vars):
+                        env.pop(name, None)
+
+    @staticmethod
+    def _bind_targets(targets, value, ev: UnitEvaluator, env: Env) -> None:
+        unit = ev.unit_of(value)
+        for target in targets:
+            if isinstance(target, ast.Name):
+                env[target.id] = unit
+            elif isinstance(target, (ast.Tuple, ast.List)):
+                elts = target.elts
+                values = (
+                    value.elts
+                    if isinstance(value, (ast.Tuple, ast.List))
+                    and len(value.elts) == len(elts)
+                    else None
+                )
+                for i, elt in enumerate(elts):
+                    if isinstance(elt, ast.Name):
+                        env[elt.id] = (
+                            ev.unit_of(values[i]) if values is not None else Unit.UNKNOWN
+                        )
+
+
+def _target_names(target: ast.expr) -> list[str]:
+    return [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
 
 
 def _return_unit(info: FunctionInfo, resolve) -> Unit:
@@ -350,8 +427,7 @@ def _return_unit(info: FunctionInfo, resolve) -> Unit:
     joined: Unit | None = Unit.UNKNOWN
     for kind, node, env in replay_blocks(cfg, analysis, envs_in):
         if kind == "stmt" and isinstance(node, ast.Return) and node.value is not None:
-            ev = SummaryUnitEvaluator(env, resolve)
-            joined = join_units(joined, ev.unit_of(node.value))
+            joined = join_units(joined, analysis.evaluator(env).unit_of(node.value))
     unit = joined or Unit.UNKNOWN
     if unit is Unit.UNKNOWN:
         unit = unit_of_name(info.name)
@@ -406,9 +482,10 @@ class LabelTaintAnalysis(ForwardAnalysis):
     """Label-set decode-taint analysis over one unit's CFG.
 
     Values are frozensets of labels (parameter names, :data:`FRESH`,
-    ``ret:<qualname>``) or the :data:`_READER` marker.  Sanitization
-    mirrors REP010: masks, modulo, ``min``/``max`` against clean
-    bounds, and any dominating comparison clear a name's labels.
+    ``ret:<qualname>``) or the :data:`_READER` marker.  Sanitization is
+    the decode-value contract REP015 enforces: masks, modulo,
+    ``min``/``max`` against clean bounds, and any dominating comparison
+    clear a name's labels.
     """
 
     def __init__(self, func: ast.FunctionDef | None, resolve) -> None:
@@ -556,7 +633,7 @@ class LabelTaintAnalysis(ForwardAnalysis):
 
     @staticmethod
     def _validate_compared_names(test: ast.expr, env: Env) -> None:
-        """Any compared name counts as bounds-checked (REP010 imprecision)."""
+        """Any compared name counts as bounds-checked (documented imprecision)."""
         for node in ast.walk(test):
             if not isinstance(node, ast.Compare):
                 continue
@@ -644,8 +721,6 @@ def run_taint(
     Returns ``(sink events, labels reaching the return value,
     reader-fresh flag is folded into the labels as FRESH/ret:)``.
     """
-    from repro.lint.rules._flow import walk_own_expressions
-
     analysis = LabelTaintAnalysis(func, resolve)
     cfg = build_cfg(body)
     envs_in = solve(cfg, analysis)
@@ -1119,8 +1194,10 @@ class SummaryStore:
     """
 
     #: v2: summaries gained ``return_interval`` + ``proved_allocs``
-    #: (the interval domain); v1 caches are recomputed, not migrated.
-    VERSION = 2
+    #: (the interval domain); v3: functions defined inside ``if``/
+    #: ``try``/loop bodies are summarised too.  Older caches are
+    #: recomputed, not migrated.
+    VERSION = 3
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)

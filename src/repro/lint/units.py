@@ -71,7 +71,7 @@ _BIT_TOKENS = {"bit", "bits", "nbits", "bitcount", "bitpos"}
 _BYTE_TOKENS = {"byte", "bytes", "nbytes", "bytecount", "bytepos"}
 
 #: Names conventionally bound to byte buffers in this codebase; used by
-#: REP009's subscript/len sinks (alongside bytes-ish annotations).
+#: REP014's subscript/len sinks (alongside bytes-ish annotations).
 BYTE_BUFFER_NAMES = {
     "data", "buf", "buffer", "payload", "blob", "raw",
     "gz_data", "compressed", "_data", "out_bytes",

@@ -18,7 +18,7 @@ This module gives the two unit systems distinct static types:
 ``typing.NewType`` is erased at runtime (zero cost on the hot paths),
 but the names anchor two layers of checking: human readers and type
 checkers see them in signatures, and the repo's dataflow lint
-(REP009, :mod:`repro.lint.rules.unit_confusion`) seeds its units
+(REP014, :mod:`repro.lint.rules.xfunc_units`) seeds its units
 lattice from these annotations, so a ``BitOffset`` flowing into a
 byte-addressed sink is reported even across intermediate variables.
 

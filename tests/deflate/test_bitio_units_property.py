@@ -1,6 +1,6 @@
 """Property tests for the bit/byte unit conversions and BitReader offsets.
 
-The REP009 dataflow rule assumes the conversions in :mod:`repro.units`
+The REP014 units analysis assumes the conversions in :mod:`repro.units`
 and the BitReader's position accounting agree on one invariant:
 
     ``bytes_to_bits(bits_to_bytes(b)) + intra_byte_bits(b) == b``

@@ -77,6 +77,22 @@ class Worker:
         assert proj.functions["pkg.a.Worker.run"].is_method
         assert proj.functions["pkg.a.top.inner"].is_nested
 
+    def test_defs_inside_compound_statements(self):
+        proj = project(pkg__a="""
+try:
+    def fast():
+        pass
+except ImportError:
+    pass
+
+def run(verbose):
+    if verbose:
+        def report(case):
+            print(case)
+""")
+        assert {"pkg.a.fast", "pkg.a.run.report"} <= set(proj.functions)
+        assert proj.functions["pkg.a.run.report"].is_nested
+
     def test_closure_detection(self):
         proj = project(pkg__a="""
 def outer(items):

@@ -1,9 +1,9 @@
 """Unit tests for the CFG builder and the forward dataflow solver.
 
-These exercise the engine underneath REP009–REP011 directly, on shapes
-the fixture tests only cover indirectly: loop back-edges, dead code
-after ``return``, conservative ``try`` edges, and fixpoint convergence
-of a simple constant-ish analysis.
+These exercise the engine underneath the flow rules (REP011, REP014,
+REP015) directly, on shapes the fixture tests only cover indirectly:
+loop back-edges, dead code after ``return``, conservative ``try``
+edges, and fixpoint convergence of a simple constant-ish analysis.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
-"""Good/bad fixture pairs for the flow-sensitive rules REP009–REP012.
+"""Good/bad fixture pairs for the flow-sensitive rules.
 
-Each rule proves three things here:
+REP011 and REP012 are tested here, and so are the fixtures of the
+retired REP009 and REP010, which now run against their successors
+REP014 and REP015.  Each rule proves three things here:
 
 1. it fires on a violation only a *flow-sensitive* analysis can see —
    source and sink in different statements, connected through an
@@ -29,11 +31,13 @@ def findings_for(source, rule_id, module_name="repro.somemod", relpath="m.py"):
 
 
 # ---------------------------------------------------------------------------
-# REP009 — bit/byte unit confusion
+# REP009 fixtures — bit/byte unit confusion, now reported by REP014
 # ---------------------------------------------------------------------------
 
 
 class TestREP009UnitConfusion:
+    """The retired REP009's fixtures as inputs to its successor REP014."""
+
     def test_bit_value_reaching_seek_through_plain_name(self):
         # ``pos`` has no unit tokens: only the dataflow binding from
         # tell_bits() can classify it. A purely syntactic rule is blind
@@ -43,7 +47,7 @@ class TestREP009UnitConfusion:
             "    pos = reader.tell_bits()\n"
             "    fh.seek(pos)\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert f.line == 3
         assert "seek" in f.message
 
@@ -53,7 +57,7 @@ class TestREP009UnitConfusion:
             "    pos = reader.tell_bits() >> 3\n"
             "    fh.seek(pos)\n"
         )
-        assert findings_for(good, "REP009") == []
+        assert findings_for(good, "REP014") == []
 
     def test_bit_value_indexing_byte_buffer(self):
         bad = (
@@ -61,7 +65,7 @@ class TestREP009UnitConfusion:
             "    where = reader.tell_bits()\n"
             "    return data[where]\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert "byte buffer" in f.message
 
     def test_byte_value_flowing_to_bit_kwarg(self):
@@ -71,7 +75,7 @@ class TestREP009UnitConfusion:
             "    pos = off\n"
             "    return inflate(data, start_bit=pos)\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert "start_bit=" in f.message
 
     def test_quiet_when_byte_value_lifted_to_bits(self):
@@ -80,7 +84,7 @@ class TestREP009UnitConfusion:
             "    off = fh.tell()\n"
             "    return inflate(data, start_bit=off * 8)\n"
         )
-        assert findings_for(good, "REP009") == []
+        assert findings_for(good, "REP014") == []
 
     def test_newtype_annotation_seeds_the_unit(self):
         bad = (
@@ -89,7 +93,7 @@ class TestREP009UnitConfusion:
             "    x = pos\n"
             "    return inflate(data, start_bit=x)\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert f.line == 4
 
     def test_byte_value_as_screen_start_bit(self):
@@ -98,10 +102,10 @@ class TestREP009UnitConfusion:
             "    off = fh.tell()\n"
             "    return screen_candidates(data, off, 8 * len(data))\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert "screen_candidates" in f.message
         good = bad.replace("data, off,", "data, 8 * off,")
-        assert findings_for(good, "REP009") == []
+        assert findings_for(good, "REP014") == []
 
     def test_bit_value_compared_to_buffer_len(self):
         bad = (
@@ -109,7 +113,7 @@ class TestREP009UnitConfusion:
             "    pos = reader.tell_bits()\n"
             "    return pos >= len(data)\n"
         )
-        (f,) = findings_for(bad, "REP009")
+        (f,) = findings_for(bad, "REP014")
         assert "len()" in f.message
 
     def test_double_conversion_is_silent(self):
@@ -120,7 +124,7 @@ class TestREP009UnitConfusion:
             "    pos = reader.tell_bits() >> 3 >> 3\n"
             "    fh.seek(pos)\n"
         )
-        assert findings_for(quiet, "REP009") == []
+        assert findings_for(quiet, "REP014") == []
 
     def test_branches_joining_different_units_are_silent(self):
         quiet = (
@@ -131,23 +135,25 @@ class TestREP009UnitConfusion:
             "        pos = fh.tell()\n"
             "    fh.seek(pos)\n"
         )
-        assert findings_for(quiet, "REP009") == []
+        assert findings_for(quiet, "REP014") == []
 
     def test_pragma_suppresses(self):
         ok = (
             "def f(reader, fh):\n"
             "    pos = reader.tell_bits()\n"
-            "    fh.seek(pos)  # lint: allow-unit-confusion(intentional bit-domain file)\n"
+            "    fh.seek(pos)  # lint: allow-cross-unit-confusion(intentional bit-domain file)\n"
         )
-        assert findings_for(ok, "REP009") == []
+        assert findings_for(ok, "REP014") == []
 
 
 # ---------------------------------------------------------------------------
-# REP010 — unvalidated decoded values
+# REP010 fixtures — unvalidated decoded values, now reported by REP015
 # ---------------------------------------------------------------------------
 
 
 class TestREP010UnvalidatedDecode:
+    """The retired REP010's fixtures as inputs to its successor REP015."""
+
     def test_taint_survives_arithmetic_into_index(self):
         # The sink uses ``v``, one assignment away from the read — a
         # line-local pattern match cannot connect the two.
@@ -157,7 +163,7 @@ class TestREP010UnvalidatedDecode:
             "    v = sym + 1\n"
             "    return table[v]\n"
         )
-        (f,) = findings_for(bad, "REP010")
+        (f,) = findings_for(bad, "REP015")
         assert f.line == 4
         assert "index" in f.message
 
@@ -169,7 +175,7 @@ class TestREP010UnvalidatedDecode:
             "        raise ValueError\n"
             "    return table[sym]\n"
         )
-        assert findings_for(good, "REP010") == []
+        assert findings_for(good, "REP015") == []
 
     def test_shift_amount_sink(self):
         bad = (
@@ -177,7 +183,7 @@ class TestREP010UnvalidatedDecode:
             "    extra = reader.read(7)\n"
             "    return 1 << extra\n"
         )
-        (f,) = findings_for(bad, "REP010")
+        (f,) = findings_for(bad, "REP015")
         assert "shift" in f.message
 
     def test_mask_sanitizes(self):
@@ -186,7 +192,7 @@ class TestREP010UnvalidatedDecode:
             "    extra = reader.read(7) & 0x1F\n"
             "    return 1 << extra\n"
         )
-        assert findings_for(good, "REP010") == []
+        assert findings_for(good, "REP015") == []
 
     def test_min_sanitizes(self):
         good = (
@@ -194,7 +200,7 @@ class TestREP010UnvalidatedDecode:
             "    sym = min(reader.read(5), len(table) - 1)\n"
             "    return table[sym]\n"
         )
-        assert findings_for(good, "REP010") == []
+        assert findings_for(good, "REP015") == []
 
     def test_allocation_size_sink(self):
         bad = (
@@ -202,7 +208,7 @@ class TestREP010UnvalidatedDecode:
             "    n = reader.read(16)\n"
             "    return bytearray(n)\n"
         )
-        (f,) = findings_for(bad, "REP010")
+        (f,) = findings_for(bad, "REP015")
         assert "allocation" in f.message
 
     def test_sequence_repeat_sink(self):
@@ -211,7 +217,7 @@ class TestREP010UnvalidatedDecode:
             "    n = reader.read(16)\n"
             "    return b'\\x00' * n\n"
         )
-        (f,) = findings_for(bad, "REP010")
+        (f,) = findings_for(bad, "REP015")
         assert "repeat" in f.message
 
     def test_slices_clamp_and_stay_quiet(self):
@@ -220,7 +226,7 @@ class TestREP010UnvalidatedDecode:
             "    n = reader.read(16)\n"
             "    return data[:n]\n"
         )
-        assert findings_for(good, "REP010") == []
+        assert findings_for(good, "REP015") == []
 
     def test_guard_on_one_path_only_still_fires(self):
         # Flow-sensitivity the other way: the unguarded else-path
@@ -236,15 +242,15 @@ class TestREP010UnvalidatedDecode:
         )
         # The inner guard validates sym on both arms of *its* branch,
         # but the ``strict`` False path never ran the comparison.
-        assert [f.line for f in findings_for(bad, "REP010")] == [7]
+        assert [f.line for f in findings_for(bad, "REP015")] == [7]
 
     def test_pragma_suppresses(self):
         ok = (
             "def f(reader, table):\n"
             "    sym = reader.read(5)\n"
-            "    return table[sym]  # lint: allow-unvalidated-decode(table spans the full 5-bit range)\n"
+            "    return table[sym]  # lint: allow-cross-decode-taint(table spans the full 5-bit range)\n"
         )
-        assert findings_for(ok, "REP010") == []
+        assert findings_for(ok, "REP015") == []
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +433,7 @@ class TestREP011MarkerEscape:
 
 
 # ---------------------------------------------------------------------------
-# REP012 — pragmas must carry a reason
+# REP012 — pragmas must carry a reason and a registered slug
 # ---------------------------------------------------------------------------
 
 
@@ -439,7 +445,20 @@ class TestREP012PragmaReason:
         assert "allow-no-eval()" in f.message
 
     def test_reasoned_pragma_is_quiet(self):
-        good = "x = 1  # lint" ": allow-no-eval(constant fold fixture)\n"
+        good = "x = 1  # lint" ": allow-broad-except(constant fold fixture)\n"
+        assert findings_for(good, "REP012") == []
+
+    def test_unknown_slug_is_a_finding(self):
+        # No registered rule has this slug, so the pragma waives nothing
+        # (the same holds for the slug of a retired rule).
+        bad = "x = 1  # lint" ": allow-no-such-rule(some reason)\n"
+        (f,) = findings_for(bad, "REP012")
+        assert f.line == 1
+        assert "unknown slug" in f.message
+        assert "allow-no-such-rule" in f.message
+
+    def test_slug_of_an_unselected_rule_is_known(self):
+        good = "x = 1  # lint" ": allow-unproved-shift(fixture)\n"
         assert findings_for(good, "REP012") == []
 
     def test_empty_pragma_does_not_suppress_its_rule_either(self):
@@ -449,8 +468,8 @@ class TestREP012PragmaReason:
             "def f(reader, table):\n"
             "    sym = reader.read(5)\n"
             "    return table[sym]  # lint"
-            ": allow-unvalidated-decode()\n"
+            ": allow-cross-decode-taint()\n"
         )
-        rep010 = findings_for(bad, "REP010")
+        rep015 = findings_for(bad, "REP015")
         rep012 = findings_for(bad, "REP012")
-        assert len(rep010) == 1 and len(rep012) == 1
+        assert len(rep015) == 1 and len(rep012) == 1

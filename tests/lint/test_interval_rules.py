@@ -93,6 +93,29 @@ def shift(x, n):
     return x << (n & 63)
 """, "REP018", module_name="repro.deflate.crc32", relpath="crc32.py") == []
 
+    @pytest.mark.parametrize("body", [
+        "self._buf = x << 8",
+        "self.table[0] = x << 8",
+        "return x == x << 8",
+        "x <<= 8",
+    ])
+    def test_persisting_result_needs_a_bound(self, body):
+        # The amount is proved; the result of an unbounded operand is not.
+        (f,) = findings_for(
+            f"def f(self, x):\n    {body}\n",
+            "REP018", module_name="repro.deflate.crc32", relpath="crc32.py",
+        )
+        assert "left-shift result" in f.message
+        assert "2**64" in f.message
+
+    def test_bounded_operand_proves_the_result(self):
+        assert findings_for("""
+def f(self, x):
+    x &= 0xFF
+    self._buf = x << 8
+    return x << 56 == self._buf
+""", "REP018", module_name="repro.deflate.crc32", relpath="crc32.py") == []
+
     def test_out_of_scope_module_is_skipped(self):
         assert findings_for("""
 def refill(bitbuf, n):

@@ -197,14 +197,16 @@ class TestREP002BroadExcept:
 
 
 # ---------------------------------------------------------------------------
-# REP003 — executor-bound callables must be module-level
+# REP003 fixtures — executor-bound callables, now reported by REP016
 # ---------------------------------------------------------------------------
 
 
 class TestREP003PickleSafety:
+    """The retired REP003's fixtures as inputs to its successor REP016."""
+
     def test_fires_on_lambda(self):
         bad = "def f(executor, items):\n    return executor.map(lambda x: x + 1, items)\n"
-        (f,) = findings_for(bad, "REP003")
+        (f,) = findings_for(bad, "REP016")
         assert "lambda" in f.message
 
     def test_fires_on_constructor_receiver(self):
@@ -213,7 +215,7 @@ class TestREP003PickleSafety:
             "def f(items):\n"
             "    return ProcessExecutor(2).map_outcomes(lambda x: x, items)\n"
         )
-        assert len(findings_for(bad, "REP003")) == 1
+        assert len(findings_for(bad, "REP016")) == 1
 
     def test_fires_on_closure(self):
         bad = (
@@ -222,7 +224,7 @@ class TestREP003PickleSafety:
             "        return x + k\n"
             "    return executor.map(add_k, items)\n"
         )
-        (f,) = findings_for(bad, "REP003")
+        (f,) = findings_for(bad, "REP016")
         assert "closure" in f.message
 
     def test_fires_on_bound_method(self):
@@ -233,7 +235,7 @@ class TestREP003PickleSafety:
             "    def run(self, pool, items):\n"
             "        return pool.map(self.decode, items)\n"
         )
-        (f,) = findings_for(bad, "REP003")
+        (f,) = findings_for(bad, "REP016")
         assert "bound method" in f.message
 
     def test_quiet_on_module_level_function(self):
@@ -243,17 +245,17 @@ class TestREP003PickleSafety:
             "def f(executor, items):\n"
             "    return executor.map(work, items)\n"
         )
-        assert findings_for(good, "REP003") == []
+        assert findings_for(good, "REP016") == []
 
     def test_sort_key_lambdas_out_of_scope(self):
         # The documented scope boundary: key functions never cross a
         # process boundary (e.g. the LPT sort key in parallel.scheduler).
         good = "def f(costs):\n    return sorted(range(len(costs)), key=lambda i: -costs[i])\n"
-        assert findings_for(good, "REP003") == []
+        assert findings_for(good, "REP016") == []
 
     def test_hypothesis_strategy_map_out_of_scope(self):
         good = "def strat(st):\n    return st.lists(st.text()).map(lambda xs: ''.join(xs))\n"
-        assert findings_for(good, "REP003") == []
+        assert findings_for(good, "REP016") == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +301,16 @@ class TestREP004UnseededRandom:
 
 
 # ---------------------------------------------------------------------------
-# REP005 — width masking in bitio/crc32/huffman
+# REP005 fixtures — width of << results, now proved by REP018
 # ---------------------------------------------------------------------------
 
 
 class TestREP005UnmaskedWidth:
+    """The retired REP005's fixtures as inputs to its successor REP018."""
+
     def test_fires_on_inplace_shift(self):
         bad = "def f(row):\n    row <<= 1\n    return row\n"
-        (f,) = findings_for(bad, "REP005", module_name="repro.deflate.crc32")
+        (f,) = findings_for(bad, "REP018", module_name="repro.deflate.crc32")
         assert "<<=" in f.message
 
     def test_fires_on_compare_and_return(self):
@@ -315,25 +319,26 @@ class TestREP005UnmaskedWidth:
             "    if a == b << n:\n"
             "        return b << n\n"
         )
-        assert len(findings_for(bad, "REP005", module_name="repro.deflate.bitio")) == 2
+        assert len(findings_for(bad, "REP018", module_name="repro.deflate.bitio")) == 2
 
     def test_fires_on_attribute_store(self):
         bad = "def f(self, x, n):\n    self._buf = x << n\n"
-        assert len(findings_for(bad, "REP005", module_name="repro.deflate.huffman")) == 1
+        assert len(findings_for(bad, "REP018", module_name="repro.deflate.huffman")) == 1
 
     def test_quiet_when_masked_or_width_constant(self):
         good = (
             "def f(self, x, n):\n"
+            "    n &= 31\n"
             "    self._buf = (x << n) & 0xFFFFFFFF\n"
             "    if x == (1 << n):\n"
             "        return (x << 1) & 0xFF\n"
             "    return 1 << n\n"
         )
-        assert findings_for(good, "REP005", module_name="repro.deflate.bitio") == []
+        assert findings_for(good, "REP018", module_name="repro.deflate.bitio") == []
 
     def test_out_of_scope_module_quiet(self):
         bad = "def f(row):\n    row <<= 1\n    return row\n"
-        assert findings_for(bad, "REP005", module_name="repro.core.pugz") == []
+        assert findings_for(bad, "REP018", module_name="repro.core.pugz") == []
 
 
 # ---------------------------------------------------------------------------
@@ -546,11 +551,42 @@ def test_registry_is_complete():
     from repro.lint import all_rules
 
     ids = [cls.rule_id for cls in all_rules()]
-    # REP017 was retired in favour of REP020 (same slug, stronger rule).
-    expected = [f"REP{i:03d}" for i in range(1, 22) if i != 17]
+    # Retired into a successor: REP003 -> REP016, REP005 -> REP018,
+    # REP009 -> REP014, REP010 -> REP015, REP017 -> REP020.
+    retired = {3, 5, 9, 10, 17}
+    expected = [f"REP{i:03d}" for i in range(1, 22) if i not in retired]
     assert ids == expected
     assert len({cls.slug for cls in all_rules()}) == len(expected)
     assert all(cls.summary for cls in all_rules())
+
+
+def test_docs_agree_with_registry():
+    """The rule catalogue and the CLI examples name only real rules."""
+    import re
+    from pathlib import Path
+
+    from repro.lint import all_rules
+
+    docs = Path(__file__).resolve().parents[2] / "docs"
+    registered = {cls.rule_id for cls in all_rules()}
+    catalogue = {}
+    for line in (docs / "STATIC_ANALYSIS.md").read_text().splitlines():
+        row = re.match(r"\| (REP\d{3}) \| (.+?) \| (.+) \|$", line)
+        if row:
+            catalogue.setdefault(row.group(1), (row.group(2), row.group(3)))
+    assert registered <= set(catalogue)
+    for rule_id, (scope, contract) in catalogue.items():
+        if rule_id in registered:
+            assert scope != "*(retired)*", rule_id
+            continue
+        assert scope == "*(retired)*", rule_id
+        successor = re.match(r"Superseded by (REP\d{3})\b", contract)
+        assert successor and successor.group(1) in registered, rule_id
+    for doc in ("CLI.md", "STATIC_ANALYSIS.md"):
+        text = (docs / doc).read_text()
+        for flag in re.finditer(r"--(?:select|ignore|explain)\s+([A-Z0-9,]+)", text):
+            for rule_id in re.findall(r"REP\d{3}", flag.group(1)):
+                assert rule_id in registered, (doc, flag.group(0))
 
 
 def test_select_and_ignore_subset():

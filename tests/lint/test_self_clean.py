@@ -2,9 +2,10 @@
 
 This is the enforcement half of the analyzer: any non-baselined finding
 in the shipped tree fails the default test run, so the contracts the
-rules encode (error context, decode-path exception hygiene, pickle
-safety, seeded randomness, width masking, fork-safe module state,
-export sync) cannot silently rot.  The shipped ``lint-baseline.json``
+rules encode (error context, decode-path exception hygiene, seeded
+randomness, fork-safe module state, export sync, bit/byte units,
+decode-value taint, executor pickle safety, proved shift widths)
+cannot silently rot.  The shipped ``lint-baseline.json``
 is empty — every rule is fully satisfied; keep it that way, or justify
 any new baseline entry in docs/STATIC_ANALYSIS.md.
 """

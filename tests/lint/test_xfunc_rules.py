@@ -209,13 +209,15 @@ def decode(reader, table):
     return table[read_count(reader)]
 """, "REP015") == []
 
-    def test_direct_local_sink_is_not_duplicated(self):
-        # read-then-sink in one function is REP010's finding only.
-        assert findings_for("""
+    def test_direct_local_sink_is_reported_once(self):
+        # Read-then-sink in one function: one finding at the sink.
+        (f,) = findings_for("""
 def decode(reader, table):
     n = reader.read(7)
     return table[n]
-""", "REP015") == []
+""", "REP015")
+        assert f.line == 4
+        assert "raw decode value used as an index" in f.message
 
     def test_cross_module(self):
         (f,) = findings_for_tree({
@@ -308,6 +310,15 @@ def run(executor, items):
 """, "REP016")
         assert "lambda" in f.message
 
+    def test_supervised_lambda_submission(self):
+        (f,) = findings_for("""
+from repro.parallel.supervision import supervised_map_outcomes
+
+def run(executor, items, policy):
+    return supervised_map_outcomes(executor, lambda item: item * 2, items, policy)
+""", "REP016")
+        assert "lambda" in f.message
+
     def test_closure_submission(self):
         (f,) = findings_for("""
 def run(executor, items, scale):
@@ -316,6 +327,16 @@ def run(executor, items, scale):
     return executor.map(work, items)
 """, "REP016")
         assert "scale" in f.message
+
+    def test_nested_function_submission(self):
+        # No closure, but pickle still cannot look up ``run.<locals>.work``.
+        (f,) = findings_for("""
+def run(executor, items):
+    def work(item):
+        return item * 2
+    return executor.map(work, items)
+""", "REP016")
+        assert "nested function" in f.message
 
     def test_cross_module_worker(self):
         (f,) = findings_for_tree({

@@ -1,7 +1,7 @@
 """Supervision layer: deadlines, bounded retries, pool rebuilding.
 
 Worker functions live at module level so they cross the
-``ProcessExecutor`` pickle boundary (REP003); the flaky ones key their
+``ProcessExecutor`` pickle boundary (REP016); the flaky ones key their
 first-attempt failure on a marker file, which works identically for
 threads and forked/spawned processes.
 """
