@@ -6,8 +6,10 @@ cold start (:func:`repro.core.parallel_index.pugz_build_index`, the
 it, and serves 4 KiB point ``pread`` calls at golden-ratio offsets
 through a reader holding that index, twice over the same offsets.
 Prints, per span: checkpoints by kind (block / token / member), median
-stored window bytes per block and per token checkpoint, ``to_bytes``
-time, sidecar bytes, build time, and for the second pass (warm: the
+stored window bytes per block and per token checkpoint, the window
+bytes of all checkpoints and their union (each output byte once, as
+the v5 sidecar stores them), ``to_bytes`` time, sidecar bytes, build
+time, and for the second pass (warm: the
 reader holds the block headers the first pass parsed) p50/p90 read
 latency, block headers parsed and ``pread`` calls per read, and bytes
 decoded per read with their ratio to the bytes served (seek
@@ -69,6 +71,8 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
         "span": span,
         "counts": {k: len(v) for k, v in kinds.items()},
         "stored": {k: statistics.median(v) if v else 0 for k, v in kinds.items()},
+        "windows": sum(sum(v) for v in kinds.values()),
+        "union": len(idx.union[1]),
         "to_bytes_s": to_bytes_s,
         "sidecar": len(blob),
         "build_s": build_s,
@@ -94,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         gz = gzip.compress(make_corpus(8_000_000), 6, mtime=0)
     print(
         f"{'span':>6} {'block':>6} {'token':>6} {'member':>6} {'stored b/t':>11}"
+        f" {'windows':>8} {'union':>8}"
         f" {'to_bytes':>9} {'sidecar':>9} {'build':>7} {'p50':>8} {'p90':>8}"
         f" {'hdrs':>5} {'preads':>6} {'decoded':>8} {'amp':>5}"
     )
@@ -103,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{r['span']:>6} {c['block']:>6} {c['token']:>6} {c['member']:>6}"
             f" {st['block']:>5.0f}/{st['token']:<5.0f}"
+            f" {r['windows']:>8} {r['union']:>8}"
             f" {r['to_bytes_s']:>8.3f}s {r['sidecar']:>9} {r['build_s']:>6.2f}s"
             f" {r['p50_ms']:>6.2f}ms {r['p90_ms']:>6.2f}ms {r['headers']:>5.2f}"
             f" {r['preads']:>6.2f} {r['decoded']:>8.0f}"

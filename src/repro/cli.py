@@ -256,6 +256,7 @@ def _cmd_index(args) -> int:
         for cp in idx.checkpoints:
             kinds[cp.kind] = kinds.get(cp.kind, 0) + 1
         print(f"index file:      {args.index_file}")
+        print(f"format:          v{idx.version}")
         print(f"checkpoints:     {len(idx.checkpoints)}")
         for kind in sorted(kinds):
             print(f"  {kind + ':':<14} {kinds[kind]}")
@@ -282,6 +283,12 @@ def _cmd_index(args) -> int:
                     f"({100 * median / WINDOW_SIZE:.1f}% of 32 KiB), max {stored[-1]}, "
                     f"{sum(stored)} stored in all"
                 )
+        if idx.union is not None:
+            windows = sum(len(cp.window) for cp in idx.checkpoints)
+            print(
+                f"window union:    {len(idx.union[1])} bytes stored once, for "
+                f"{windows} in the checkpoints' windows"
+            )
         return 0
 
     source = _source_arg(args.input)
@@ -559,9 +566,9 @@ def build_parser() -> argparse.ArgumentParser:
     xb.add_argument("input")
     xb.add_argument("index_file", help="index sidecar path")
     xb.add_argument("--span", type=int, default=None,
-                    help="bytes between checkpoints, at most, unless one "
-                         "block is larger (default 16384, a checkpoint per "
-                         "gzip -6 block); both builders")
+                    help="bytes between checkpoints, at most, unless a "
+                         "block cannot be cut (default 8192: four "
+                         "checkpoints per gzip -6 block); both builders")
     xb.add_argument("--builder", choices=("sequential", "pugz"),
                     default="sequential",
                     help="sequential: one decoding pass; pugz: the parallel "
@@ -584,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     xe.add_argument("--size", type=int, default=1024)
     xe.add_argument("--span", type=int, default=None,
                     help="checkpoint spacing if --auto-rebuild rebuilds "
-                         "(default 16384)")
+                         "(default 8192)")
     xe.add_argument("--auto-rebuild", action="store_true",
                     help="if the index file is missing or fails its "
                          "integrity check, rebuild it in place (atomic rename)")
@@ -605,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="force a backend instead of sniffing the stream")
     ct.add_argument("--span", type=int, default=None,
                     help="checkpoint spacing of a cold-start index "
-                         "(default 16384)")
+                         "(default 8192)")
     ct.add_argument("-t", "--threads", type=int, default=None,
                     help="cold start: number of pugz chunks (default: one "
                          "per executor worker, so 1 on serial)")

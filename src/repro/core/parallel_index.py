@@ -98,6 +98,7 @@ def index_members(
     data = ByteSource.wrap(gz_data).read_all()
     members = iter_members(data)
     checkpoints: list[Checkpoint] = []
+    unions: list[np.ndarray] = []
     uoffset = 0
     n = len(data)
     with owned_executor(executor, n_chunks) as ex:
@@ -133,8 +134,15 @@ def index_members(
                 [t + (0, rel, rel, 0) for (t, _), rel in zip(tables, chunk_starts)]
             )
             reach = tables[0][1] if len(tables) == 1 else np.concatenate([r for _, r in tables])
-            checkpoints += block_checkpoints(pieces, reach, member_out, uoffset, span)
+            member_checkpoints, union = block_checkpoints(pieces, reach, member_out, uoffset, span)
+            checkpoints += member_checkpoints
+            unions.append(union)
             uoffset += len(member_out)
             if keep is not None:
                 keep(member_out)
-    return GzipIndex(checkpoints=checkpoints, usize=uoffset, span=span, csize=n)
+    index = GzipIndex(checkpoints=checkpoints, usize=uoffset, span=span, csize=n)
+    # No window reaches across a member start, so the members' unions
+    # in order are the index's.
+    union = unions[0] if len(unions) == 1 else np.concatenate(unions)
+    index.union = (tuple(checkpoints), union)
+    return index

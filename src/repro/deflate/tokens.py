@@ -260,19 +260,7 @@ def window_reach(
     vals = np.asarray(values, dtype=np.int32)
     if ends is None:
         ends = token_ends(offs, vals)
-    is_m = offs > 0
-    m_len = vals[is_m]
-    m_off = offs[is_m]
-    m_start = ends[is_m] - m_len
-    back = m_off > m_start  # matches whose source begins before the block
-    src = (m_start - m_off)[back]
-    count = np.minimum(src + np.minimum(m_off, m_len)[back], 0) - src
-    # Every position of every range [src, src + count), as one index array.
-    first = np.cumsum(count) - count
-    reached = np.arange(int(count.sum())) + np.repeat(src - first, count)
-    bits = np.zeros(WINDOW_SIZE, dtype=bool)
-    bits[reached + WINDOW_SIZE] = True
-    return np.packbits(bits)
+    return piece_reach(offs, vals, ends, [0])[0]
 
 
 def piece_starts(offsets: np.ndarray, ends: np.ndarray, span: int) -> list[int]:
@@ -310,13 +298,29 @@ def piece_reach(
     offsets: np.ndarray, values: np.ndarray, ends: np.ndarray, firsts: list[int]
 ) -> np.ndarray:
     """One packed :func:`window_reach` row per piece: the window
-    positions before each piece's first byte that its tokens read."""
-    rows = np.empty((len(firsts), WINDOW_SIZE // 8), dtype=np.uint8)
-    bounds = [*firsts, len(offsets)]
-    for row, lo, hi in zip(rows, bounds, bounds[1:]):
-        base = ends[lo - 1] if lo else 0
-        row[:] = window_reach(offsets[lo:hi], values[lo:hi], ends[lo:hi] - base)
-    return rows
+    positions before each piece's first byte that its tokens read.
+
+    ``firsts`` are the pieces' first token indices (as from
+    :func:`piece_starts`) and ``ends`` the block's :func:`token_ends`.
+    All pieces are found in one pass over the block's matches."""
+    offs = np.asarray(offsets)
+    m_idx = np.flatnonzero(offs > 0)
+    m_piece = np.searchsorted(firsts, m_idx, "right") - 1
+    # Each piece's first output byte, relative to the block's.
+    base = np.concatenate(([0], ends))[firsts]
+    m_len = np.asarray(values)[m_idx]
+    m_off = offs[m_idx]
+    m_start = ends[m_idx] - m_len - base[m_piece]
+    back = m_off > m_start  # matches whose source begins before their piece
+    src = (m_start - m_off)[back]
+    count = np.minimum(src + np.minimum(m_off, m_len)[back], 0) - src
+    # Every position of every range [src, src + count), as one index
+    # array into the pieces' bitmaps laid end to end.
+    first = np.cumsum(count) - count
+    lead = (m_piece[back] + 1) * WINDOW_SIZE + src - first
+    bits = np.zeros(len(firsts) * WINDOW_SIZE, dtype=bool)
+    bits[np.arange(int(count.sum())) + np.repeat(lead, count)] = True
+    return np.packbits(bits).reshape(len(firsts), -1)
 
 
 #: Extra bits of each literal/length symbol (0 for literals and EOB).

@@ -204,6 +204,7 @@ class SeekableGzipReader(io.RawIOBase):
         elif self._index is None and index_path is not None:
             try:
                 self._index = GzipIndex.load(index_path)
+                self._index.union = None  # reads use the windows only
                 self.stats.index_loaded = True
             except (FileNotFoundError, IndexIntegrityError, GzipFormatError):
                 # Missing or damaged sidecar: fall through to the cold
@@ -229,6 +230,9 @@ class SeekableGzipReader(io.RawIOBase):
             self.stats.index_builds += 1
             if self._index_path is not None:
                 self._index.save(self._index_path)
+            # The window union the build kept serves only the sidecar
+            # write; reads use each checkpoint's own window.
+            self._index.union = None
         return self._index
 
     @property

@@ -80,7 +80,6 @@ while a header stays cached no read parses it or reads it again.
 
 from __future__ import annotations
 
-import io
 import struct
 import threading
 import zlib
@@ -126,8 +125,10 @@ _MAGIC = b"RPZIDX1\x00"
 _MAGIC2 = b"RPZIDX2\x00"
 #: v3 blob magic (sparse windows: a position bitmap plus stored bytes).
 _MAGIC3 = b"RPZIDX3\x00"
-#: v4 blob magic (the v3 layout plus the ``"token"`` kind).
+#: v4 blob magic (the v3 layout plus the ``"token"`` kind) — still read.
 _MAGIC4 = b"RPZIDX4\x00"
+#: v5 blob magic (every window byte stored once, by output offset).
+_MAGIC5 = b"RPZIDX5\x00"
 #: Envelope kind tags (see repro.index.integrity): each blob version
 #: gets its own tag, so a loader that predates it fails loudly instead
 #: of misparsing.
@@ -135,6 +136,12 @@ _KIND_V1 = b"ZRAN"
 _KIND_V2 = b"ZRN2"
 _KIND_V3 = b"ZRN3"
 _KIND_V4 = b"ZRN4"
+_KIND_V5 = b"ZRN5"
+#: Blob version of each envelope kind tag and bare blob magic.
+_VERSIONS = {
+    _KIND_V1: 1, _KIND_V2: 2, _KIND_V3: 3, _KIND_V4: 4, _KIND_V5: 5,
+    _MAGIC: 1, _MAGIC2: 2, _MAGIC3: 3, _MAGIC4: 4, _MAGIC5: 5,
+}
 
 CHECKPOINT_BLOCK = "block"
 CHECKPOINT_MEMBER = "member"
@@ -142,15 +149,17 @@ CHECKPOINT_TOKEN = "token"
 
 #: Default checkpoint spacing (uncompressed bytes) for every builder
 #: and reader.  Every gzip -6 block of FASTQ (~32 KB of output) is cut
-#: once inside, so a warm 4 KiB read decodes ~12 KB on average and at
-#: most span + 4 KiB plus one token.  The curve of
-#: ``benchmarks/bench_span.py`` (docs/PERFORMANCE.md "Token-granular
-#: checkpoints") picks it: 8 KiB reads ~1 ms faster still, for a
-#: sidecar 60 % larger.
-DEFAULT_SPAN = 16 * 1024
+#: three times inside, so a warm 4 KiB read decodes ~8.3 KB on average
+#: and at most span + 4 KiB plus one token.  The curve of
+#: ``benchmarks/bench_span.py`` (docs/PERFORMANCE.md "One window union
+#: per sidecar") picks it: against 16 KiB, reads decode a third less
+#: and the v5 sidecar grows from 1.15 to 1.65 MB per 8 MB of FASTQ;
+#: 4 KiB would decode a quarter less again for a 2.13 MB sidecar and
+#: twice the checkpoints to build and write.
+DEFAULT_SPAN = 8 * 1024
 
 #: Decoded checkpoint intervals an :class:`IntervalCache` keeps: at
-#: most 4 x span of output (~64 KB at the default span) while every
+#: most 4 x span of output (~32 KB at the default span) while every
 #: block longer than the span can be cut.
 CACHED_INTERVALS = 4
 
@@ -173,6 +182,16 @@ _MAX_HEADER_BYTES = (3 + 14 + 19 * 3 + (C.MAX_HLIT + C.MAX_HDIST) * 14) // 8 + 2
 #: Bytes of a packed 32 KiB window-position bitmap.
 MASK_BYTES = WINDOW_SIZE // 8
 
+#: zlib settings of a v5 sidecar's stream: level 1, Huffman coding
+#: only.  The cold start writes the sidecar; on FASTQ, LZ77 matching
+#: makes it 2-3 % smaller for twice the time (docs/PERFORMANCE.md,
+#: "One window union per sidecar").
+_V5_LEVEL = 1
+_V5_STRATEGY = zlib.Z_HUFFMAN_ONLY
+
+#: Output bytes :func:`_regions` covers at once.
+_UNION_REGION = 1 << 18
+
 
 def _full_mask(length: int) -> bytes:
     """The bitmap of a window whose last ``length`` positions are all
@@ -192,6 +211,28 @@ def _pread(src: ByteSource, offset: int, size: int, stats) -> bytes:
         stats.pread_calls += 1
         stats.compressed_bytes_read += len(raw)
     return raw
+
+
+class _Fetch:
+    """The compressed bytes one read has fetched.  A later ``pread``
+    of the same read inside them (the next interval's decode, or its
+    block's header) is a slice, so a read that crosses checkpoints
+    makes one ``pread``, not one per interval."""
+
+    __slots__ = ("src", "stats", "offset", "raw")
+
+    def __init__(self, src: ByteSource, stats) -> None:
+        self.src = src
+        self.stats = stats
+        self.offset = 0
+        self.raw: bytes | None = None
+
+    def pread(self, offset: int, size: int) -> bytes:
+        held = self.raw
+        if held is not None and self.offset <= offset and offset + size <= self.offset + len(held):
+            return held[offset - self.offset : offset - self.offset + size]
+        self.offset, self.raw = offset, _pread(self.src, offset, size, self.stats)
+        return self.raw
 
 
 @dataclass(frozen=True)
@@ -332,6 +373,15 @@ class GzipIndex:
     span: int
     #: Compressed file size (0 when unknown — legacy v1 indexes).
     csize: int = 0
+    #: Blob version the index was read from (``None`` when built).
+    version: int | None = field(default=None, compare=False)
+    #: Every stored window byte once, in output order (see
+    #: :meth:`to_bytes`), with the checkpoints it was taken from, when
+    #: the builder or loader had it: :meth:`to_bytes` writes it as is
+    #: while ``checkpoints`` holds exactly those (frozen) checkpoints.
+    union: tuple[tuple[Checkpoint, ...], np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
     _uoffsets: list[int] = field(default_factory=list, repr=False, compare=False)
 
     def _offsets(self) -> list[int]:
@@ -402,7 +452,7 @@ class GzipIndex:
         return min((cps[j].bit_offset + 7) >> 3, read_end), read_end
 
     def _block_header(
-        self, src: ByteSource, index: int, stats=None, cache: IntervalCache | None = None
+        self, fetch: _Fetch, index: int, cache: IntervalCache | None = None
     ) -> BlockHeader:
         """Header of the Huffman block that token checkpoint ``index``
         sits in: the block at the nearest preceding ``"block"`` or
@@ -420,14 +470,13 @@ class GzipIndex:
         if cached is not None and cached[1] <= cp.bit_offset:
             return cached[0]
         head = self.checkpoints[h]
-        raw = _pread(
-            src, head.byte_offset, min(_MAX_HEADER_BYTES, cp.byte_offset + 1 - head.byte_offset),
-            stats,
+        raw = fetch.pread(
+            head.byte_offset, min(_MAX_HEADER_BYTES, cp.byte_offset + 1 - head.byte_offset)
         )
         reader = BitReader(raw, head.intra_byte_bit)
         header = read_block_header(reader)
-        if stats is not None:
-            stats.headers_parsed += 1
+        if fetch.stats is not None:
+            fetch.stats.headers_parsed += 1
         body_bit = 8 * head.byte_offset + reader.tell_bits()
         if header.btype == C.BTYPE_STORED or body_bit > cp.bit_offset:
             raise RandomAccessError(
@@ -440,7 +489,7 @@ class GzipIndex:
         return header
 
     def _decode_from(
-        self, src: ByteSource, index: int, need: int, stats=None, kernel=None,
+        self, fetch: _Fetch, index: int, need: int, kernel=None,
         cache: IntervalCache | None = None,
     ) -> bytes:
         """Output of checkpoint ``index``'s interval: at least ``need``
@@ -452,6 +501,7 @@ class GzipIndex:
         checkpoint whose header it holds at the block's body."""
         from repro.perf.kernels import KERNELS, resolve_kernel
 
+        src, stats = fetch.src, fetch.stats
         cp = self.checkpoints[index]
         stop = (
             self.checkpoints[index + 1].uoffset
@@ -459,13 +509,15 @@ class GzipIndex:
             else self.usize
         )
         size = stop - cp.uoffset
+        # Where the read ends, past this interval if it goes on.
+        read_to = cp.uoffset + need
         need = min(need, size)
         entry = cache.get(index) if cache is not None else None
         # Parse the header at the checkpoint here, to keep it.
         parse_header = False
         if entry is None:
             if cp.kind == CHECKPOINT_TOKEN:
-                entry = (b"", cp.bit_offset, self._block_header(src, index, stats, cache))
+                entry = (b"", cp.bit_offset, self._block_header(fetch, index, cache))
             elif cache is not None and (held := cache.header(index)) is not None:
                 entry = (b"", held[1], held[0])
             else:
@@ -476,14 +528,17 @@ class GzipIndex:
             return data
         window = (cp.history() + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
         start_byte = end_bit >> 3
-        decode_end, end_byte = self._compressed_bound(index, cp.uoffset + need, src)
+        decode_end, _ = self._compressed_bound(index, cp.uoffset + need, src)
+        # One pread for the whole read: the later intervals' decodes
+        # slice it.
+        _, end_byte = self._compressed_bound(index, read_to, src)
         # The kernel choice sees the bytes this decode takes, not the
         # rest of the block it may read.
         spec = resolve_kernel(kernel)
         if not spec.use_vectorized(decode_end - start_byte):
             spec = KERNELS["pure"]
         while True:
-            comp = _pread(src, start_byte, max(0, end_byte - start_byte), stats)
+            comp = fetch.pread(start_byte, max(0, end_byte - start_byte))
             try:
                 if parse_header and 8 * len(comp) - (end_bit & 7) >= 3:
                     # The bits inflate would parse it from (a failed
@@ -548,7 +603,9 @@ class GzipIndex:
         signature), a path, a binary file object, or a
         :class:`~repro.io.source.ByteSource`.  Spans crossing checkpoints
         are stitched from per-interval decodes — a member's stale window
-        is never carried into the next member.  ``cache`` (owned by the
+        is never carried into the next member — and each interval takes
+        its compressed bytes from the ``pread`` of the one before when
+        that covers them.  ``cache`` (owned by the
         caller, for this index and source only) keeps decoded intervals
         between calls.
         """
@@ -561,7 +618,7 @@ class GzipIndex:
                 f"offset {uoffset} outside uncompressed size {self.usize}",
                 stage="zran",
             )
-        src = ByteSource.wrap(source)
+        fetch = _Fetch(ByteSource.wrap(source), stats)
         out = bytearray()
         pos = uoffset
         remaining = size
@@ -571,7 +628,7 @@ class GzipIndex:
             i = self.nearest_index(pos)
             cp = self.checkpoints[i]
             skip = pos - cp.uoffset
-            decoded = self._decode_from(src, i, skip + remaining, stats, kernel, cache)
+            decoded = self._decode_from(fetch, i, skip + remaining, kernel, cache)
             take = decoded[skip : skip + remaining]
             if not take:
                 # Decoding from the best checkpoint could not reach
@@ -591,35 +648,73 @@ class GzipIndex:
     # -- serialisation ------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Serialise as a v4 blob: per checkpoint, the window bitmap and
-        its stored bytes deflate-compressed together — ~2.7 KB for a
-        gzip -6 FASTQ block checkpoint (a whole window took ~17 KB).
-        v4 is the v3 layout with the ``"token"`` kind added."""
-        out = io.BytesIO()
-        out.write(_MAGIC4)
-        out.write(
-            struct.pack(
-                "<QQQI", self.usize, self.span, self.csize, len(self.checkpoints)
+        """Serialise as a v5 blob: the checkpoint table, then one zlib
+        stream of each window's bitmap and every stored window byte
+        once, in output order (the windows' *union*): neighbouring
+        checkpoints read largely the same bytes, which v4 stored once
+        per checkpoint.  A window is the union's bytes at its bitmap's
+        positions, so windows must agree wherever they overlap, as the
+        windows of any one file's output do: two that disagree on a byte
+        raise :class:`ValueError`."""
+        cps = self.checkpoints
+        uoffsets = np.asarray([cp.uoffset for cp in cps], dtype=np.int64)
+        if np.any(np.diff(uoffsets) < 0):
+            raise ValueError("checkpoints are not in uncompressed-offset order")
+        has = [i for i, cp in enumerate(cps) if cp.window]
+        union = self._held_union()
+        if union is None:
+            union = _window_union(uoffsets[has], [cps[i] for i in has])
+        # Bitmaps are mostly zero bytes: which bytes are not, then
+        # those, taken a few bitmaps at a time.
+        flags, values = [], []
+        for at in range(0, len(has), _ASSEMBLY_BATCH):
+            masks = np.frombuffer(
+                b"".join(cps[i].mask for i in has[at : at + _ASSEMBLY_BATCH]), np.uint8
+            )
+            nonzero = masks != 0
+            flags.append(np.packbits(nonzero).tobytes())
+            values.append(masks[np.flatnonzero(nonzero)].tobytes())
+        deflate = zlib.compressobj(_V5_LEVEL, zlib.DEFLATED, 15, 8, _V5_STRATEGY)
+        stream = b"".join(
+            (
+                deflate.compress(b"".join(flags)),
+                deflate.compress(b"".join(values)),
+                deflate.compress(union),
+                deflate.flush(),
             )
         )
-        for cp in self.checkpoints:
-            cw = zlib.compress(cp.mask + cp.window, 2)
-            out.write(
-                struct.pack(
-                    "<BQQII",
-                    _KIND_CODES[cp.kind],
-                    cp.bit_offset,
-                    cp.uoffset,
-                    len(cp.window),
-                    len(cw),
-                )
+        table = b"".join(
+            struct.pack(
+                "<BQQI", _KIND_CODES[cp.kind], cp.bit_offset, cp.uoffset, len(cp.window)
             )
-            out.write(cw)
-        return out.getvalue()
+            for cp in cps
+        )
+        return b"".join(
+            (
+                _MAGIC5,
+                struct.pack("<QQQI", self.usize, self.span, self.csize, len(cps)),
+                table,
+                struct.pack("<QQ", len(union), len(stream)),
+                stream,
+            )
+        )
+
+    def _held_union(self) -> np.ndarray | None:
+        """The union the builder or loader kept, while ``checkpoints``
+        still holds exactly the checkpoints it was taken from."""
+        if self.union is None:
+            return None
+        of, union = self.union
+        if len(of) != len(self.checkpoints) or any(
+            a is not b for a, b in zip(of, self.checkpoints)
+        ):
+            return None
+        return union
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GzipIndex":
         parsers = (
+            (_MAGIC5, cls._parse_v5),
             (_MAGIC4, cls._parse_v4),
             (_MAGIC3, cls._parse_v3),
             (_MAGIC2, cls._parse_v2),
@@ -628,13 +723,15 @@ class GzipIndex:
         for magic, parse in parsers:
             if data[: len(magic)] == magic:
                 try:
-                    return parse(data, len(magic))
+                    index = parse(data, len(magic))
                 except (struct.error, zlib.error, ValueError) as exc:
                     # Malformed contents past the magic: surface as the
                     # structured integrity error, not a parser crash.
                     raise IndexIntegrityError(
                         f"malformed zran index blob: {exc}", stage="zran"
                     ) from exc
+                index.version = _VERSIONS[magic]
+                return index
         raise GzipFormatError("not a gzip index blob", stage="zran")
 
     @staticmethod
@@ -700,9 +797,69 @@ class GzipIndex:
 
     @classmethod
     def _parse_v4(cls, data: bytes, pos: int) -> "GzipIndex":
-        index = cls._parse_v3(data, pos, tokens=True)
+        return cls._parse_v3(data, pos, tokens=True)._check_tokens()
+
+    @classmethod
+    def _parse_v5(cls, data: bytes, pos: int) -> "GzipIndex":
+        usize, span, csize, n = struct.unpack_from("<QQQI", data, pos)
+        pos += 28
+        table = [struct.unpack_from("<BQQI", data, pos + 21 * i) for i in range(n)]
+        pos += 21 * n
+        union_len, clen = struct.unpack_from("<QQ", data, pos)
+        pos += 16
+        if pos + clen != len(data):
+            raise IndexIntegrityError(
+                f"zran index stream holds {len(data) - pos} bytes, its header says {clen}",
+                stage="zran",
+            )
+        payload = np.frombuffer(zlib.decompress(data[pos:]), np.uint8)
+        uoffsets = np.asarray([row[2] for row in table], dtype=np.int64)
+        if np.any(np.diff(uoffsets) < 0):
+            bad = int(np.flatnonzero(np.diff(uoffsets) < 0)[0]) + 1
+            raise IndexIntegrityError(
+                f"checkpoint {bad} precedes the checkpoint before it", stage="zran"
+            )
+        has = [i for i, row in enumerate(table) if row[3]]
+        flags_end = len(has) * MASK_BYTES // 8
+        nonzero = np.unpackbits(payload[:flags_end]).view(bool)
+        values_end = flags_end + int(np.count_nonzero(nonzero))
+        if len(payload) < flags_end or len(payload) != values_end + union_len:
+            raise IndexIntegrityError(
+                f"zran index stream holds {len(payload)} bytes, not the "
+                f"{values_end + union_len} its bitmaps and header imply",
+                stage="zran",
+            )
+        values = payload[flags_end:values_end]
+        if not values.all():
+            raise IndexIntegrityError(
+                "zran index window bitmaps mark a zero byte nonzero", stage="zran"
+            )
+        masks = np.zeros(len(has) * MASK_BYTES, np.uint8)
+        masks[nonzero] = values
+        masks = masks.reshape(-1, MASK_BYTES)
+        union = payload[values_end:]
+        windows = dict(zip(has, _split_union(uoffsets[has], masks, union)))
+        rows = {i: r for r, i in enumerate(has)}
+        cps = []
+        for i, (code, bit_offset, uoffset, stored) in enumerate(table):
+            window = windows.get(i, b"")
+            if len(window) != stored:
+                raise IndexIntegrityError(
+                    f"checkpoint {i} window mask marks {len(window)} positions, its "
+                    f"header says {stored} bytes are stored",
+                    stage="zran",
+                )
+            mask = masks[rows[i]].tobytes() if i in rows else None
+            cps.append(Checkpoint(bit_offset, uoffset, window, cls._kind(code, i, True), mask))
+        index = cls(checkpoints=cps, usize=usize, span=span, csize=csize)
+        index.union = (tuple(cps), union.copy())
+        return index._check_tokens()
+
+    def _check_tokens(self) -> "GzipIndex":
+        """``self``, once every ``"token"`` checkpoint is checked to
+        follow a block or member checkpoint in its block."""
         head = None
-        for i, cp in enumerate(index.checkpoints):
+        for i, cp in enumerate(self.checkpoints):
             if cp.kind != CHECKPOINT_TOKEN:
                 head = cp
             elif head is None or not (
@@ -715,7 +872,7 @@ class GzipIndex:
                     f"before it in its block",
                     stage="zran",
                 )
-        return index
+        return self
 
     @staticmethod
     def _kind(code: int, n_before: int, tokens: bool = False) -> str:
@@ -732,31 +889,122 @@ class GzipIndex:
         checksummed, see :mod:`repro.index.integrity`) and atomically
         renamed into place, so a crash mid-write can never leave a
         torn sidecar."""
-        atomic_write_bytes(path, seal(_KIND_V4, self.to_bytes()))
+        atomic_write_bytes(path, seal(_KIND_V5, self.to_bytes()))
 
     @classmethod
     def load(cls, path: str) -> "GzipIndex":
         """Read an index file written by :meth:`save`.
 
-        Accepts every generation: the current sealed v4 envelope, the
-        sealed v3, v2 and v1 envelopes (kinds ``ZRN3``, ``ZRN2`` and
-        ``ZRAN``) and bare blobs; anything else that fails validation
-        raises :class:`~repro.errors.IndexIntegrityError`.
+        Accepts every generation: the current sealed v5 envelope, the
+        sealed v4, v3, v2 and v1 envelopes (kinds ``ZRN4``, ``ZRN3``,
+        ``ZRN2`` and ``ZRAN``) and bare blobs; anything else that fails
+        validation raises :class:`~repro.errors.IndexIntegrityError`.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
-        if blob[: len(_MAGIC)] in (_MAGIC, _MAGIC2, _MAGIC3, _MAGIC4):
+        if blob[: len(_MAGIC)] in (_MAGIC, _MAGIC2, _MAGIC3, _MAGIC4, _MAGIC5):
             return cls.from_bytes(blob)  # legacy unsealed file
         kind = blob[8:12]
-        known = kind in (_KIND_V1, _KIND_V2, _KIND_V3, _KIND_V4)
-        return cls.from_bytes(unseal(blob, kind if known else _KIND_V4))
+        return cls.from_bytes(unseal(blob, kind if kind in _VERSIONS else _KIND_V5))
+
+
+def _regions(uoffsets: np.ndarray):
+    """Batches of the checkpoints at ``uoffsets`` (non-decreasing, each
+    with a stored window) over at most :data:`_UNION_REGION` output
+    bytes.  A batch's *region* runs from the 32 KiB before its first
+    checkpoint to its last one, in coordinates from that first
+    checkpoint's window start.  Yields ``(i, j, size, done)``: the batch
+    is checkpoints ``[i, j)``, its region ``size`` bytes long, and its
+    first ``done`` bytes precede every later window; the rest begin the
+    next region."""
+    i = 0
+    while i < len(uoffsets):
+        j = int(np.searchsorted(uoffsets, uoffsets[i] + _UNION_REGION, "right"))
+        size = int(uoffsets[j - 1] - uoffsets[i]) + WINDOW_SIZE
+        done = min(int(uoffsets[j] - uoffsets[i]), size) if j < len(uoffsets) else size
+        yield i, j, size, done
+        i = j
+
+
+def _window_union(uoffsets: np.ndarray, checkpoints: list[Checkpoint]) -> np.ndarray:
+    """The window bytes of ``checkpoints`` (each storing some, at
+    ``uoffsets``), each output byte once, in output order."""
+    parts = []
+    # The previous region's bytes from its ``done`` on, and which of
+    # them a window stored.
+    held = np.zeros(0, np.uint8)
+    held_set = np.zeros(0, bool)
+    for i, j, size, done in _regions(uoffsets):
+        vals = np.zeros(size, np.uint8)
+        vals[: len(held)] = held
+        present = np.zeros(size, bool)
+        present[: len(held_set)] = held_set
+        for cp, start in zip(checkpoints[i:j], (uoffsets[i:j] - uoffsets[i]).tolist()):
+            at = slice(start, start + WINDOW_SIZE)
+            bits = np.unpackbits(np.frombuffer(cp.mask, np.uint8)).view(bool)
+            dense = np.zeros(WINDOW_SIZE, np.uint8)
+            dense[bits] = np.frombuffer(cp.window, np.uint8)
+            # A byte an earlier window stored must read the same here.
+            if np.any((dense != vals[at]) & bits & present[at]):
+                raise ValueError("checkpoint windows disagree on an output byte")
+            # Every byte outside the windows is zero.
+            vals[at] |= dense
+            present[at] |= bits
+        parts.append(vals[:done][present[:done]].tobytes())
+        held, held_set = vals[done:], present[done:]
+    return np.frombuffer(b"".join(parts), np.uint8)
+
+
+def _split_union(uoffsets: np.ndarray, masks: np.ndarray, union: np.ndarray) -> list[bytes]:
+    """:func:`_window_union` undone: each window, gathered from the
+    ``union`` at its mask's positions."""
+    windows: list[bytes] = []
+    base = 0  # union bytes before the region
+    held = np.zeros(0, bool)
+    for i, j, size, done in _regions(uoffsets):
+        present = np.zeros(size, bool)
+        present[: len(held)] = held
+        bits = np.unpackbits(masks[i:j], axis=1).view(bool)
+        starts = (uoffsets[i:j] - uoffsets[i]).tolist()
+        for r, start in enumerate(starts):
+            present[start : start + WINDOW_SIZE] |= bits[r]
+        # Later windows that begin inside the region.
+        for k in range(j, int(np.searchsorted(uoffsets, uoffsets[i] + size))):
+            start = int(uoffsets[k] - uoffsets[i])
+            present[start:] |= np.unpackbits(masks[k], count=size - start).view(bool)
+        count = int(np.count_nonzero(present))
+        if base + count > len(union):
+            raise IndexIntegrityError(
+                f"zran index window union holds {len(union)} bytes, its masks mark more",
+                stage="zran",
+            )
+        vals = np.zeros(size, np.uint8)
+        vals[present] = union[base : base + count]
+        windows += [
+            vals[start : start + WINDOW_SIZE][bits[r]].tobytes() for r, start in enumerate(starts)
+        ]
+        base += int(np.count_nonzero(present[:done]))
+        held = present[done:]
+    if base != len(union):
+        raise IndexIntegrityError(
+            f"zran index window union holds {len(union)} bytes, its masks mark {base}",
+            stage="zran",
+        )
+    return windows
+
+
+#: Checkpoints :func:`block_checkpoints` assembles windows for at once
+#: (a 512 KiB position array).
+_ASSEMBLY_BATCH = 16
 
 
 def block_checkpoints(
     pieces, reach, member_out: bytes, uoffset: int, span: int
-) -> list[Checkpoint]:
+) -> tuple[list[Checkpoint], np.ndarray]:
     """The ``"block"`` and ``"token"`` checkpoints of one member,
-    ``span`` bytes apart.
+    ``span`` bytes apart, and the union of their windows (every byte
+    they store once, in output order, as :meth:`GzipIndex.to_bytes`
+    writes it).
 
     ``pieces`` holds ``(start_bit, out_start, out_end, cut)`` per piece
     of each DEFLATE block, in stream order, output offsets relative to
@@ -781,34 +1029,52 @@ def block_checkpoints(
     distance from the checkpoint (a piece 32 KiB or more past it reads
     none of its window).  Every builder shares this rule, so indexes
     agree checkpoint for checkpoint whichever pass found the pieces.
+    Windows are cut from ``member_out`` :data:`_ASSEMBLY_BATCH`
+    checkpoints at a time.
     """
     rows = np.asarray(pieces, dtype=np.int64).reshape(-1, 4).tolist()
     out = np.frombuffer(member_out, dtype=np.uint8)
     checkpoints: list[Checkpoint] = []
-    opened: tuple[int, int, str] | None = None  # (start_bit, out_start, kind)
-    read = np.zeros(WINDOW_SIZE, dtype=bool)
+    # The open checkpoints whose windows are not assembled yet, as
+    # (start_bit, out_start, kind), and their window positions read.
+    pending: list[tuple[int, int, str]] = []
+    read = np.zeros((_ASSEMBLY_BATCH, WINDOW_SIZE), dtype=bool)
+    # The union of the windows: a packed bitmap of the member's output
+    # positions some window stores.
+    union = np.zeros(len(out) // 8 + 1, dtype=np.uint8)
 
-    def close() -> None:
-        start_bit, out_start, kind = opened
-        # A decode that succeeded read nothing before the member start.
-        read[: max(0, WINDOW_SIZE - out_start)] = False
-        pos = np.flatnonzero(read)
-        checkpoints.append(
-            Checkpoint(
-                bit_offset=BitOffset(start_bit),
-                uoffset=ByteOffset(uoffset + out_start),
-                window=out[pos + (out_start - WINDOW_SIZE)].tobytes(),
-                kind=kind,
-                mask=np.packbits(read).tobytes(),
+    def assemble() -> None:
+        k = len(pending)
+        starts = np.asarray([p[1] for p in pending], dtype=np.int64)
+        for r in np.flatnonzero(starts < WINDOW_SIZE):
+            # A decode that succeeded read nothing before the member start.
+            read[r, : WINDOW_SIZE - starts[r]] = False
+        masks = np.packbits(read[:k], axis=1).tobytes()
+        for r, (start_bit, out_start, kind) in enumerate(pending):
+            first = max(0, out_start - WINDOW_SIZE)
+            seen = read[r, WINDOW_SIZE - (out_start - first) :]
+            checkpoints.append(
+                Checkpoint(
+                    bit_offset=BitOffset(start_bit),
+                    uoffset=ByteOffset(uoffset + out_start),
+                    window=out[first:out_start][seen].tobytes(),
+                    kind=kind,
+                    mask=masks[r * MASK_BYTES : (r + 1) * MASK_BYTES],
+                )
             )
-        )
+            # Into the union's bitmap, packed from the byte holding the
+            # window's first position.
+            row = np.zeros(first % 8 + len(seen), dtype=bool)
+            row[first % 8 :] = seen
+            union[first // 8 : first // 8 + (len(row) + 7) // 8] |= np.packbits(row)
+        read[:k] = False
+        pending.clear()
 
     def open_at(start_bit: int, out_start: int, kind: str) -> None:
-        nonlocal opened, last_rel
-        if opened is not None:
-            close()
-        opened = (start_bit, out_start, kind)
-        read[:] = False
+        nonlocal last_rel
+        if len(pending) == _ASSEMBLY_BATCH:
+            assemble()
+        pending.append((start_bit, out_start, kind))
         last_rel = out_start
 
     # Each block's end: the end of its last piece.
@@ -830,14 +1096,23 @@ def block_checkpoints(
                 header_bit = start_bit
         elif header_bit == block_bit and out_start > last_rel and out_end - last_rel > span:
             open_at(start_bit, out_start, CHECKPOINT_TOKEN)
-        if opened is None:
+        if not pending:
             continue
-        shift = out_start - opened[1]
+        shift = out_start - pending[-1][1]
         if shift < WINDOW_SIZE:
-            read[shift:] |= np.unpackbits(bits, count=WINDOW_SIZE - shift).view(bool)
-    if opened is not None:
-        close()
-    return checkpoints
+            read[len(pending) - 1, shift:] |= np.unpackbits(bits, count=WINDOW_SIZE - shift).view(bool)
+    if pending:
+        assemble()
+    # Its bytes, 256 KiB of output at a time, into room for every
+    # window byte.
+    stored = np.empty(sum(len(cp.window) for cp in checkpoints), np.uint8)
+    end = 0
+    for at in range(0, len(out), 1 << 18):
+        chunk = out[at : at + (1 << 18)]
+        part = chunk[np.unpackbits(union[at // 8 :], count=len(chunk)).view(bool)]
+        stored[end : end + len(part)] = part
+        end += len(part)
+    return checkpoints, stored[:end]
 
 
 def build_index(source, span: int = DEFAULT_SPAN) -> GzipIndex:

@@ -20,8 +20,13 @@ zero-filled when the window is rebuilt.  This module pins that
   were written by the full-window builder (``multi.v2.idx`` by its
   ``GzipIndex.save``, ``multi.v1.idx`` in the v1 blob layout, which
   indexed the first member only);
-* a v3 blob whose stored-byte count disagrees with its bitmap, or that
-  is truncated, raises :class:`~repro.errors.IndexIntegrityError`.
+* a v4 blob (``multi.v4.idx``, written by the per-checkpoint-window
+  builder at span 4096) or a v5 blob whose stored-byte count disagrees
+  with its bitmap, or that is truncated, raises
+  :class:`~repro.errors.IndexIntegrityError`;
+* a v5 blob stores each window byte once: its union equals the
+  builder's, whichever path computes it, and windows that disagree on
+  a byte cannot be written.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ from repro.core.marker_inflate import marker_inflate
 from repro.core.parallel_index import pugz_build_index
 from repro.deflate.gzipfmt import gzip_wrap, parse_gzip_header
 from repro.deflate.inflate import inflate
+from repro.deflate.tokens import piece_reach, piece_starts, token_ends, window_reach
 from repro.errors import IndexIntegrityError
+from repro.index.integrity import unseal
 from repro.index.zran import (
     CHECKPOINT_BLOCK,
     CHECKPOINT_MEMBER,
@@ -119,6 +126,21 @@ class TestReach:
                 assert (a.reach is None) == (b.reach is None)
                 if a.reach is not None:
                     assert np.array_equal(a.reach, b.reach)
+
+    @pytest.mark.parametrize("span", [700, 4096])
+    def test_pieces_reach_as_runs_of_their_own(self, fastq_small, span):
+        """All of a block's pieces found in one pass equal each piece's
+        tokens taken as a block of their own."""
+        payload = compress_shape(fastq_small, "dynamic_fast", pieces=2)
+        tokens = inflate(payload, capture_tokens=True, max_blocks=1).tokens
+        offs, vals = tokens.offsets(), tokens.values()
+        ends = token_ends(offs, vals)
+        firsts = piece_starts(offs, ends, span)
+        assert len(firsts) > 4
+        bounds = [*firsts, len(offs)]
+        for row, lo, hi in zip(piece_reach(offs, vals, ends, firsts), bounds, bounds[1:]):
+            base = ends[lo - 1] if lo else 0
+            assert np.array_equal(row, window_reach(offs[lo:hi], vals[lo:hi], ends[lo:hi] - base))
 
     def test_plain_decodes_capture_nothing(self, fastq_small):
         payload = compress_shape(fastq_small, "dynamic_fast", pieces=3)
@@ -205,23 +227,32 @@ class TestLegacySidecars:
             assert cp.history() == cp.window == text[cp.uoffset - 32768 : cp.uoffset]
         _assert_reads(idx, gz, text[: idx.usize])
 
-    def test_v2_resaves_as_v4_with_the_same_reads(self, corpus, tmp_path):
+    def test_v2_resaves_as_v5_with_the_same_reads(self, corpus, tmp_path):
         gz, text = corpus
         idx = GzipIndex.load(os.path.join(COMPAT, "multi.v2.idx"))
         path = str(tmp_path / "again.idx")
         idx.save(path)
         with open(path, "rb") as fh:
-            assert b"ZRN4" in fh.read(16)
+            assert b"ZRN5" in fh.read(16)
         again = GzipIndex.load(path)
         assert again == idx
         _assert_reads(again, gz, text)
 
 
+def _v4_blob() -> bytes:
+    """The committed v4 sidecar's blob, out of its envelope."""
+    with open(os.path.join(COMPAT, "multi.v4.idx"), "rb") as fh:
+        return unseal(fh.read(), b"ZRN4")
+
+
 class TestV3Integrity:
+    """The v3/v4 per-checkpoint layout, on the committed v4 sidecar."""
+
     @pytest.fixture(scope="class")
-    def blob(self, fastq_small):
-        gz = stdlib_gzip.compress(fastq_small, 6, mtime=0)
-        return build_index(gz, span=DEFAULT_SPAN).to_bytes()
+    def blob(self):
+        blob = _v4_blob()
+        assert blob[:8] == b"RPZIDX4\0"
+        return blob
 
     @staticmethod
     def _checkpoint_fields(blob: bytes):
@@ -233,7 +264,8 @@ class TestV3Integrity:
             yield pos, stored, clen
             pos += 25 + clen
 
-    def test_round_trip(self, blob):
+    def test_round_trip(self, fastq_small):
+        blob = build_index(stdlib_gzip.compress(fastq_small, 6, mtime=0)).to_bytes()
         assert GzipIndex.from_bytes(blob).to_bytes() == blob
 
     def test_stored_count_off_by_one(self, blob):
@@ -263,6 +295,139 @@ class TestV3Integrity:
                 GzipIndex.from_bytes(blob[:cut])
 
 
+class TestV5Integrity:
+    @pytest.fixture(scope="class")
+    def index(self, fastq_small):
+        gz = stdlib_gzip.compress(fastq_small, 6, mtime=0)
+        return build_index(gz, span=DEFAULT_SPAN)
+
+    @pytest.fixture(scope="class")
+    def blob(self, index):
+        blob = index.to_bytes()
+        assert blob[:8] == b"RPZIDX5\0"
+        return blob
+
+    @staticmethod
+    def _stream(blob: bytes) -> tuple[int, int, int]:
+        """``(checkpoints, union bytes, stream offset)`` of a v5 blob."""
+        (n,) = struct.unpack_from("<I", blob, 8 + 24)
+        pos = 8 + 28 + 21 * n
+        union_len, _ = struct.unpack_from("<QQ", blob, pos)
+        return n, union_len, pos + 16
+
+    def _restream(self, blob: bytes, payload: bytes) -> bytes:
+        _, union_len, pos = self._stream(blob)
+        stream = zlib.compress(payload)
+        return blob[: pos - 16] + struct.pack("<QQ", union_len, len(stream)) + stream
+
+    def test_round_trip(self, index, blob):
+        back = GzipIndex.from_bytes(blob)
+        assert back == index and back.version == 5
+        assert back.to_bytes() == blob
+
+    def test_stored_count_off_by_one(self, blob):
+        for i in (0, 1):  # the member checkpoint (no window), then a block
+            bad = bytearray(blob)
+            pos = 8 + 28 + 21 * i
+            (stored,) = struct.unpack_from("<I", bad, pos + 17)
+            struct.pack_into("<I", bad, pos + 17, stored + 1)
+            with pytest.raises(IndexIntegrityError):
+                GzipIndex.from_bytes(bytes(bad))
+
+    def test_bitmap_popcount_disagrees(self, blob):
+        """A valid stream whose first bitmap lost its lowest set bit
+        (a nonzero byte stays nonzero or is dropped with its flag)."""
+        n, union_len, pos = self._stream(blob)
+        payload = np.frombuffer(zlib.decompress(blob[pos:]), np.uint8)
+        stored = sum(
+            struct.unpack_from("<I", blob, 8 + 28 + 21 * i + 17)[0] > 0 for i in range(n)
+        )
+        flags_end = stored * MASK_BYTES // 8
+        nonzero = np.unpackbits(payload[:flags_end]).astype(bool)
+        values = payload[flags_end : flags_end + int(nonzero.sum())].copy()
+        masks = np.zeros(stored * MASK_BYTES, np.uint8)
+        masks[nonzero] = values
+        first = int(np.flatnonzero(masks)[0])
+        masks[first] &= masks[first] - 1
+        nonzero = masks != 0
+        payload = (
+            np.packbits(nonzero).tobytes()
+            + masks[nonzero].tobytes()
+            + payload[flags_end + len(values) :].tobytes()
+        )
+        with pytest.raises(IndexIntegrityError, match="mask"):
+            GzipIndex.from_bytes(self._restream(blob, payload))
+
+    def test_union_length_disagrees(self, blob):
+        n, union_len, pos = self._stream(blob)
+        payload = zlib.decompress(blob[pos:])
+        with pytest.raises(IndexIntegrityError):
+            GzipIndex.from_bytes(self._restream(blob, payload + b"A"))
+        bad = bytearray(self._restream(blob, payload))
+        struct.pack_into("<Q", bad, pos - 16, union_len - 1)
+        with pytest.raises(IndexIntegrityError):
+            GzipIndex.from_bytes(bytes(bad))
+
+    def test_truncated_anywhere(self, blob):
+        for cut in list(range(8, 200)) + list(range(200, len(blob), 97)):
+            with pytest.raises(IndexIntegrityError):
+                GzipIndex.from_bytes(blob[:cut])
+
+
+class TestWindowUnion:
+    @pytest.mark.parametrize("span", [1000, 4096, DEFAULT_SPAN, 65536])
+    def test_builder_union_is_the_serialised_one(self, span):
+        """The union a builder keeps equals the one :meth:`to_bytes`
+        computes from the windows alone, on a multi-member file."""
+        with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
+            gz = fh.read()
+        idx = build_index(gz, span=span)
+        kept = idx.union[1]
+        bare = GzipIndex(checkpoints=list(idx.checkpoints), usize=idx.usize, span=span, csize=idx.csize)
+        assert bare.union is None
+        assert bare.to_bytes() == idx.to_bytes()
+        assert np.array_equal(GzipIndex.from_bytes(idx.to_bytes()).union[1], kept)
+        text = stdlib_gzip.decompress(gz)
+        # Each window byte once: no more than the text, no less than
+        # the largest window.
+        assert max(len(cp.window) for cp in idx.checkpoints) <= len(kept) <= len(text)
+        assert len(kept) <= sum(len(cp.window) for cp in idx.checkpoints)
+
+    def test_a_replaced_checkpoint_is_not_served_the_kept_union(self):
+        with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
+            gz = fh.read()
+        idx = build_index(gz, span=4096)
+        text = stdlib_gzip.decompress(gz)
+        cps = list(idx.checkpoints)
+        i = next(i for i, cp in enumerate(cps) if cp.kind == CHECKPOINT_BLOCK)
+        cps[i] = Checkpoint(cps[i].bit_offset, cps[i].uoffset, text[cps[i].uoffset - 32768 : cps[i].uoffset], cps[i].kind)
+        idx.checkpoints = cps
+        assert GzipIndex.from_bytes(idx.to_bytes()) == idx
+
+    def test_disagreeing_windows_are_refused(self):
+        """Two windows that store the same output byte but disagree on
+        it: v5 keeps one byte per position, so it cannot be written."""
+        with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
+            gz = fh.read()
+        idx = build_index(gz, span=4096)
+        cps = list(idx.checkpoints)
+
+        def positions(cp):
+            return cp.uoffset - 32768 + np.flatnonzero(_bits(cp.mask))
+
+        i = next(
+            i for i in range(1, len(cps))
+            if np.intersect1d(positions(cps[i - 1]), positions(cps[i])).size
+        )
+        shared = np.intersect1d(positions(cps[i - 1]), positions(cps[i]))[0]
+        window = bytearray(cps[i].window)
+        window[int(np.searchsorted(positions(cps[i]), shared))] ^= 1
+        cps[i] = Checkpoint(cps[i].bit_offset, cps[i].uoffset, bytes(window), cps[i].kind, cps[i].mask)
+        bad = GzipIndex(checkpoints=cps, usize=idx.usize, span=idx.span, csize=idx.csize)
+        with pytest.raises(ValueError, match="disagree"):
+            bad.to_bytes()
+
+
 def test_index_info_prints_window_bytes(tmp_path, fastq_small, capsys):
     gz = tmp_path / "reads.gz"
     gz.write_bytes(stdlib_gzip.compress(fastq_small, 6, mtime=0))
@@ -275,3 +440,21 @@ def test_index_info_prints_window_bytes(tmp_path, fastq_small, capsys):
     stored = sorted(len(cp.window) for cp in loaded.checkpoints if cp.kind == CHECKPOINT_BLOCK)
     assert f"window bytes:    {stored[len(stored) // 2]} median" in out
     assert f"{sum(stored)} stored in all" in out
+
+
+def test_index_info_prints_format_and_union(tmp_path, fastq_small, capsys):
+    gz = tmp_path / "reads.gz"
+    gz.write_bytes(stdlib_gzip.compress(fastq_small, 6, mtime=0))
+    idx = tmp_path / "reads.idx"
+    assert main(["index", "build", str(gz), str(idx)]) == 0
+    capsys.readouterr()
+    assert main(["index", "info", str(idx)]) == 0
+    out = capsys.readouterr().out
+    loaded = GzipIndex.load(str(idx))
+    windows = sum(len(cp.window) for cp in loaded.checkpoints)
+    assert "format:          v5\n" in out
+    assert f"window union:    {len(loaded.union[1])} bytes stored once, for {windows} " in out
+    assert len(loaded.union[1]) < windows
+    assert main(["index", "info", os.path.join(COMPAT, "multi.v4.idx")]) == 0
+    out = capsys.readouterr().out
+    assert "format:          v4\n" in out and "window union" not in out

@@ -20,9 +20,14 @@ at the end of the block.  This module pins that
   and 5 chunks under both kernels;
 * a v3 sidecar written before token checkpoints existed
   (``tests/data/index_compat/multi.v3.idx``, by the block-granular
-  builder at span 16384) still loads and serves identical bytes;
-* a v4 token checkpoint without a block or member checkpoint before it
-  in its block raises :class:`~repro.errors.IndexIntegrityError`;
+  builder at span 16384) and a v4 one written before windows were
+  stored once (``multi.v4.idx``, at span 4096) still load and serve
+  identical bytes;
+* a v4 or v5 token checkpoint without a block or member checkpoint
+  before it in its block raises :class:`~repro.errors.IndexIntegrityError`;
+* a read makes one ``pread``: a later interval's decode, and the
+  header of its block, slice the bytes the first one fetched; a
+  damaged index whose bound is short still widens its ``pread``;
 * a reader parses each block header at a checkpoint once: once every
   block is touched, reads parse no header and build no decode table; a
   corrupt header raises the same error class and bit offset on first
@@ -54,6 +59,7 @@ from repro.deflate.huffman import HuffmanDecoder, _cached_decoder
 from repro.deflate.inflate import inflate, read_block_header
 from repro.deflate.tokens import piece_starts, token_ends
 from repro.errors import BlockHeaderError, DeflateError, IndexIntegrityError, RandomAccessError
+from repro.index.integrity import unseal
 from repro.index.seekable import SeekableGzipReader
 from repro.index.zran import (
     CHECKPOINT_BLOCK,
@@ -66,6 +72,7 @@ from repro.index.zran import (
     IntervalCache,
     build_index,
 )
+from repro.io.source import ByteSource
 from tests.test_seekable import _sync_flush_gzip
 
 READ = 4096
@@ -296,24 +303,48 @@ class TestBuilders:
         assert cps[at].kind == CHECKPOINT_BLOCK and cps[at + 1].kind == CHECKPOINT_TOKEN
         for off in range(1, len(fastq_small) - READ, 3001):
             assert idx.read_at(gz, off, READ) == fastq_small[off : off + READ], off
-        assert pugz_build_index(gz, n_chunks=3)[1] == idx
+        assert pugz_build_index(gz, n_chunks=3, span=SPAN)[1] == idx
+
+
+def _multi() -> tuple[bytes, bytes]:
+    with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
+        gz = fh.read()
+    return gz, stdlib_gzip.decompress(gz)
 
 
 class TestSidecars:
-    def test_v3_loads_and_serves_identical_bytes(self):
-        with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
-            gz = fh.read()
-        text = stdlib_gzip.decompress(gz)
-        idx = GzipIndex.load(os.path.join(COMPAT, "multi.v3.idx"))
-        assert idx.span == SPAN and idx.usize == len(text)
-        assert {cp.kind for cp in idx.checkpoints} == {CHECKPOINT_BLOCK, CHECKPOINT_MEMBER}
+    @staticmethod
+    def _legacy_reads(version: str) -> GzipIndex:
+        gz, text = _multi()
+        idx = GzipIndex.load(os.path.join(COMPAT, f"multi.{version}.idx"))
+        assert idx.version == int(version[1]) and idx.usize == len(text)
         for off in list(range(0, len(text), 3 * READ)) + list(range(1, len(text), 2 * READ + 1531)):
             assert idx.read_at(gz, off, READ) == text[off : off + READ], off
+        return idx
+
+    def test_v3_loads_and_serves_identical_bytes(self):
+        idx = self._legacy_reads("v3")
+        assert idx.span == SPAN
+        assert {cp.kind for cp in idx.checkpoints} == {CHECKPOINT_BLOCK, CHECKPOINT_MEMBER}
+
+    def test_v4_loads_and_serves_identical_bytes(self):
+        idx = self._legacy_reads("v4")
+        assert idx.span == 4096
+        kinds = {cp.kind for cp in idx.checkpoints}
+        assert kinds == {CHECKPOINT_BLOCK, CHECKPOINT_MEMBER, CHECKPOINT_TOKEN}
+        assert idx == build_index(_multi()[0], span=4096)
+
+    @staticmethod
+    def _v4() -> bytes:
+        with open(os.path.join(COMPAT, "multi.v4.idx"), "rb") as fh:
+            return unseal(fh.read(), b"ZRN4")
 
     @staticmethod
     def _kind_at(blob: bytes, n: int) -> int:
-        """Offset of checkpoint ``n``'s kind byte in a v4 blob."""
+        """Offset of checkpoint ``n``'s kind byte in a v4 or v5 blob."""
         pos = 8 + 28
+        if blob[:8] == b"RPZIDX5\0":
+            return pos + 21 * n
         for _ in range(n):
             (clen,) = struct.unpack_from("<I", blob, pos + 21)
             pos += 25 + clen
@@ -321,31 +352,68 @@ class TestSidecars:
 
     def test_round_trip(self, indexed):
         blob = indexed.to_bytes()
-        assert blob[:8] == b"RPZIDX4\0"
+        assert blob[:8] == b"RPZIDX5\0"
         assert GzipIndex.from_bytes(blob) == indexed
 
-    def test_token_without_a_block_before_it(self, indexed):
-        blob = bytearray(indexed.to_bytes())
-        blob[self._kind_at(blob, 0)] = 2  # the member checkpoint
+    @staticmethod
+    def _v5() -> bytes:
+        return build_index(_multi()[0], span=4096).to_bytes()
+
+    @staticmethod
+    def _token_without_a_block_before_it(blob: bytes) -> None:
+        blob = bytearray(blob)
+        blob[TestSidecars._kind_at(blob, 0)] = 2  # the member checkpoint
         with pytest.raises(IndexIntegrityError, match="token checkpoint 0"):
             GzipIndex.from_bytes(bytes(blob))
 
-    def test_token_before_its_block(self, indexed):
+    @staticmethod
+    def _token_before_its_block(blob: bytes) -> None:
         """A token checkpoint's block checkpoint must precede it in the
         stream: swap one pair's bit offsets."""
-        cps = indexed.checkpoints
+        cps = GzipIndex.from_bytes(blob).checkpoints
         i = next(i for i, cp in enumerate(cps) if cp.kind == CHECKPOINT_TOKEN)
-        blob = bytearray(indexed.to_bytes())
-        head, tok = self._kind_at(blob, i - 1), self._kind_at(blob, i)
+        blob = bytearray(blob)
+        head, tok = TestSidecars._kind_at(blob, i - 1), TestSidecars._kind_at(blob, i)
         blob[head + 1 : head + 9], blob[tok + 1 : tok + 9] = blob[tok + 1 : tok + 9], blob[head + 1 : head + 9]
         with pytest.raises(IndexIntegrityError, match=f"token checkpoint {i}"):
             GzipIndex.from_bytes(bytes(blob))
 
-    def test_v3_has_no_token_kind(self, indexed):
-        blob = bytearray(indexed.to_bytes())
+    def test_token_without_a_block_before_it(self):
+        self._token_without_a_block_before_it(self._v4())
+
+    def test_token_before_its_block(self):
+        self._token_before_its_block(self._v4())
+
+    def test_v5_token_without_a_block_before_it(self):
+        self._token_without_a_block_before_it(self._v5())
+
+    def test_v5_token_before_its_block(self):
+        self._token_before_its_block(self._v5())
+
+    def test_v3_has_no_token_kind(self):
+        blob = bytearray(self._v4())
         blob[:8] = b"RPZIDX3\0"
         with pytest.raises(IndexIntegrityError, match="unknown checkpoint kind 2"):
             GzipIndex.from_bytes(bytes(blob))
+
+    def test_v5_has_no_kind_past_token(self):
+        blob = bytearray(self._v5())
+        blob[self._kind_at(blob, 1)] = 3
+        with pytest.raises(IndexIntegrityError, match="unknown checkpoint kind 3"):
+            GzipIndex.from_bytes(bytes(blob))
+
+    def test_v4_resaves_as_v5_with_the_same_reads(self, tmp_path):
+        gz, text = _multi()
+        idx = GzipIndex.load(os.path.join(COMPAT, "multi.v4.idx"))
+        path = str(tmp_path / "again.idx")
+        idx.save(path)
+        with open(path, "rb") as fh:
+            assert fh.read(12)[8:] == b"ZRN5"
+        again = GzipIndex.load(path)
+        assert again == idx and again.version == 5
+        assert os.path.getsize(path) < os.path.getsize(os.path.join(COMPAT, "multi.v4.idx"))
+        for off in range(0, len(text), 2 * READ + 1531):
+            assert again.read_at(gz, off, READ) == text[off : off + READ], off
 
     def test_resaved_sidecar_reads_alike(self, indexed, fastq_medium, fastq_medium_gz6, tmp_path):
         path = str(tmp_path / "reads.idx")
@@ -356,6 +424,75 @@ class TestSidecars:
         mid = len(fastq_medium) // 2
         got = loaded.read_at(fastq_medium_gz6, mid, READ, cache=cache)
         assert got == fastq_medium[mid : mid + READ]
+
+
+class TestOnePread:
+    @pytest.fixture
+    def preads(self, monkeypatch):
+        """The ``(offset, size)`` of every ``ByteSource.pread``."""
+        calls = []
+        real = ByteSource.pread
+
+        def spy(self, offset, size):
+            calls.append((offset, size))
+            return real(self, offset, size)
+
+        monkeypatch.setattr(ByteSource, "pread", spy)
+        return calls
+
+    @staticmethod
+    def _crossings(idx: GzipIndex):
+        """``(i, cut)``: a token checkpoint at output ``cut``, after
+        checkpoint ``i``."""
+        cps = idx.checkpoints
+        return [(i, cps[i + 1].uoffset) for i in range(len(cps) - 1) if cps[i + 1].kind == CHECKPOINT_TOKEN]
+
+    def test_a_read_across_a_token_checkpoint_preads_once(
+        self, fastq_medium, fastq_medium_gz6, indexed, preads
+    ):
+        gz, text = fastq_medium_gz6, fastq_medium
+        crossings = self._crossings(indexed)
+        # Without a cache, from a block checkpoint: the token
+        # checkpoint's header is parsed from the same bytes.
+        firsts = [(i, cut) for i, cut in crossings if indexed.checkpoints[i].kind == CHECKPOINT_BLOCK]
+        assert len(firsts) > 10
+        for i, cut in firsts:
+            preads.clear()
+            assert indexed.read_at(gz, cut - READ // 2, READ) == text[cut - READ // 2 : cut + READ // 2]
+            assert len(preads) == 1, (i, preads)
+        # A reader holding every block header: any crossing, one pread.
+        reader = SeekableGzipReader(gz, index=indexed)
+        for cp in indexed.checkpoints:
+            if cp.kind != CHECKPOINT_TOKEN:
+                reader.pread(cp.uoffset, 1)
+        both = 0
+        for i, cut in crossings:
+            preads.clear()
+            reader.stats.reset_counters()
+            assert reader.pread(cut - READ // 2, READ) == text[cut - READ // 2 : cut + READ // 2]
+            assert reader.stats.headers_parsed == 0
+            assert len(preads) == reader.stats.pread_calls == 1, i
+            both += reader.stats.inflate_calls == 2
+        assert both > 10
+
+    def test_a_short_bound_still_widens(self, fastq_medium, fastq_medium_gz6, indexed, preads):
+        """A damaged index whose next block checkpoint sits too early:
+        the read runs out of bytes, widens its ``pread`` and serves the
+        right bytes; the data it already fetched does not stop it."""
+        gz, text = fastq_medium_gz6, fastq_medium
+        cps = list(indexed.checkpoints)
+        k = next(k for k in range(2, len(cps)) if cps[k].kind == CHECKPOINT_BLOCK)
+        h = max(i for i in range(k) if cps[i].kind != CHECKPOINT_TOKEN)
+        early = cps[h].bit_offset + (cps[k].bit_offset - cps[h].bit_offset) // 4
+        cps[k] = dataclasses.replace(cps[k], bit_offset=early)
+        bad = dataclasses.replace(indexed, checkpoints=cps)
+        # From the block checkpoint before it, to just before it.
+        off = cps[h].uoffset + 10
+        size = cps[k].uoffset - 10 - off
+        preads.clear()
+        assert bad.read_at(gz, off, size) == text[off : off + size]
+        # A pread that came up short, then a wider one from the same byte.
+        assert any(a[0] == b[0] and b[1] > a[1] for a, b in zip(preads, preads[1:])), preads
 
 
 class TestHeaderCache:
@@ -401,12 +538,14 @@ class TestHeaderCache:
         spies["headers"] = spies["tables"] = 0
         reader.stats.reset_counters()
         for off in range(1, len(text) - READ, 7919):
+            preads, inflates = reader.stats.pread_calls, reader.stats.inflate_calls
             assert reader.pread(off, READ) == text[off : off + READ], off
+            # One pread per read that decodes, however many intervals
+            # it decodes: none for a header.
+            assert reader.stats.pread_calls - preads == (reader.stats.inflate_calls > inflates)
         assert reader.stats.inflate_calls > 100
         assert spies == {"headers": 0, "tables": 0}
         assert reader.stats.headers_parsed == 0
-        # One pread per decode: none for a header.
-        assert reader.stats.pread_calls == reader.stats.inflate_calls
 
     @pytest.mark.parametrize("shape", ["gzip6", "sync8k"])
     def test_sequential_read_parses_each_header_once(
