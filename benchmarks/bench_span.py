@@ -72,7 +72,7 @@ def measure(gz: bytes, span: int, reads: int) -> dict:
         "counts": {k: len(v) for k, v in kinds.items()},
         "stored": {k: statistics.median(v) if v else 0 for k, v in kinds.items()},
         "windows": sum(sum(v) for v in kinds.values()),
-        "union": len(idx.union[1]),
+        "union": len(idx.window_union()),
         "to_bytes_s": to_bytes_s,
         "sidecar": len(blob),
         "build_s": build_s,

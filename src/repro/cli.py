@@ -283,10 +283,10 @@ def _cmd_index(args) -> int:
                     f"({100 * median / WINDOW_SIZE:.1f}% of 32 KiB), max {stored[-1]}, "
                     f"{sum(stored)} stored in all"
                 )
-        if idx.union is not None:
+        if idx.version == 5:
             windows = sum(len(cp.window) for cp in idx.checkpoints)
             print(
-                f"window union:    {len(idx.union[1])} bytes stored once, for "
+                f"window union:    {len(idx.window_union())} bytes stored once, for "
                 f"{windows} in the checkpoints' windows"
             )
         return 0

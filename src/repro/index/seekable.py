@@ -204,7 +204,6 @@ class SeekableGzipReader(io.RawIOBase):
         elif self._index is None and index_path is not None:
             try:
                 self._index = GzipIndex.load(index_path)
-                self._index.union = None  # reads use the windows only
                 self.stats.index_loaded = True
             except (FileNotFoundError, IndexIntegrityError, GzipFormatError):
                 # Missing or damaged sidecar: fall through to the cold

@@ -227,12 +227,21 @@ class _Fetch:
         self.offset = 0
         self.raw: bytes | None = None
 
-    def pread(self, offset: int, size: int) -> bytes:
+    def pread(self, offset: int, size: int, through: int = 0) -> bytes:
+        """``size`` bytes at ``offset``.  One not held yet fetches
+        through byte ``through`` too, for the read's later pread calls;
+        only the ``size`` bytes asked for are ever returned (copied), so
+        a read's decodes copy each its own range, not the read's rest."""
         held = self.raw
-        if held is not None and self.offset <= offset and offset + size <= self.offset + len(held):
-            return held[offset - self.offset : offset - self.offset + size]
-        self.offset, self.raw = offset, _pread(self.src, offset, size, self.stats)
-        return self.raw
+        if held is None or not (
+            self.offset <= offset and offset + size <= self.offset + len(held)
+        ):
+            held = _pread(self.src, offset, max(size, through - offset), self.stats)
+            self.offset, self.raw = offset, held
+        start = offset - self.offset
+        if start == 0 and size >= len(held):
+            return held
+        return held[start : start + size]
 
 
 @dataclass(frozen=True)
@@ -375,10 +384,11 @@ class GzipIndex:
     csize: int = 0
     #: Blob version the index was read from (``None`` when built).
     version: int | None = field(default=None, compare=False)
-    #: Every stored window byte once, in output order (see
-    #: :meth:`to_bytes`), with the checkpoints it was taken from, when
-    #: the builder or loader had it: :meth:`to_bytes` writes it as is
-    #: while ``checkpoints`` holds exactly those (frozen) checkpoints.
+    #: The union :func:`block_checkpoints` cut from the output, with
+    #: the checkpoints it belongs to: :meth:`window_union` returns it
+    #: while they are unchanged, which spares the sidecar write
+    #: gathering it from the windows (docs/PERFORMANCE.md, "One window
+    #: union per sidecar").
     union: tuple[tuple[Checkpoint, ...], np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -528,17 +538,17 @@ class GzipIndex:
             return data
         window = (cp.history() + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
         start_byte = end_bit >> 3
-        decode_end, _ = self._compressed_bound(index, cp.uoffset + need, src)
+        decode_end, end_byte = self._compressed_bound(index, cp.uoffset + need, src)
         # One pread for the whole read: the later intervals' decodes
         # slice it.
-        _, end_byte = self._compressed_bound(index, read_to, src)
+        read_end = self._compressed_bound(index, read_to, src)[1] if read_to > stop else 0
         # The kernel choice sees the bytes this decode takes, not the
         # rest of the block it may read.
         spec = resolve_kernel(kernel)
         if not spec.use_vectorized(decode_end - start_byte):
             spec = KERNELS["pure"]
         while True:
-            comp = fetch.pread(start_byte, max(0, end_byte - start_byte))
+            comp = fetch.pread(start_byte, max(0, end_byte - start_byte), read_end)
             try:
                 if parse_header and 8 * len(comp) - (end_bit & 7) >= 3:
                     # The bits inflate would parse it from (a failed
@@ -657,13 +667,8 @@ class GzipIndex:
         windows of any one file's output do: two that disagree on a byte
         raise :class:`ValueError`."""
         cps = self.checkpoints
-        uoffsets = np.asarray([cp.uoffset for cp in cps], dtype=np.int64)
-        if np.any(np.diff(uoffsets) < 0):
-            raise ValueError("checkpoints are not in uncompressed-offset order")
+        union = self.window_union()
         has = [i for i, cp in enumerate(cps) if cp.window]
-        union = self._held_union()
-        if union is None:
-            union = _window_union(uoffsets[has], [cps[i] for i in has])
         # Bitmaps are mostly zero bytes: which bytes are not, then
         # those, taken a few bitmaps at a time.
         flags, values = [], []
@@ -699,17 +704,23 @@ class GzipIndex:
             )
         )
 
-    def _held_union(self) -> np.ndarray | None:
-        """The union the builder or loader kept, while ``checkpoints``
-        still holds exactly the checkpoints it was taken from."""
-        if self.union is None:
-            return None
-        of, union = self.union
-        if len(of) != len(self.checkpoints) or any(
-            a is not b for a, b in zip(of, self.checkpoints)
-        ):
-            return None
-        return union
+    def window_union(self) -> np.ndarray:
+        """Every byte the checkpoints' windows store, once, in output
+        order: what a v5 blob stores of them.  The union the builder
+        kept while ``checkpoints`` holds exactly the checkpoints it was
+        taken from; otherwise it is gathered from the windows, which
+        raises :class:`ValueError` for windows that disagree on a byte
+        or checkpoints out of uncompressed-offset order."""
+        cps = self.checkpoints
+        if self.union is not None:
+            of, union = self.union
+            if len(of) == len(cps) and all(a is b for a, b in zip(of, cps)):
+                return union
+        uoffsets = np.asarray([cp.uoffset for cp in cps], dtype=np.int64)
+        if np.any(np.diff(uoffsets) < 0):
+            raise ValueError("checkpoints are not in uncompressed-offset order")
+        has = [i for i, cp in enumerate(cps) if cp.window]
+        return _window_union(uoffsets[has], [cps[i] for i in has])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GzipIndex":
@@ -851,9 +862,7 @@ class GzipIndex:
                 )
             mask = masks[rows[i]].tobytes() if i in rows else None
             cps.append(Checkpoint(bit_offset, uoffset, window, cls._kind(code, i, True), mask))
-        index = cls(checkpoints=cps, usize=usize, span=span, csize=csize)
-        index.union = (tuple(cps), union.copy())
-        return index._check_tokens()
+        return cls(checkpoints=cps, usize=usize, span=span, csize=csize)._check_tokens()
 
     def _check_tokens(self) -> "GzipIndex":
         """``self``, once every ``"token"`` checkpoint is checked to

@@ -376,22 +376,28 @@ class TestV5Integrity:
 
 class TestWindowUnion:
     @pytest.mark.parametrize("span", [1000, 4096, DEFAULT_SPAN, 65536])
-    def test_builder_union_is_the_serialised_one(self, span):
-        """The union a builder keeps equals the one :meth:`to_bytes`
-        computes from the windows alone, on a multi-member file."""
+    def test_union_is_the_text_at_the_windows_positions(self, span):
+        """On a multi-member file, the union the builder keeps and the
+        one gathered from the windows alone are both the text's bytes
+        at every position some window stores, each once, in order."""
         with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
             gz = fh.read()
         idx = build_index(gz, span=span)
-        kept = idx.union[1]
-        bare = GzipIndex(checkpoints=list(idx.checkpoints), usize=idx.usize, span=span, csize=idx.csize)
-        assert bare.union is None
-        assert bare.to_bytes() == idx.to_bytes()
-        assert np.array_equal(GzipIndex.from_bytes(idx.to_bytes()).union[1], kept)
-        text = stdlib_gzip.decompress(gz)
-        # Each window byte once: no more than the text, no less than
-        # the largest window.
-        assert max(len(cp.window) for cp in idx.checkpoints) <= len(kept) <= len(text)
-        assert len(kept) <= sum(len(cp.window) for cp in idx.checkpoints)
+        text = np.frombuffer(stdlib_gzip.decompress(gz), np.uint8)
+        stored = np.zeros(len(text), bool)
+        for cp in idx.checkpoints:
+            if cp.window:
+                stored[cp.uoffset - 32768 + np.flatnonzero(_bits(cp.mask))] = True
+        kept = idx.window_union()
+        assert kept is idx.union[1]
+        assert np.array_equal(kept, text[stored])
+        loaded = GzipIndex.from_bytes(idx.to_bytes())
+        assert loaded == idx and loaded.union is None
+        assert np.array_equal(loaded.window_union(), kept)
+        assert loaded.to_bytes() == idx.to_bytes()
+        windows = sum(len(cp.window) for cp in idx.checkpoints)
+        # Neighbouring windows overlap once checkpoints are close.
+        assert len(kept) < windows if span <= DEFAULT_SPAN else len(kept) <= windows
 
     def test_a_replaced_checkpoint_is_not_served_the_kept_union(self):
         with open(os.path.join(COMPAT, "multi.gz"), "rb") as fh:
@@ -453,8 +459,12 @@ def test_index_info_prints_format_and_union(tmp_path, fastq_small, capsys):
     loaded = GzipIndex.load(str(idx))
     windows = sum(len(cp.window) for cp in loaded.checkpoints)
     assert "format:          v5\n" in out
-    assert f"window union:    {len(loaded.union[1])} bytes stored once, for {windows} " in out
-    assert len(loaded.union[1]) < windows
+    union = len(loaded.window_union())
+    assert f"window union:    {union} bytes stored once, for {windows} " in out
+    # The length the v5 header records.
+    blob = unseal(idx.read_bytes(), b"ZRN5")
+    n = struct.unpack_from("<I", blob, 8 + 24)[0]
+    assert struct.unpack_from("<Q", blob, 8 + 28 + 21 * n)[0] == union < windows
     assert main(["index", "info", os.path.join(COMPAT, "multi.v4.idx")]) == 0
     out = capsys.readouterr().out
     assert "format:          v4\n" in out and "window union" not in out

@@ -475,6 +475,31 @@ class TestOnePread:
             both += reader.stats.inflate_calls == 2
         assert both > 10
 
+    def test_a_read_across_intervals_decodes_each_from_its_own_range(
+        self, fastq_medium, fastq_medium_gz6, indexed, monkeypatch
+    ):
+        """A whole-file read hands each interval's decode the same
+        compressed bytes as a read of that interval alone: the one
+        ``pread`` it shares is sliced to each decode's own bound, not
+        copied to the read's end for every interval."""
+        gz, text = fastq_medium_gz6, fastq_medium
+        handed = []
+        real = zran_mod.inflate
+
+        def spy(data, *args, **kwargs):
+            handed.append(len(data))
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(zran_mod, "inflate", spy)
+        assert indexed.read_at(gz, 0, len(text)) == text
+        whole = list(handed)
+        handed.clear()
+        bounds = [cp.uoffset for cp in indexed.checkpoints] + [len(text)]
+        for start, stop in zip(bounds, bounds[1:]):
+            assert indexed.read_at(gz, start, stop - start) == text[start:stop]
+        assert len(whole) == len(indexed.checkpoints) > 50
+        assert whole == handed
+
     def test_a_short_bound_still_widens(self, fastq_medium, fastq_medium_gz6, indexed, preads):
         """A damaged index whose next block checkpoint sits too early:
         the read runs out of bytes, widens its ``pread`` and serves the
