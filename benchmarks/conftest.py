@@ -65,3 +65,16 @@ def fastq_cross_4m():
         12_000, read_length=150, seed=103,
         quality_profile="illumina", barcode="ATCACG",
     )
+
+
+@pytest.fixture(scope="session")
+def fastq_8m():
+    """``(text, gz)``: the 8 MB FASTQ-like corpus of the repo benchmark's
+    workloads (``bench_decode.make_corpus(8_000_000, 1002)``), gzip -6.
+    Figure 5 and Table II measure on it."""
+    import gzip
+
+    from bench_decode import make_corpus
+
+    text = make_corpus(8_000_000, 1002)
+    return text, gzip.compress(text, 6, mtime=0)

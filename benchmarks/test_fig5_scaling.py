@@ -1,103 +1,150 @@
-"""Figure 5: decompression speed vs thread count (2-32), log scale.
+"""Figure 5: pugz decompression speed against thread count, measured.
 
-Paper protocol: pugz at 2-32 threads vs gzip, libdeflate and ``cat``
-(upper bound); mean +- stdev over files/repetitions.
+The paper measures pugz at 1-32 threads on a 2x12-core Xeon.  This
+benchmark measures, on the machine it runs on, one 8 MB FASTQ-like
+corpus (``bench_decode.make_corpus(8_000_000, 1002)``, gzip -6; the
+``fastq_8m`` fixture):
 
-Modelled through the calibrated testbed simulator (this machine has one
-core; DESIGN.md).  Shapes asserted:
+* the critical path of the two-pass schedule at 1-32 chunks, from one
+  serial-executor run per chunk count: ``sync_seconds`` (the parent's
+  block-start searches, which run one after another) + the slowest
+  chunk's pass-1 ``wall_time`` + ``resolve_seconds`` +
+  ``pass2_seconds``.  The serial wall over the critical path is the
+  speedup one core per chunk would give the same run, with free
+  transfers between processes;
+* real process-pool walls at 1..``os.cpu_count()`` workers (one chunk
+  per worker), the median of :data:`POOL_RUNS` runs on one warm
+  :class:`~repro.parallel.executor.ProcessExecutor` per worker count:
+  an untimed first run pays the pool's start-up;
+* ``cat``: reading the compressed file from the page cache.
 
-* near-linear scaling up to the core count, flattening after;
-* pugz crosses libdeflate between 4 and 8 threads;
-* everything stays below ``cat``.
+Only measured facts are asserted: exact output of every run; pass 2
+under 20 % of the critical path at every chunk count; and the 2-worker
+pool wall within :data:`POOL_FACTOR` of the 2-chunk critical path.  On
+a 2-vCPU Xeon VM that ratio measured 1.07 and 0.91 in two idle runs
+(pool 0.614 s against a 0.576 s critical path, then 0.582 against
+0.643 s), and 1.28 with a second test run competing for the vCPUs.
+The factor leaves room for a loaded runner, not for a pool that runs
+its two chunks one after another: that is the serial 2-chunk wall,
+1.75-1.84 times its critical path in the same runs.
 
-A companion measurement runs the *real* pugz at several chunk counts
-to document the single-core behaviour (no speedup expected, exactness
-checked).
+Run: ``python -m pytest benchmarks/test_fig5_scaling.py --benchmark-disable -q -s``
 """
 
 from __future__ import annotations
 
+import os
+import statistics
 import time
 
-import numpy as np
-import pytest
-
 from repro.core.pugz import pugz_decompress
-from repro.data import gzip_zlib, synthetic_fastq
-from repro.perf import PAPER_MODEL, simulate_cat, simulate_sequential, sweep_threads
+from repro.parallel.executor import ProcessExecutor
 
-THREADS = (1, 2, 4, 6, 8, 12, 18, 20, 24, 28, 32)
-
-
-def test_fig5_modelled_sweep(benchmark, reporter):
-    sizes = [3000.0, 5000.0, 7500.0]
-
-    def run():
-        return sweep_threads(PAPER_MODEL, sizes, list(THREADS), reps=3, seed=42)
-
-    sweep = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    cat = simulate_cat(PAPER_MODEL, 5000).speed_mbps
-    gzip_speed = simulate_sequential(PAPER_MODEL, "gunzip", 5000).speed_mbps
-    libdeflate = simulate_sequential(PAPER_MODEL, "libdeflate", 5000).speed_mbps
-
-    lines = [f"{'threads':>8}{'pugz MB/s':>12}{'stdev':>8}"]
-    for n in THREADS:
-        mean, std = sweep[n]
-        lines.append(f"{n:>8}{mean:>12.0f}{std:>8.1f}")
-    lines += [
-        "",
-        f"baselines: cat {cat:.0f}  gzip {gzip_speed:.0f}  libdeflate {libdeflate:.0f}",
-        "paper figure: pugz reaches ~611 MB/s at 32 threads, crossing",
-        "libdeflate in the 4-8 thread range, all below cat.",
-    ]
-    reporter("Figure 5 (modelled): thread scaling", lines)
-    benchmark.extra_info["sweep"] = {str(k): v for k, v in sweep.items()}
-
-    means = {n: sweep[n][0] for n in THREADS}
-    # Monotone up to 24 cores.
-    up_to_cores = [means[n] for n in THREADS if n <= 24]
-    assert all(a < b for a, b in zip(up_to_cores, up_to_cores[1:]))
-    # Saturation past the core count (jitter makes n=24 the max-of-24
-    # chunks regime, slightly below the smoothed n=32 regime).
-    assert abs(means[32] - means[24]) / means[24] < 0.15
-    # Crossover with libdeflate between 4 and 8 threads.
-    assert means[4] < libdeflate * 1.2
-    assert means[8] > libdeflate
-    # cat dominates; gzip is dominated from 2 threads on.
-    assert all(means[n] < cat for n in THREADS)
-    assert means[2] > gzip_speed
-    # Near-linear early scaling: 2->8 threads gives >= 3x.
-    assert means[8] / means[2] > 3.0
+CHUNKS = (1, 2, 4, 8, 16, 32)
+#: Timed runs per worker count on a warm pool (the median is reported).
+POOL_RUNS = 3
+#: The 2-worker pool wall may exceed the 2-chunk critical path by this.
+POOL_FACTOR = 1.5
 
 
-def test_fig5_measured_chunk_counts(benchmark, reporter):
-    """Real pugz at increasing chunk counts on this 1-core machine."""
-    text = synthetic_fastq(5000, read_length=150, seed=21, quality_profile="safe")
-    gz = gzip_zlib(text, 6)
-    counts = (1, 2, 4, 8)
+def _critical_path(rep) -> dict[str, float]:
+    slowest = max(d.wall_time for d in rep.chunk_details)
+    parts = {
+        "sync": rep.sync_seconds,
+        "chunk": slowest,
+        "resolve": rep.resolve_seconds,
+        "pass2": rep.pass2_seconds,
+    }
+    parts["path"] = sum(parts.values())
+    return parts
+
+
+def _pool_walls(gz: bytes, text: bytes, workers) -> dict[int, float]:
+    walls = {}
+    for n in workers:
+        with ProcessExecutor(n) as ex:
+            assert pugz_decompress(gz, n_chunks=n, executor=ex) == text  # warm-up
+            runs = []
+            for _ in range(POOL_RUNS):
+                t0 = time.perf_counter()
+                out = pugz_decompress(gz, n_chunks=n, executor=ex)
+                runs.append(time.perf_counter() - t0)
+                assert out == text
+        walls[n] = statistics.median(runs)
+    return walls
+
+
+def _cat_mb_s(path: str, size: int) -> float:
+    with open(path, "rb") as fh:  # into the page cache
+        fh.read()
+    runs = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        with open(path, "rb") as fh:
+            fh.read()
+        runs.append(time.perf_counter() - t0)
+    return size / 1e6 / statistics.median(runs)
+
+
+def test_fig5_measured_scaling(benchmark, fastq_8m, reporter, tmp_path):
+    text, gz = fastq_8m
+    cmb = len(gz) / 1e6
+    workers = range(1, min(os.cpu_count() or 1, CHUNKS[-1]) + 1)
 
     def run():
         rows = {}
-        for n in counts:
+        for n in CHUNKS:
             t0 = time.perf_counter()
-            out, rep = pugz_decompress(gz, n_chunks=n, executor="serial",
-                                       return_report=True)
-            dt = time.perf_counter() - t0
+            out, rep = pugz_decompress(gz, n_chunks=n, executor="serial", return_report=True)
+            wall = time.perf_counter() - t0
             assert out == text
-            rows[n] = (len(gz) / 1e6 / dt, rep.sync_seconds / max(dt, 1e-9))
-        return rows
+            rows[n] = (wall, _critical_path(rep))
+        return rows, _pool_walls(gz, text, workers)
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    lines = [f"{'chunks':>7}{'MB/s (1 core, serial)':>23}{'sync share':>12}"]
-    for n, (r, sync_frac) in rows.items():
-        lines.append(f"{n:>7}{r:>23.2f}{sync_frac:>12.0%}")
-    lines.append("expected: decreasing with chunk count — each boundary costs a")
-    lines.append("pure-Python bit-probing search that C amortises to ~0.2s;")
-    lines.append("exactness asserted for every run.")
-    reporter("Figure 5 (measured, 1 core)", lines)
-    benchmark.extra_info.update({str(k): v[0] for k, v in rows.items()})
+    rows, pool = benchmark.pedantic(run, rounds=1, iterations=1)
+    path = tmp_path / "in.gz"
+    path.write_bytes(gz)
+    cat = _cat_mb_s(str(path), len(gz))
 
-    # The chunked runs slow down due to sync costs, boundedly (a wide
-    # bound: pure-Python probing under possible CPU contention).
-    assert rows[8][0] > rows[1][0] / 60
+    serial_1 = rows[1][0]
+    lines = [
+        f"input: {cmb:.2f} MB gzip -6, {len(text) / 1e6:.2f} MB out; serial executor, "
+        "seconds",
+        f"{'chunks':>6}{'sync':>8}{'chunk':>8}{'resolve':>9}{'pass 2':>8}{'path':>8}"
+        f"{'wall':>8}{'wall/path':>10}{'1-chunk wall/path':>18}{'MB/s':>7}",
+    ]
+    for n, (wall, cp) in rows.items():
+        lines.append(
+            f"{n:>6}{cp['sync']:>8.3f}{cp['chunk']:>8.3f}{cp['resolve']:>9.4f}"
+            f"{cp['pass2']:>8.3f}{cp['path']:>8.3f}{wall:>8.3f}{wall / cp['path']:>10.2f}"
+            f"{serial_1 / cp['path']:>18.2f}{cmb / cp['path']:>7.2f}"
+        )
+    lines += [
+        "  chunk = slowest chunk's pass 1; path = sync + chunk + resolve + pass 2;",
+        "  wall = this serial run's wall; MB/s = compressed MB / path",
+        "",
+        f"warm process pool, one chunk per worker, median of {POOL_RUNS} runs:",
+        f"{'workers':>7}{'wall s':>9}{'MB/s':>7}{'speedup':>9}",
+    ]
+    for n, wall in pool.items():
+        lines.append(f"{n:>7}{wall:>9.3f}{cmb / wall:>7.2f}{pool[1] / wall:>9.2f}")
+    lines += [
+        "",
+        f"cat (compressed file from the page cache): {cat:,.0f} MB/s",
+        "paper Figure 5 (2x12-core Xeon, for context only): pugz reaches",
+        "~611 MB/s at 32 threads, gunzip 37 and libdeflate 118 MB/s.",
+    ]
+    reporter("Figure 5 (measured): critical path and pool walls", lines)
+    benchmark.extra_info.update(
+        {
+            "critical_path_s": {str(n): cp["path"] for n, (_, cp) in rows.items()},
+            "serial_wall_s": {str(n): wall for n, (wall, _) in rows.items()},
+            "pool_wall_s": {str(n): wall for n, wall in pool.items()},
+            "cat_mb_s": cat,
+        }
+    )
+
+    for n, (_, cp) in rows.items():
+        assert cp["pass2"] < 0.2 * cp["path"], (n, cp)
+    if 2 in pool:
+        assert pool[2] < POOL_FACTOR * rows[2][1]["path"], (pool[2], rows[2][1])

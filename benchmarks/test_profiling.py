@@ -1,9 +1,7 @@
 """Where a pure-Python DEFLATE decoder spends its time.
 
-Grounds the cost model's stage constants: symbol decoding dominates,
-table building is per-block noise, CRC is the gunzip-role surcharge
-(the reason the "gunzip" persona is slower than the "libdeflate" one
-in Table II's measured column).
+Symbol decoding dominates, table building is per-block noise, and CRC
+is the surcharge ``gzip_unwrap`` pays in Table II's measured rows.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from collections import Counter
 
 from repro.core import pugz_decompress
 from repro.data import gzip_zlib, parse_fastq, synthetic_fastq
-from repro.perf import PAPER_MODEL, PRESETS, pipeline_throughput, simulate_pugz
 
 
 def count_kmers(reads: list[bytes], k: int = 8) -> Counter:
@@ -42,15 +41,6 @@ def main() -> None:
     top = counts.most_common(3)
     print(f"distinct 8-mers: {len(counts):,}; most frequent: "
           + ", ".join(f"{k.decode()}x{v}" for k, v in top))
-
-    # What this buys at production scale (the paper's testbed model):
-    print("\nprojected pipeline head throughput (compressed MB/s):")
-    for dev_key in ("hdd", "sata_ssd", "nvme"):
-        dev = PRESETS[dev_key]
-        seq = pipeline_throughput(dev, PAPER_MODEL.gunzip_mbps)
-        par = pipeline_throughput(dev, simulate_pugz(PAPER_MODEL, 5000, 32).speed_mbps)
-        print(f"  {dev.name:<22} gunzip-fed {seq:6.0f}   pugz-fed {par:6.0f}"
-              f"   ({par / seq:.1f}x)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Top-level convenience API; see the subpackages for the full surface:
   decompressor (pugz), random access to FASTQ sequences;
 * :mod:`repro.models` — the Section V analytic models;
 * :mod:`repro.data` — DNA/FASTQ workload generators;
-* :mod:`repro.perf` — calibrated performance model of the pipeline;
+* :mod:`repro.perf` — decode kernels, profiling and a schedule model;
 * :mod:`repro.analysis` — window/origin analyses behind the figures.
 """
 

@@ -14,6 +14,7 @@ Subcommands mirror the tools the paper discusses:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -695,7 +696,16 @@ def main(argv=None) -> int:
         # build/info/extract modes — route it to the matching mode.
         argv.insert(1, "extract" if "--extract" in argv else "build")
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`repro ... | head`): stop
+        # quietly.  Point stdout at /dev/null first, so the flush of
+        # what is still buffered at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

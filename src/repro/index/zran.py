@@ -443,10 +443,11 @@ class GzipIndex:
         The first checkpoint at/after the target starts right after the
         match that writes the last needed byte or later (a block
         boundary, or a piece start, which follows a match), so the
-        decode ends at it or before.  But the numpy kernel decodes a
-        whole block before it cuts it at the stop, so the read runs on
-        to the first ``"block"`` or ``"member"`` checkpoint from there:
-        the end of the block holding the last needed byte at the latest.
+        decode ends at it or before, and the pure loop reads no further.
+        But the numpy kernel decodes a whole block before it cuts it at
+        the stop, so its read runs on to the first ``"block"`` or
+        ``"member"`` checkpoint from there: the end of the block holding
+        the last needed byte at the latest.
         """
         cps = self.checkpoints
         j = bisect_left(self._offsets(), target_uoffset, lo=start_index + 1)
@@ -538,15 +539,20 @@ class GzipIndex:
             return data
         window = (cp.history() + data[-WINDOW_SIZE:])[-WINDOW_SIZE:]
         start_byte = end_bit >> 3
-        decode_end, end_byte = self._compressed_bound(index, cp.uoffset + need, src)
-        # One pread for the whole read: the later intervals' decodes
-        # slice it.
-        read_end = self._compressed_bound(index, read_to, src)[1] if read_to > stop else 0
+        bounds = self._compressed_bound(index, cp.uoffset + need, src)
         # The kernel choice sees the bytes this decode takes, not the
         # rest of the block it may read.
         spec = resolve_kernel(kernel)
-        if not spec.use_vectorized(decode_end - start_byte):
+        if not spec.use_vectorized(bounds[0] - start_byte):
             spec = KERNELS["pure"]
+        # The pure loop stops at the decode bound, so it fetches only
+        # that far; the numpy kernel decodes the whole block before it
+        # cuts it, so it fetches to the block's end.
+        bound = int(spec.vectorized)
+        end_byte = bounds[bound]
+        # One pread for the whole read: the later intervals' decodes
+        # slice it.
+        read_end = self._compressed_bound(index, read_to, src)[bound] if read_to > stop else 0
         while True:
             comp = fetch.pread(start_byte, max(0, end_byte - start_byte), read_end)
             try:

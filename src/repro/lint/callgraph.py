@@ -342,6 +342,14 @@ class Project:
             for node in body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualname = f"{prefix}.{node.name}"
+                    # A def that shares its scope and name with an
+                    # earlier one (``if``/``else`` or ``try``/``except``
+                    # branches) is its own unit: ``g#2`` for the second.
+                    # Calls by name resolve to the first.
+                    k = 2
+                    while qualname in self.functions:
+                        qualname = f"{prefix}.{node.name}#{k}"
+                        k += 1
                     closure = frozenset(
                         n for scope in outer_scopes
                         for n in _free_names(node) & scope

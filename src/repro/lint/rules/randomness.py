@@ -1,7 +1,7 @@
 """REP004 — no unseeded randomness outside :mod:`repro.data.randomness`.
 
 Every stochastic artefact in this reproduction (synthetic corpora,
-fault-injection campaigns, Monte-Carlo models, perf jitter) is seeded
+fault-injection campaigns, Monte-Carlo models, supervision backoff) is seeded
 so runs are replayable bit-for-bit; a single call to the *global* RNG
 (`random.random()`, ``np.random.shuffle`` ...) silently breaks that for
 the whole process.  The rule flags:

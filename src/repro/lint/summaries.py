@@ -1195,9 +1195,10 @@ class SummaryStore:
 
     #: v2: summaries gained ``return_interval`` + ``proved_allocs``
     #: (the interval domain); v3: functions defined inside ``if``/
-    #: ``try``/loop bodies are summarised too.  Older caches are
-    #: recomputed, not migrated.
-    VERSION = 3
+    #: ``try``/loop bodies are summarised too; v4: a def that shares
+    #: its qualname with an earlier one is keyed ``name#2`` (``#3``,
+    #: ...).  Older caches are recomputed, not migrated.
+    VERSION = 4
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)

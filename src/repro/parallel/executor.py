@@ -7,8 +7,8 @@ Three interchangeable strategies behind one ``map``-shaped interface:
   serialises the pure-Python decode work, so this demonstrates the
   *algorithm's* concurrency, not wall-clock scaling (see DESIGN.md);
 * :class:`ProcessExecutor` — ``multiprocessing``-based; truly parallel
-  on multi-core machines (measured 1 -> 2 worker scaling of pugz is in
-  docs/PERFORMANCE.md; :mod:`repro.perf` models larger counts).
+  on multi-core machines (pugz's scaling on warm pools is measured by
+  ``benchmarks/test_fig5_scaling.py``; see EXPERIMENTS.md, Figure 5).
 
 Work functions submitted to :class:`ProcessExecutor` must be picklable
 (module-level functions).

@@ -1,31 +1,13 @@
-"""Calibrated performance models of the decompression pipeline."""
+"""Decode kernels, profiling, and the schedule model the repo benchmark prints."""
 
-from repro.perf.costmodel import PAPER_MODEL, CostModel
+from repro.perf.costmodel import CostModel
 from repro.perf.profiling import DecodeProfile, profile_inflate
-from repro.perf.projection import project_model, projected_speedup_report
-from repro.perf.simulator import (
-    SimResult,
-    simulate_cat,
-    simulate_pugz,
-    simulate_sequential,
-    sweep_threads,
-)
-from repro.perf.storage import PRESETS, StorageModel, bottleneck, pipeline_throughput
+from repro.perf.simulator import SimResult, simulate_pugz
 
 __all__ = [
     "CostModel",
-    "PAPER_MODEL",
     "simulate_pugz",
-    "simulate_sequential",
-    "simulate_cat",
-    "sweep_threads",
     "SimResult",
-    "StorageModel",
-    "PRESETS",
-    "pipeline_throughput",
-    "bottleneck",
     "profile_inflate",
     "DecodeProfile",
-    "project_model",
-    "projected_speedup_report",
 ]

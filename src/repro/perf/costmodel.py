@@ -1,31 +1,19 @@
-"""Calibrated cost model of gzip decompression pipelines.
+"""Throughput constants of one machine, for :mod:`repro.perf.simulator`.
 
-This machine cannot reproduce the paper's wall-clock numbers (single
-core; pure-Python decode is ~100x slower than C), so Table II and
-Figure 5 are regenerated through a *performance model* of the paper's
-testbed (2x12-core Xeon E5-2670v3), executed by the discrete-event
-simulator in :mod:`repro.perf.simulator`.
-
-Calibration discipline (see DESIGN.md): the model's free constants are
-anchored on the paper's two *sequential* measurements — gunzip
-37 MB/s and libdeflate 118 MB/s of compressed input — plus one
-pass-1 marker-decode speed chosen so the published 32-thread endpoint
-is matched.  Everything else (the whole thread sweep of Figure 5, the
-crossover points, the speedup ratios) is *predicted* by the schedule,
-not fitted.
-
-A second constructor, :func:`CostModel.measure_python`, derives the
-same constants from timings of *this repository's* decoders, so the
-benchmarks can report measured-Python and modelled-testbed numbers side
-by side.
+Its one user is the repo benchmark's traced ``pugz_parallel`` run
+(``perfbench/traced.py``, ``_scaling``): it fills a :class:`CostModel`
+from the stage rates of a measured serial-executor run and prints
+``simulate_pugz``'s 1 -> 2 worker speedup (``scaling.model_speedup``)
+beside the measured one.  Figure 5 and Table II are measured, not
+modelled (``benchmarks/test_fig5_scaling.py``,
+``benchmarks/test_table2_throughput.py``).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-__all__ = ["CostModel", "PAPER_MODEL"]
+__all__ = ["CostModel"]
 
 
 @dataclass(frozen=True)
@@ -44,102 +32,17 @@ class CostModel:
     pass1_mbps: float
     #: Marker translation (pass 2) per thread, uncompressed MB/s.
     translate_mbps: float
-    #: ``cat``-style memory streaming, MB/s (Figure 5's upper bound).
+    #: ``cat``-style memory streaming, MB/s.
     cat_mbps: float
     #: Physical cores; threads beyond this add no throughput.
     physical_cores: int
-    #: Wall seconds to sync one chunk boundary (Section VI-A: 0.1-0.3 s).
+    #: Wall seconds to sync one chunk boundary.
     sync_seconds: float
     #: Sequential context resolution per boundary (n x 32 KiB memcpy).
     resolve_seconds_per_boundary: float
     #: Uncompressed/compressed size ratio of the workload (~3x for FASTQ).
     compression_ratio: float
-    #: Relative overhead of synchronised output (paper: piping/ordering
-    #: costs 10-20%); 0 models the /dev/null redirection they used.
-    output_sync_overhead: float = 0.0
 
     def effective_threads(self, n_threads: int) -> int:
         """Usable concurrency (capped at physical cores)."""
         return max(1, min(n_threads, self.physical_cores))
-
-    def with_output_sync(self, overhead: float = 0.15) -> "CostModel":
-        """Variant modelling synchronised/piped output."""
-        return replace(self, output_sync_overhead=overhead)
-
-    # ------------------------------------------------------------------
-    # Calibration constructors
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def paper_testbed(cls) -> "CostModel":
-        """The paper's 2x12-core Xeon, anchored on Table II's sequential rows.
-
-        ``pass1_mbps`` = 30 is the single fitted constant (chosen so the
-        32-thread Table II endpoint lands near 611 MB/s); the rest of
-        Figure 5 follows from the schedule.
-        """
-        return cls(
-            gunzip_mbps=37.0,
-            libdeflate_mbps=118.0,
-            pass1_mbps=30.0,
-            translate_mbps=600.0,
-            cat_mbps=2000.0,
-            physical_cores=24,
-            sync_seconds=0.2,
-            resolve_seconds_per_boundary=1e-4,
-            compression_ratio=3.2,
-        )
-
-    @classmethod
-    def measure_python(cls, sample_gz: bytes, sample_text: bytes, cores: int = 1) -> "CostModel":
-        """Derive the constants by timing this repository's decoders.
-
-        Used by the Table II benchmark to report the measured
-        pure-Python column next to the modelled testbed column.
-        """
-        import numpy as np
-
-        from repro.core.marker import resolve, undetermined_window
-        from repro.core.marker_inflate import marker_inflate
-        from repro.deflate.gzipfmt import gzip_unwrap, parse_gzip_header
-        from repro.deflate.inflate import inflate
-
-        mb = len(sample_gz) / 1e6
-        payload_start, *_ = parse_gzip_header(sample_gz)
-
-        t0 = time.perf_counter()
-        inflate(sample_gz, start_bit=8 * payload_start, capture_tokens=True)
-        gunzip_rate = mb / (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        inflate(sample_gz, start_bit=8 * payload_start)
-        libdeflate_rate = mb / (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        result = marker_inflate(sample_gz, start_bit=8 * payload_start)
-        pass1_rate = mb / (time.perf_counter() - t0)
-
-        window = np.asarray(undetermined_window())
-        t0 = time.perf_counter()
-        resolve(result.symbols, window)
-        translate_rate = (len(result.symbols) / 1e6) / (time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        bytes(memoryview(sample_text))
-        cat_rate = (len(sample_text) / 1e6) / max(1e-9, time.perf_counter() - t0)
-
-        return cls(
-            gunzip_mbps=gunzip_rate,
-            libdeflate_mbps=libdeflate_rate,
-            pass1_mbps=pass1_rate,
-            translate_mbps=translate_rate,
-            cat_mbps=cat_rate,
-            physical_cores=cores,
-            sync_seconds=0.1,
-            resolve_seconds_per_boundary=1e-4,
-            compression_ratio=len(sample_text) / max(1, len(sample_gz)),
-        )
-
-
-#: The calibrated paper-testbed model, shared by benchmarks.
-PAPER_MODEL = CostModel.paper_testbed()

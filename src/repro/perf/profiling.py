@@ -64,9 +64,9 @@ def profile_inflate(gz_data: bytes) -> DecodeProfile:
     Huffman decoders are memoized on their code-length tuple
     (``repro.deflate.huffman.cached_decoder``), so the header walk —
     which replays headers the main decode pass already built — measures
-    the *cached* per-block residual, not cold table construction.  That
-    is the quantity the cost model wants: repeated headers are the
-    steady state on real corpora (docs/PERFORMANCE.md).
+    the *cached* per-block residual, not cold table construction:
+    repeated headers are the steady state on real corpora
+    (docs/PERFORMANCE.md).
     """
     payload_start, *_ = parse_gzip_header(gz_data, 0)
     start_bit = 8 * payload_start

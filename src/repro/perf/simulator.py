@@ -1,24 +1,21 @@
-"""Discrete-event simulation of the two-pass decompression schedule.
+"""The two-pass decompression schedule, priced with a :class:`CostModel`.
 
-The simulator executes the same schedule as :mod:`repro.core.pugz` —
+:func:`simulate_pugz` runs the schedule of :mod:`repro.core.pugz` —
 chunk the payload, pass 1 on ``n`` workers, sequential context
 resolution, pass 2 translation on ``n`` workers — against the
 throughput constants of a :class:`~repro.perf.costmodel.CostModel`.
-
-Per-chunk costs get small lognormal jitter (compressibility varies
-along a file), which yields the error bars of Figure 5.  All
-randomness is seeded; runs are reproducible.
+Its one user is the repo benchmark's traced scaling report
+(``perfbench/traced.py``, ``scaling.model_speedup``), which prints it
+beside the measured speedup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.perf.costmodel import CostModel
 
-__all__ = ["SimResult", "simulate_pugz", "simulate_sequential", "simulate_cat", "sweep_threads"]
+__all__ = ["SimResult", "simulate_pugz"]
 
 
 @dataclass
@@ -32,81 +29,29 @@ class SimResult:
     pass1_seconds: float
     resolve_seconds: float
     pass2_seconds: float
-    #: Optional event list ``(worker, stage, t_start, t_end)`` — the
-    #: schedule behind Figure 3, produced with ``timeline=True``.
-    events: list[tuple[int, str, float, float]] | None = None
 
 
-def _jitter(rng: np.random.Generator | None, n: int, sigma: float) -> np.ndarray:
-    if rng is None or sigma <= 0:
-        return np.ones(n)
-    return rng.lognormal(mean=0.0, sigma=sigma, size=n)
+def simulate_pugz(model: CostModel, compressed_mb: float, n_threads: int) -> SimResult:
+    """Simulate one pugz run with ``n_threads`` threads (= equal chunks).
 
-
-def simulate_pugz(
-    model: CostModel,
-    compressed_mb: float,
-    n_threads: int,
-    rng: np.random.Generator | None = None,
-    jitter_sigma: float = 0.05,
-    timeline: bool = False,
-) -> SimResult:
-    """Simulate one pugz run with ``n_threads`` threads (= chunks).
-
-    pugz creates one chunk per thread; chunk boundary syncs happen as
-    each thread starts, i.e. in parallel (one sync latency total).
+    One sync latency is charged for any ``n_threads > 1`` (the
+    boundaries are taken to probe concurrently), and ``n > cores``
+    threads timeshare the cores, so a pass takes
+    ``max(total / cores, one chunk)``.
     """
     if n_threads < 1:
         raise ValueError("n_threads must be >= 1")
     eff = model.effective_threads(n_threads)
-
-    # --- sync: boundaries probe concurrently as threads start.
+    chunk_mb = compressed_mb / n_threads
     sync = model.sync_seconds if n_threads > 1 else 0.0
-
-    # --- pass 1: n equal chunks with jitter.  The OS timeshares
-    # n > cores threads rather than running them in discrete waves, so
-    # the makespan is the classic lower bound max(total/eff, max chunk)
-    # (LPT-exact when n <= cores since then each worker gets one chunk).
-    chunk_mb = np.full(n_threads, compressed_mb / n_threads) * _jitter(rng, n_threads, jitter_sigma)
-    pass1_costs = chunk_mb / model.pass1_mbps
-    pass1 = max(float(pass1_costs.sum()) / eff, float(pass1_costs.max()))
-
-    # --- resolve: sequential, one 32 KiB window per boundary.
-    resolve = model.resolve_seconds_per_boundary * max(0, n_threads - 1)
-
-    # --- pass 2: translate uncompressed bytes of chunks 1..n-1.
+    pass1 = max(compressed_mb / eff, chunk_mb) / model.pass1_mbps
+    resolve = model.resolve_seconds_per_boundary * (n_threads - 1)
+    # Pass 2 translates the uncompressed bytes of chunks 1..n-1.
+    tail_mb = (compressed_mb - chunk_mb) * model.compression_ratio
+    pass2 = 0.0
     if n_threads > 1:
-        un_mb = chunk_mb[1:] * model.compression_ratio
-        pass2_costs = un_mb / model.translate_mbps
-        pass2 = max(float(pass2_costs.sum()) / eff, float(pass2_costs.max()))
-    else:
-        pass2 = 0.0
-
-    wall = (sync + pass1 + resolve + pass2) * (1.0 + model.output_sync_overhead)
-
-    events = None
-    if timeline:
-        # Event-level schedule (one chunk per worker, like pugz).
-        events = []
-        t_sync_end = sync
-        pass1_ends = []
-        for k in range(n_threads):
-            w = k % eff
-            start = t_sync_end if k == 0 else t_sync_end  # all start together
-            if k > 0:
-                events.append((w, "sync", 0.0, t_sync_end))
-            end = t_sync_end + float(pass1_costs[k])
-            events.append((w, "pass1", t_sync_end, end))
-            pass1_ends.append(end)
-        t_resolve_start = max(pass1_ends)
-        t_resolve_end = t_resolve_start + resolve
-        events.append((0, "resolve", t_resolve_start, t_resolve_end))
-        t = t_resolve_end
-        for k in range(1, n_threads):
-            w = k % eff
-            cost = float(un_mb[k - 1] / model.translate_mbps) if n_threads > 1 else 0.0
-            events.append((w, "pass2", t_resolve_end, t_resolve_end + cost))
-
+        pass2 = max(tail_mb / eff, chunk_mb * model.compression_ratio) / model.translate_mbps
+    wall = sync + pass1 + resolve + pass2
     return SimResult(
         wall_seconds=wall,
         speed_mbps=compressed_mb / wall,
@@ -114,45 +59,4 @@ def simulate_pugz(
         pass1_seconds=pass1,
         resolve_seconds=resolve,
         pass2_seconds=pass2,
-        events=events,
     )
-
-
-def simulate_sequential(model: CostModel, persona: str, compressed_mb: float) -> SimResult:
-    """Simulate a sequential decoder: ``gunzip`` or ``libdeflate``."""
-    rates = {"gunzip": model.gunzip_mbps, "libdeflate": model.libdeflate_mbps}
-    if persona not in rates:
-        raise ValueError(f"unknown persona {persona!r}")
-    wall = compressed_mb / rates[persona] * (1.0 + model.output_sync_overhead)
-    return SimResult(wall, compressed_mb / wall, 0.0, wall, 0.0, 0.0)
-
-
-def simulate_cat(model: CostModel, compressed_mb: float) -> SimResult:
-    """Simulate ``cat`` streaming the compressed file (Figure 5's bound)."""
-    wall = compressed_mb / model.cat_mbps
-    return SimResult(wall, compressed_mb / wall, 0.0, wall, 0.0, 0.0)
-
-
-def sweep_threads(
-    model: CostModel,
-    compressed_mb_files: list[float],
-    thread_counts: list[int],
-    reps: int = 3,
-    seed: int = 0,
-) -> dict[int, tuple[float, float]]:
-    """Figure 5 sweep: mean and std of pugz speed per thread count.
-
-    Each (file, repetition) pair is an independent simulated run, as in
-    the paper's protocol (3 files x 3 repetitions).
-    """
-    rng = np.random.default_rng(seed)
-    out: dict[int, tuple[float, float]] = {}
-    for n in thread_counts:
-        speeds = [
-            simulate_pugz(model, mb, n, rng=rng).speed_mbps
-            for mb in compressed_mb_files
-            for _ in range(reps)
-        ]
-        arr = np.asarray(speeds)
-        out[n] = (float(arr.mean()), float(arr.std()))
-    return out

@@ -93,6 +93,28 @@ def run(verbose):
         assert {"pkg.a.fast", "pkg.a.run.report"} <= set(proj.functions)
         assert proj.functions["pkg.a.run.report"].is_nested
 
+    def test_defs_sharing_a_name_are_all_indexed(self):
+        proj = project(pkg__a="""
+if True:
+    def g(reader, table):
+        return table[reader.read(5)]
+else:
+    def g(reader, table):
+        def inner():
+            pass
+        return table[reader.read(6)]
+
+def caller(reader, table):
+    return g(reader, table)
+""")
+        assert {"pkg.a.g", "pkg.a.g#2", "pkg.a.g#2.inner"} <= set(proj.functions)
+        assert proj.functions["pkg.a.g"].node.lineno == 3
+        assert proj.functions["pkg.a.g#2"].node.lineno == 6
+        units = [q for q, _, _, _ in proj.iter_units()]
+        assert units.count("pkg.a.g") == units.count("pkg.a.g#2") == 1
+        # A call by name resolves to the first definition.
+        assert ("pkg.a.caller", "pkg.a.g") in edge_set(proj)
+
     def test_closure_detection(self):
         proj = project(pkg__a="""
 def outer(items):

@@ -200,6 +200,30 @@ def emit(length):
 """, "REP020")
         assert "no proved spec-constant size bound" in f.message
 
+    def test_defs_sharing_a_name_are_each_judged_once(self):
+        """Each branch's def has its own summary: both sites are
+        reported, each once."""
+        findings = findings_for("""
+try:
+    def emit(length):
+        out = bytearray()
+        while length > 0:
+            out += bytes(length)
+            length -= 1
+        return out
+except ImportError:
+    def emit(length):
+        out = bytearray()
+        while length > 1:
+            out += bytes(length)
+            length -= 2
+        return out
+
+def caller(n):
+    return emit(n)
+""", "REP020")
+        assert [f.line for f in findings] == [6, 13]
+
     def test_clamp_to_spec_constant_proves_the_site(self):
         assert findings_for("""
 def emit(length):

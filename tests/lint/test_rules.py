@@ -249,7 +249,7 @@ class TestREP003PickleSafety:
 
     def test_sort_key_lambdas_out_of_scope(self):
         # The documented scope boundary: key functions never cross a
-        # process boundary (e.g. the LPT sort key in parallel.scheduler).
+        # process boundary (e.g. a longest-first sort key).
         good = "def f(costs):\n    return sorted(range(len(costs)), key=lambda i: -costs[i])\n"
         assert findings_for(good, "REP016") == []
 
@@ -397,7 +397,7 @@ class TestREP007ModuleState:
 
     def test_function_local_state_quiet(self):
         good = "def f():\n    acc = {}\n    return acc\n"
-        assert findings_for(good, "REP007", module_name="repro.parallel.scheduler") == []
+        assert findings_for(good, "REP007", module_name="repro.parallel.executor") == []
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,17 @@ def decode(reader, table):
         assert "'count'" in f.message
         assert "expand" in f.message
 
+    def test_defs_sharing_a_name_are_both_analysed(self):
+        findings = findings_for("""
+if True:
+    def g(reader, table):
+        return table[reader.read(5)]
+else:
+    def g(reader, table):
+        return table[reader.read(6)]
+""", "REP015")
+        assert [f.line for f in findings] == [4, 7]
+
     def test_taint_down_depth_two(self):
         (f,) = findings_for("""
 def inner(table, count):

@@ -213,3 +213,32 @@ class TestParser:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early is not a crash, for any
+    subcommand: exit 0, no traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [["lint", "--explain", "REP015"], ["cat", "{gz}"]],
+        ids=["lint-explain", "cat"],
+    )
+    def test_reader_closes_pipe_first(self, workdir, args):
+        import os
+        import subprocess
+        import sys
+
+        d, _ = workdir
+        argv = [a.format(gz=d / "reads.fastq.gz") for a in args]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        # Close the read end before the command can write: its first
+        # write to stdout meets a closed pipe.
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 0, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err

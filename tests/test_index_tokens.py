@@ -39,6 +39,7 @@ at the end of the block.  This module pins that
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import gzip as stdlib_gzip
 import importlib
@@ -499,6 +500,44 @@ class TestOnePread:
             assert indexed.read_at(gz, start, stop - start) == text[start:stop]
         assert len(whole) == len(indexed.checkpoints) > 50
         assert whole == handed
+
+    def test_a_pure_decode_fetches_only_to_its_decode_bound(
+        self, fastq_medium, fastq_medium_gz6, indexed, preads, monkeypatch
+    ):
+        """The pure loop stops at the first checkpoint at or after a
+        read's last byte, so a read it decodes fetches no compressed
+        byte past that checkpoint; an explicit ``kernel="numpy"``, which
+        decodes whole blocks, still fetches to the block's end."""
+        gz, text = fastq_medium_gz6, fastq_medium
+        # ``kernel=None`` below is the auto gate, which keeps 4 KiB
+        # reads on the pure loop.
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        cps = indexed.checkpoints
+        offsets = [cp.uoffset for cp in cps]
+        tried = 0
+        for i in range(len(cps) - 2):
+            # A 4 KiB read from block checkpoint i (no header to fetch)
+            # whose next checkpoint is a token checkpoint, inside the
+            # block the read ends in.
+            if (
+                cps[i].kind != CHECKPOINT_BLOCK
+                or cps[i + 1].kind != CHECKPOINT_TOKEN
+                or cps[i + 1].uoffset - cps[i].uoffset <= READ
+            ):
+                continue
+            off = cps[i].uoffset
+            j = bisect.bisect_left(offsets, off + READ, lo=i + 1)
+            decode_end = (cps[j].bit_offset + 7) >> 3
+            for kernel in (None, "pure"):
+                preads.clear()
+                assert indexed.read_at(gz, off, READ, kernel=kernel) == text[off : off + READ]
+                assert len(preads) == 1, preads
+                assert preads[0][0] + preads[0][1] <= decode_end, (i, kernel, preads)
+            preads.clear()
+            assert indexed.read_at(gz, off, READ, kernel="numpy") == text[off : off + READ]
+            assert preads[0][0] + preads[0][1] > decode_end, (i, preads)
+            tried += 1
+        assert tried > 10
 
     def test_a_short_bound_still_widens(self, fastq_medium, fastq_medium_gz6, indexed, preads):
         """A damaged index whose next block checkpoint sits too early:

@@ -1,99 +1,40 @@
-"""Performance model: calibration against Table II, scaling shapes."""
+"""The two-pass schedule model (``simulate_pugz``) and decode profiling."""
 
-import numpy as np
 import pytest
 
-from repro.parallel.scheduler import greedy_assign, lpt_makespan, round_robin_makespan
-from repro.perf import (
-    PAPER_MODEL,
-    PRESETS,
-    CostModel,
-    bottleneck,
-    pipeline_throughput,
-    simulate_cat,
-    simulate_pugz,
-    simulate_sequential,
-    sweep_threads,
-)
+from repro.perf import CostModel, simulate_pugz
 
 
-class TestTable2Calibration:
-    def test_sequential_anchors(self):
-        """The model's sequential personas ARE the paper's numbers."""
-        assert simulate_sequential(PAPER_MODEL, "gunzip", 1000).speed_mbps == pytest.approx(37.0)
-        assert simulate_sequential(PAPER_MODEL, "libdeflate", 1000).speed_mbps == pytest.approx(118.0)
-
-    def test_pugz_32_threads_near_paper(self):
-        """Paper Table II: pugz at 32 threads = 611 MB/s.  The model
-        *predicts* (not fits) this from the schedule; require ±10 %."""
-        speed = simulate_pugz(PAPER_MODEL, 5000, 32).speed_mbps
-        assert 611 * 0.9 < speed < 611 * 1.1
-
-    def test_speedup_ratios(self):
-        """Paper: 16.5x over gunzip, 5.2x over libdeflate."""
-        p = simulate_pugz(PAPER_MODEL, 5000, 32).speed_mbps
-        assert 14.5 < p / 37.0 < 18.5
-        assert 4.6 < p / 118.0 < 5.8
-
-    def test_unknown_persona(self):
-        with pytest.raises(ValueError):
-            simulate_sequential(PAPER_MODEL, "zstd", 100)
+def _model(cores: int = 8) -> CostModel:
+    """A made-up machine: the properties below hold for any rates."""
+    return CostModel(
+        gunzip_mbps=40.0,
+        libdeflate_mbps=120.0,
+        pass1_mbps=30.0,
+        translate_mbps=600.0,
+        cat_mbps=2000.0,
+        physical_cores=cores,
+        sync_seconds=0.2,
+        resolve_seconds_per_boundary=1e-4,
+        compression_ratio=3.0,
+    )
 
 
 class TestScalingShape:
     def test_monotone_up_to_core_count(self):
-        speeds = [simulate_pugz(PAPER_MODEL, 5000, n).speed_mbps for n in (1, 2, 4, 8, 16, 24)]
+        model = _model(cores=8)
+        speeds = [simulate_pugz(model, 5000, n).speed_mbps for n in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(speeds, speeds[1:]))
 
     def test_saturates_past_cores(self):
-        s24 = simulate_pugz(PAPER_MODEL, 5000, 24).speed_mbps
-        s32 = simulate_pugz(PAPER_MODEL, 5000, 32).speed_mbps
-        assert abs(s32 - s24) / s24 < 0.1
-
-    def test_crossover_with_libdeflate_between_4_and_8(self):
-        """Figure 5: pugz overtakes libdeflate in the 4-8 thread range."""
-        s4 = simulate_pugz(PAPER_MODEL, 5000, 4).speed_mbps
-        s8 = simulate_pugz(PAPER_MODEL, 5000, 8).speed_mbps
-        assert s4 < 140.0
-        assert s8 > 118.0
-
-    def test_single_thread_slower_than_gunzip(self):
-        """Marker tracking costs: 1-thread pugz loses to gunzip."""
-        assert simulate_pugz(PAPER_MODEL, 5000, 1).speed_mbps < 37.0
-
-    def test_cat_is_upper_bound(self):
-        cat = simulate_cat(PAPER_MODEL, 5000).speed_mbps
-        assert cat > simulate_pugz(PAPER_MODEL, 5000, 32).speed_mbps
+        model = _model(cores=8)
+        s8 = simulate_pugz(model, 5000, 8).speed_mbps
+        s32 = simulate_pugz(model, 5000, 32).speed_mbps
+        assert abs(s32 - s8) / s8 < 0.1
 
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
-            simulate_pugz(PAPER_MODEL, 100, 0)
-
-    def test_sweep_reproducible_and_shaped(self):
-        a = sweep_threads(PAPER_MODEL, [3000.0, 5000.0], [2, 8, 32], reps=3, seed=1)
-        b = sweep_threads(PAPER_MODEL, [3000.0, 5000.0], [2, 8, 32], reps=3, seed=1)
-        assert a == b
-        means = [a[n][0] for n in (2, 8, 32)]
-        assert means[0] < means[1] < means[2]
-        assert all(a[n][1] >= 0 for n in a)
-
-    def test_output_sync_overhead(self):
-        """The paper's 10-20% synchronised-output penalty."""
-        base = simulate_pugz(PAPER_MODEL, 5000, 8).speed_mbps
-        synced = simulate_pugz(PAPER_MODEL.with_output_sync(0.15), 5000, 8).speed_mbps
-        assert synced == pytest.approx(base / 1.15)
-
-
-class TestMeasuredCalibration:
-    def test_measure_python_returns_sane_model(self, fastq_small):
-        import gzip as stdlib_gzip
-
-        gz = stdlib_gzip.compress(fastq_small, 6)
-        model = CostModel.measure_python(gz, fastq_small)
-        assert 0.01 < model.gunzip_mbps < 1000
-        assert model.pass1_mbps > 0
-        assert model.translate_mbps > model.pass1_mbps  # memcpy-class
-        assert model.compression_ratio == pytest.approx(len(fastq_small) / len(gz))
+            simulate_pugz(_model(), 100, 0)
 
 
 class TestProfiling:
@@ -108,84 +49,3 @@ class TestProfiling:
         assert profile.decode_mbps > 0
         total_frac = sum(frac for _, _, frac in profile.rows())
         assert 0.5 < total_frac <= 1.01
-
-
-class TestTimeline:
-    def test_events_cover_all_stages(self):
-        from repro.perf import PAPER_MODEL, simulate_pugz
-
-        r = simulate_pugz(PAPER_MODEL, 1000, 4, timeline=True)
-        stages = {e[1] for e in r.events}
-        assert stages == {"sync", "pass1", "resolve", "pass2"}
-        # Events are time-consistent: pass2 starts after resolve ends.
-        resolve_end = max(e[3] for e in r.events if e[1] == "resolve")
-        for e in r.events:
-            if e[1] == "pass2":
-                assert e[2] >= resolve_end - 1e-9
-
-    def test_no_timeline_by_default(self):
-        from repro.perf import PAPER_MODEL, simulate_pugz
-
-        assert simulate_pugz(PAPER_MODEL, 1000, 4).events is None
-
-
-class TestStorageModels:
-    def test_presets_exist(self):
-        for name in ("hdd", "sata_ssd", "nvme", "nas", "ram"):
-            assert PRESETS[name].read_mbps > 0
-
-    def test_paper_intro_claim(self):
-        """Section I: gunzip (~37 MB/s) is the bottleneck on every
-        modern device, by 1-2 orders of magnitude on NVMe."""
-        for name in ("hdd", "sata_ssd", "nvme"):
-            assert bottleneck(PRESETS[name], 37.0) == "decompression"
-        assert PRESETS["nvme"].read_mbps / 37.0 > 50
-
-    def test_pugz_shifts_bottleneck(self):
-        """At 611 MB/s, SATA storage becomes the bottleneck."""
-        assert bottleneck(PRESETS["sata_ssd"], 611.0) == "storage"
-
-    def test_pipeline_throughput_overlapped(self):
-        assert pipeline_throughput(PRESETS["sata_ssd"], 37.0) == 37.0
-        assert pipeline_throughput(PRESETS["sata_ssd"], 9999.0) == 500.0
-
-    def test_pipeline_throughput_serial(self):
-        t = pipeline_throughput(PRESETS["sata_ssd"], 500.0, overlapped=False)
-        assert t == pytest.approx(250.0)
-
-    def test_invalid_decomp_rate(self):
-        with pytest.raises(ValueError):
-            pipeline_throughput(PRESETS["hdd"], 0)
-
-
-class TestSchedulers:
-    def test_lpt_balances(self):
-        # LPT on [5,4,3,3,3]/2 workers gives 10 (the optimum is 9; LPT
-        # is a 4/3-approximation, and 10 <= 4/3 * 9).
-        costs = [5, 4, 3, 3, 3]
-        assert lpt_makespan(costs, 2) == 10
-
-    def test_lpt_single_worker(self):
-        assert lpt_makespan([1, 2, 3], 1) == 6
-
-    def test_round_robin(self):
-        assert round_robin_makespan([4, 1, 4, 1], 2) == 8  # worker0: 4+4
-
-    def test_assignment_covers_all(self):
-        assignment = greedy_assign([3, 1, 4, 1, 5], 3)
-        flat = sorted(i for lst in assignment for i in lst)
-        assert flat == [0, 1, 2, 3, 4]
-
-    def test_lpt_within_approximation_bound(self):
-        """LPT makespan <= 4/3 * lower bound (Graham's guarantee)."""
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            costs = rng.random(10).tolist()
-            lb = max(sum(costs) / 3, max(costs))
-            assert lb <= lpt_makespan(costs, 3) <= (4 / 3) * lb + 1e-12
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            lpt_makespan([1], 0)
-        with pytest.raises(ValueError):
-            round_robin_makespan([1], 0)

@@ -1,40 +1,45 @@
-"""Property-based checks of the performance model's structure."""
+"""Property-based checks of the schedule model's structure."""
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf import PAPER_MODEL, simulate_pugz, simulate_sequential
+from repro.perf import simulate_pugz
+from tests.test_perf import _model
+
+CORES = 24
 
 
 class TestSimulatorProperties:
     @given(
         mb=st.floats(min_value=10, max_value=20000),
-        n=st.integers(min_value=1, max_value=24),
+        n=st.integers(min_value=1, max_value=CORES),
     )
     @settings(max_examples=60, deadline=None)
     def test_speed_independent_of_file_size_asymptotically(self, mb, n):
         """Throughput converges for large files (sync amortises)."""
-        small = simulate_pugz(PAPER_MODEL, mb, n).speed_mbps
-        large = simulate_pugz(PAPER_MODEL, mb * 100, n).speed_mbps
+        model = _model(cores=CORES)
+        small = simulate_pugz(model, mb, n).speed_mbps
+        large = simulate_pugz(model, mb * 100, n).speed_mbps
         assert large >= small * 0.95
 
-    @given(n=st.integers(min_value=1, max_value=23))
+    @given(n=st.integers(min_value=1, max_value=CORES - 1))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_threads_below_cores(self, n):
-        a = simulate_pugz(PAPER_MODEL, 5000, n).speed_mbps
-        b = simulate_pugz(PAPER_MODEL, 5000, n + 1).speed_mbps
+        model = _model(cores=CORES)
+        a = simulate_pugz(model, 5000, n).speed_mbps
+        b = simulate_pugz(model, 5000, n + 1).speed_mbps
         assert b > a
 
     @given(scale=st.floats(min_value=1.1, max_value=10.0))
     @settings(max_examples=30, deadline=None)
     def test_monotone_in_pass1_rate(self, scale):
-        faster = replace(PAPER_MODEL, pass1_mbps=PAPER_MODEL.pass1_mbps * scale)
+        model = _model(cores=CORES)
+        faster = replace(model, pass1_mbps=model.pass1_mbps * scale)
         assert (
             simulate_pugz(faster, 5000, 16).speed_mbps
-            > simulate_pugz(PAPER_MODEL, 5000, 16).speed_mbps
+            > simulate_pugz(model, 5000, 16).speed_mbps
         )
 
     @given(
@@ -45,27 +50,10 @@ class TestSimulatorProperties:
     def test_higher_compression_ratio_costs_translate_time(self, ratio, n):
         """More uncompressed bytes per compressed byte = more pass-2
         work = lower compressed-MB/s."""
-        heavy = replace(PAPER_MODEL, compression_ratio=ratio * 2)
-        light = replace(PAPER_MODEL, compression_ratio=ratio)
+        model = _model(cores=CORES)
+        heavy = replace(model, compression_ratio=ratio * 2)
+        light = replace(model, compression_ratio=ratio)
         assert (
             simulate_pugz(heavy, 5000, n).speed_mbps
             <= simulate_pugz(light, 5000, n).speed_mbps
-        )
-
-    @given(mb=st.floats(min_value=1, max_value=10000))
-    @settings(max_examples=30, deadline=None)
-    def test_sequential_throughput_is_flat(self, mb):
-        a = simulate_sequential(PAPER_MODEL, "gunzip", mb).speed_mbps
-        assert a == pytest.approx(PAPER_MODEL.gunzip_mbps)
-
-    @given(
-        n=st.integers(min_value=1, max_value=32),
-        overhead=st.floats(min_value=0.0, max_value=0.5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_output_sync_scales_wall_time(self, n, overhead):
-        base = simulate_pugz(PAPER_MODEL, 3000, n)
-        synced = simulate_pugz(PAPER_MODEL.with_output_sync(overhead), 3000, n)
-        assert synced.wall_seconds == pytest.approx(
-            base.wall_seconds * (1 + overhead)
         )
