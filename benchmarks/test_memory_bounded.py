@@ -17,8 +17,7 @@ import time
 
 import pytest
 
-from repro.core.pugz import pugz_decompress
-from repro.core.windowed import pugz_decompress_windowed
+from repro.core.pugz import PugzReport, iter_pugz, pugz_decompress
 from repro.data import gzip_zlib
 
 
@@ -34,17 +33,14 @@ def test_memory_vs_stripe_size(benchmark, fastq_4m, reporter):
         assert out == text
         rows["all-in-memory"] = (len(text), full_time)
         for stripe in (12, 4, 2, 1):
-            sink_total = [0]
-
-            def sink(b, _t=sink_total):
-                _t[0] += len(b)
-
+            report = PugzReport(n_chunks_requested=12)
             t0 = time.perf_counter()
-            report = pugz_decompress_windowed(
-                gz, sink, n_chunks=12, stripe_chunks=stripe
+            streamed = sum(
+                len(piece)
+                for piece in iter_pugz(gz, n_chunks=12, stripe_chunks=stripe, report=report)
             )
             dt = time.perf_counter() - t0
-            assert sink_total[0] == len(text)
+            assert streamed == len(text)
             rows[f"stripe={stripe}"] = (report.peak_stripe_symbols, dt)
         return rows
 

@@ -41,8 +41,9 @@ class UndeterminedWindowCounter:
         self._eligible: dict[int, int] = {}
         self._total = 0
 
-    def __call__(self, symbols: list[int], start_position: int) -> None:
-        """Sink interface for :func:`marker_inflate` streaming mode."""
+    def __call__(self, symbols: np.ndarray, start_position: int) -> None:
+        """Sink interface for :func:`marker_inflate` streaming mode
+        (``symbols`` an ``int32`` array, or any sequence of codes)."""
         arr = np.asarray(symbols, dtype=np.int32)
         self._total = max(self._total, start_position + len(arr))
         positions = np.arange(start_position, start_position + len(arr), dtype=np.int64)

@@ -33,9 +33,7 @@ __all__ = [
     "bgzf_compress",
     "bgzf_decompress",
     "scan_blocks",
-    "scan_blocks_source",
     "read_block",
-    "read_block_source",
     "make_virtual_offset",
     "split_virtual_offset",
     "blocks_to_bytes",
@@ -119,77 +117,44 @@ def bgzf_compress(data: bytes, level: int = 6, block_input: int = MAX_BLOCK_INPU
     return bytes(out)
 
 
-def _parse_bsize(data: bytes, offset: int) -> int:
-    """Read the BC extra field of the member at ``offset``; returns csize."""
-    if data[offset : offset + 4] != GZIP_MAGIC + b"\x08\x04":
-        raise GzipFormatError(f"not a BGZF member at offset {offset}", stage="bgzf")
-    xlen = struct.unpack_from("<H", data, offset + 10)[0]
-    pos = offset + 12
-    end = pos + xlen
+def _parse_bsize(header: bytes, offset: int) -> int:
+    """Read the BC extra field of ``header`` (a member's fixed header
+    and its whole extra field; the member starts at file ``offset``);
+    returns csize."""
+    pos = 12
+    end = len(header)
     while pos + 4 <= end:
-        si1, si2, slen = data[pos], data[pos + 1], struct.unpack_from("<H", data, pos + 2)[0]
-        if si1 == 0x42 and si2 == 0x43 and slen == 2:
-            return struct.unpack_from("<H", data, pos + 4)[0] + 1
+        si1, si2, slen = header[pos], header[pos + 1], struct.unpack_from("<H", header, pos + 2)[0]
+        if si1 == 0x42 and si2 == 0x43 and slen == 2 and pos + 6 <= end:
+            return struct.unpack_from("<H", header, pos + 4)[0] + 1
         pos += 4 + slen
     raise GzipFormatError(f"BGZF member at {offset} lacks the BC field", stage="bgzf")
 
 
-def scan_blocks(data: bytes) -> list[BgzfBlock]:
+def scan_blocks(source) -> list[BgzfBlock]:
     """Enumerate the blocks of a BGZF file without decompressing them.
 
     This is the structural advantage over plain gzip: block boundaries
     come from the BC size fields in O(#blocks), no bit probing needed.
-    """
-    blocks = []
-    offset = 0
-    n = len(data)
-    while offset < n:
-        csize = _parse_bsize(data, offset)
-        if offset + csize > n:
-            raise GzipFormatError("truncated BGZF block", stage="bgzf")
-        isize = struct.unpack_from("<I", data, offset + csize - 4)[0]
-        blocks.append(BgzfBlock(coffset=offset, csize=csize, usize=isize))
-        offset += csize
-    if not blocks or not blocks[-1].is_eof:
-        raise GzipFormatError("BGZF file lacks the EOF sentinel block", stage="bgzf")
-    return blocks
-
-
-def read_block(data: bytes, block: BgzfBlock, verify: bool = True) -> bytes:
-    """Decompress one block independently (the random-access primitive)."""
-    xlen = struct.unpack_from("<H", data, block.coffset + 10)[0]
-    payload_start = block.coffset + 12 + xlen
-    result = inflate(data, start_bit=8 * payload_start)
-    out = result.data
-    if verify:
-        stored_crc, stored_isize = struct.unpack_from(
-            "<II", data, block.coffset + block.csize - 8
-        )
-        if stored_isize != len(out):
-            raise GzipFormatError("BGZF block ISIZE mismatch", stage="bgzf")
-        if stored_crc != crc32(out):
-            raise GzipFormatError("BGZF block CRC mismatch", stage="bgzf")
-    return out
-
-
-def scan_blocks_source(source) -> list[BgzfBlock]:
-    """Ranged-I/O variant of :func:`scan_blocks`: enumerate blocks by
-    hopping header-to-header with ``pread``, never holding more than one
-    member's metadata in memory.  ``source`` may be bytes, a path, a
-    binary file object, or a :class:`~repro.io.source.ByteSource`.
+    The walk hops header to header with ``pread``, so only one
+    member's header is held at a time.  ``source`` may be bytes, a
+    path, a binary file object, or a :class:`~repro.io.source.ByteSource`.
     """
     src = ByteSource.wrap(source)
-    if src.is_in_memory:
-        return scan_blocks(src.read_all())
     blocks = []
     n = src.size()
     offset = 0
     while offset < n:
         head = src.pread(offset, 12)
+        if head[:4] != GZIP_MAGIC + b"\x08\x04":
+            raise GzipFormatError(f"not a BGZF member at offset {offset}", stage="bgzf")
         if len(head) < 12:
             raise GzipFormatError("truncated BGZF block", stage="bgzf")
         xlen = struct.unpack_from("<H", head, 10)[0]
-        csize = _parse_bsize(head + src.pread(offset + 12, xlen), 0)
+        extra = src.pread(offset + 12, xlen)
+        if len(extra) < xlen:
+            raise GzipFormatError("truncated BGZF block", stage="bgzf")
+        csize = _parse_bsize(head + extra, offset)
         if offset + csize > n:
             raise GzipFormatError("truncated BGZF block", stage="bgzf")
         isize = struct.unpack("<I", src.pread(offset + csize - 4, 4))[0]
@@ -200,22 +165,37 @@ def scan_blocks_source(source) -> list[BgzfBlock]:
     return blocks
 
 
-def read_block_source(source, block: BgzfBlock, verify: bool = True) -> bytes:
-    """Ranged-I/O variant of :func:`read_block`: reads exactly the
-    block's ``csize`` compressed bytes at its ``coffset``."""
-    src = ByteSource.wrap(source)
-    member = src.pread(block.coffset, block.csize)
+def read_block(source, block: BgzfBlock, verify: bool = True) -> bytes:
+    """Decompress one block independently (the random-access primitive).
+
+    Reads exactly the block's ``csize`` compressed bytes at its
+    ``coffset`` from ``source`` (bytes, a path, a binary file object,
+    or a :class:`~repro.io.source.ByteSource`).
+    """
+    member = ByteSource.wrap(source).pread(block.coffset, block.csize)
     if len(member) < block.csize:
         raise GzipFormatError("truncated BGZF block", stage="bgzf")
-    shifted = BgzfBlock(coffset=0, csize=block.csize, usize=block.usize)
-    return read_block(member, shifted, verify)
+    return _inflate_member(member, verify)
+
+
+def _inflate_member(member: bytes, verify: bool = True) -> bytes:
+    """Decompress one BGZF member given as exactly its own bytes,
+    checking its CRC32 and ISIZE trailer when ``verify``."""
+    xlen = struct.unpack_from("<H", member, 10)[0]
+    out = inflate(member, start_bit=8 * (12 + xlen)).data
+    if verify:
+        stored_crc, stored_isize = struct.unpack_from("<II", member, len(member) - 8)
+        if stored_isize != len(out):
+            raise GzipFormatError("BGZF block ISIZE mismatch", stage="bgzf")
+        if stored_crc != crc32(out):
+            raise GzipFormatError("BGZF block CRC mismatch", stage="bgzf")
+    return out
 
 
 def bgzf_decompress(data: bytes, verify: bool = True) -> bytes:
     """Decompress a whole BGZF file (sequentially)."""
-    return b"".join(
-        read_block(data, b, verify) for b in scan_blocks(data) if not b.is_eof
-    )
+    src = ByteSource.wrap(data)
+    return b"".join(read_block(src, b, verify) for b in scan_blocks(src) if not b.is_eof)
 
 
 # -- block-table persistence (crash-safe sidecar) -------------------------

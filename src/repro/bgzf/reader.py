@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from repro.bgzf.format import (
     BgzfBlock,
+    _inflate_member,
     make_virtual_offset,
     read_block,
-    read_block_source,
     scan_blocks,
-    scan_blocks_source,
     split_virtual_offset,
 )
-from repro.errors import GzipFormatError, RandomAccessError
+from repro.errors import RandomAccessError
 from repro.io.source import ByteSource
 from repro.parallel.executor import Executor, owned_executor
 
@@ -48,7 +47,7 @@ class BgzfReader:
         self._source = ByteSource.wrap(data)
         self._verify = verify
         if blocks is None:
-            blocks = scan_blocks_source(self._source)
+            blocks = scan_blocks(self._source)
         self.blocks: list[BgzfBlock] = [b for b in blocks if not b.is_eof]
         self._starts = []  # uncompressed start of each block
         total = 0
@@ -65,7 +64,7 @@ class BgzfReader:
     def _block_bytes(self, index: int) -> bytes:
         if self._cache is not None and self._cache[0] == index:
             return self._cache[1]
-        out = read_block_source(self._source, self.blocks[index], self._verify)
+        out = read_block(self._source, self.blocks[index], self._verify)
         self._cache = (index, out)
         return out
 
@@ -118,8 +117,8 @@ class BgzfReader:
 
 
 def _read_one(args) -> bytes:
-    data, block, verify = args
-    return read_block(data, block, verify)
+    member, verify = args
+    return _inflate_member(member, verify)
 
 
 def bgzf_decompress_parallel(
@@ -132,9 +131,11 @@ def bgzf_decompress_parallel(
 
     The blocked-format counterpart of pugz: no probing, no markers, no
     second pass — the comparison benchmark quantifies what the format
-    buys (and what its extra per-block overhead costs in ratio).
+    buys (and what its extra per-block overhead costs in ratio).  Each
+    task carries only its own block's compressed bytes.
     """
-    blocks = [b for b in scan_blocks(data) if not b.is_eof]
+    src = ByteSource.wrap(data)
+    members = [src.pread(b.coffset, b.csize) for b in scan_blocks(src) if not b.is_eof]
     with owned_executor(executor, n_workers) as ex:
-        parts = ex.map(_read_one, [(data, b, verify) for b in blocks])
+        parts = ex.map(_read_one, [(member, verify) for member in members])
     return b"".join(parts)

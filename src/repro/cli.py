@@ -159,10 +159,10 @@ def _cmd_random_access(args) -> int:
 
 
 def _cmd_stream(args) -> int:
-    from repro.core.windowed import WindowedReport, iter_pugz
+    from repro.core.pugz import PugzReport, iter_pugz
 
     data = _read(args.input)
-    report = WindowedReport()
+    report = PugzReport(n_chunks_requested=args.chunks)
     t0 = time.perf_counter()
     out = sys.stdout.buffer if not args.output else open(args.output, "wb")
     try:
@@ -249,7 +249,7 @@ def _span(args) -> int:
 
 def _cmd_index(args) -> int:
     from repro.deflate.constants import WINDOW_SIZE
-    from repro.index import GzipIndex, build_index, load_or_rebuild
+    from repro.index import GzipIndex, load_or_rebuild
 
     if args.mode == "info":
         idx = GzipIndex.load(args.index_file)
@@ -308,15 +308,10 @@ def _cmd_index(args) -> int:
         _write(args.output or "-", out)
         return 0
 
-    t0 = time.perf_counter()
-    if args.builder == "pugz":
-        from repro.core.parallel_index import pugz_build_index
+    from repro.core.parallel_index import index_members
 
-        _, idx = pugz_build_index(
-            source, n_chunks=args.threads, executor=args.executor, span=_span(args)
-        )
-    else:
-        idx = build_index(source, span=_span(args))
+    t0 = time.perf_counter()
+    idx = index_members(source, args.threads, args.executor, kernel=None, span=_span(args))
     idx.save(args.index_file)
     print(
         f"index: {len(idx.checkpoints)} checkpoints over "
@@ -569,17 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     xb.add_argument("--span", type=int, default=None,
                     help="bytes between checkpoints, at most, unless a "
                          "block cannot be cut (default 8192: four "
-                         "checkpoints per gzip -6 block); both builders")
-    xb.add_argument("--builder", choices=("sequential", "pugz"),
-                    default="sequential",
-                    help="sequential: one decoding pass; pugz: the parallel "
-                         "two-pass decompressor (faster with -e process). "
-                         "Both give the same index")
+                         "checkpoints per gzip -6 block)")
     xb.add_argument("-t", "--threads", type=int, default=None,
-                    help="pugz builder: number of chunks (default: one per "
-                         "executor worker, so 1 on serial)")
+                    help="pugz chunks (default: one per executor worker, "
+                         "so one sequential pass on serial); the index is "
+                         "the same for any count")
     xb.add_argument("-e", "--executor", choices=("serial", "thread", "process"),
-                    default="serial", help="pugz builder: executor backend")
+                    default="serial", help="executor backend (faster with process)")
     xb.set_defaults(func=_cmd_index)
     xi = xsub.add_parser("info", help="describe an exported index sidecar")
     xi.add_argument("index_file")

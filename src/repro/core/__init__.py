@@ -19,12 +19,17 @@ from repro.core.marker_inflate import MarkerInflateResult, marker_inflate
 from repro.core.parallel_index import pugz_build_index
 from repro.core.pigz import pigz_compress
 from repro.core.recovery import RecoveryReport, locate_corruption, recover
-from repro.core.pugz import PugzHole, PugzReport, pugz_decompress, pugz_decompress_payload
+from repro.core.pugz import (
+    PugzHole,
+    PugzReport,
+    iter_pugz,
+    pugz_decompress,
+    pugz_decompress_payload,
+)
 from repro.core.random_access import RandomAccessReport, random_access_sequences
 from repro.core.seqstream import StreamingSequenceExtractor
 from repro.core.sequences import ExtractedSequence, extract_sequences
 from repro.core.sync import SyncResult, find_block_start, probe_block
-from repro.core.windowed import WindowedReport, iter_pugz, pugz_decompress_windowed
 
 __all__ = [
     "marker_inflate",
@@ -33,9 +38,7 @@ __all__ = [
     "pugz_decompress_payload",
     "PugzReport",
     "PugzHole",
-    "pugz_decompress_windowed",
     "iter_pugz",
-    "WindowedReport",
     "random_access_sequences",
     "RandomAccessReport",
     "extract_sequences",

@@ -11,11 +11,12 @@ Two consumption modes:
 
 * **full output** (default): the whole symbol stream is returned as an
   ``int32`` array — used by the parallel decompressor's first pass and
-  by the random-access analyses;
+  by corruption recovery;
 * **streaming** (``sink=...``): symbols are flushed to a callback in
-  large chunks and only the 32 KiB window is retained — used for the
-  Figure 2 scale experiments (tens of MB) where materialising the
-  output would dominate memory.
+  large read-only ``int32`` arrays and only the 32 KiB window is
+  retained — used by random access (Table I at full scale) and the
+  Figure 2 experiments (tens of MB), where materialising the output
+  would dominate memory.
 
 The block-header machinery is shared with the byte-domain decoder
 (:func:`repro.deflate.inflate.read_block_header`).
@@ -112,8 +113,10 @@ def marker_inflate(
     window:
         Initial context; ``None`` means fully undetermined.
     sink:
-        Streaming callback ``sink(symbols_list, start_position)``; when
-        given, ``result.symbols`` is ``None``.
+        Streaming callback ``sink(symbols, start_position)``, where
+        ``symbols`` is a read-only ``int32`` array of the symbols from
+        output position ``start_position`` on; when given,
+        ``result.symbols`` is ``None``.
     flush_symbols:
         Streaming granularity.
     max_output:
@@ -173,7 +176,8 @@ def marker_inflate(
         if chunks:
             pending = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
             chunks = []
-            sink(pending.tolist(), emitted)
+            pending.flags.writeable = False
+            sink(pending, emitted)
             emitted += len(pending)
 
     while True:

@@ -17,12 +17,12 @@ The algorithm, exactly as in the paper (Figure 3):
    less than shipping the symbols to a worker and the bytes back.
 
 One driver runs both passes for the whole-file call and the streamed
-one (:func:`repro.core.windowed.iter_pugz`).  It works through the
-planned chunks a *stripe* at a time; the whole-file call is one stripe,
-then a join.  A stripe of ``s`` chunks keeps only its own symbols
-resident — the paper's Discussion projects this lift of the
-whole-output-in-memory limit "with little projected impact on
-performance".
+one (:func:`iter_pugz`).  It works through the planned chunks a
+*stripe* at a time; the whole-file call is one stripe, then a join.  A
+stripe of ``s`` chunks keeps only its own symbols resident — the
+paper's Discussion projects this lift of the whole-output-in-memory
+limit "with little projected impact on performance", by "processing in
+parallel only a portion of the file at a time".
 
 The paper's threads share memory, so pass-1 output never crosses a
 process boundary.  Here it does, and two things keep that cheap: a
@@ -91,6 +91,7 @@ __all__ = [
     "ChunkOutcome",
     "PugzHole",
     "PugzReport",
+    "iter_pugz",
     "pugz_decompress",
     "pugz_decompress_payload",
 ]
@@ -536,7 +537,7 @@ def pugz_decompress_payload(
     span; a plain decompression leaves it off and does no work for it.
 
     Every chunk runs as one stripe of the driver that
-    :func:`repro.core.windowed.iter_pugz` streams a stripe at a time.
+    :func:`iter_pugz` streams a stripe at a time.
     """
     if on_error not in ("raise", "recover"):
         raise ValueError(f"on_error must be 'raise' or 'recover', got {on_error!r}")
@@ -865,6 +866,42 @@ def pugz_decompress(
     return out
 
 
+def iter_pugz(
+    gz_data: bytes,
+    n_chunks: int = 16,
+    stripe_chunks: int = 4,
+    executor: Executor | str = "serial",
+    confirm_blocks: int = 5,
+    report: PugzReport | None = None,
+    kernel: str | None = None,
+):
+    """Streaming decompression: yield the output in stream order, a
+    stripe of ``stripe_chunks`` chunks at a time.
+
+    Peak memory is O(stripe), not O(file): only the 32 KiB boundary
+    context, the previous chunk's end bit and the BFINAL stop cross
+    from one stripe to the next.  Being :func:`pugz_decompress`'s own
+    driver, a stream restarts false chunk starts the same way, and
+    each member is planned into up to ``n_chunks`` chunks and striped
+    on its own, its CRC32 and ISIZE checked once its last piece has
+    been yielded.  Pass a :class:`PugzReport` to collect
+    instrumentation (``chunks``, ``stripes``, ``output_size`` and
+    ``peak_stripe_symbols`` count every member).  ``kernel`` selects
+    the decode kernel by name (picklable for process executors);
+    ``None`` defers to ``$REPRO_KERNEL`` or the auto gate.  An executor
+    built here from a name is closed when the generator finishes or is
+    closed.
+    """
+    if stripe_chunks < 1:
+        raise ValueError("stripe_chunks must be >= 1")
+    if report is None:
+        report = PugzReport(n_chunks_requested=n_chunks)
+    yield from _iter_members(
+        gz_data, n_chunks, executor, stripe_chunks, report,
+        verify=True, confirm_blocks=confirm_blocks, kernel=kernel,
+    )
+
+
 def _iter_members(
     gz_data: bytes,
     n_chunks: int,
@@ -881,7 +918,7 @@ def _iter_members(
     walk of :func:`~repro.deflate.gzipfmt.iter_members`: behind
     :func:`pugz_decompress` (``stripe_chunks=None``: each member is one
     :func:`pugz_decompress_payload` call) and the striped
-    :func:`repro.core.windowed.iter_pugz`.
+    :func:`iter_pugz`.
 
     Every trailer must be present.  With ``verify`` each member's CRC32
     and length are chained over its pieces as they are yielded and

@@ -6,11 +6,13 @@ Pipeline, as in the paper's ``fqgz`` prototype:
 2. find the first confirmed DEFLATE block start at/after it
    (:mod:`repro.core.sync`);
 3. decompress forward with a fully undetermined context
-   (:mod:`repro.core.marker_inflate`);
-4. per decompressed block, run the heuristic sequence extractor
-   (:mod:`repro.core.sequences`) and declare a block
-   *sequence-resolved* once it yields at least ``resolved_threshold``
-   sequences, none containing an undetermined character;
+   (:mod:`repro.core.marker_inflate`), streaming the symbols through
+   the heuristic sequence extractor (:mod:`repro.core.seqstream`, the
+   grammar of :mod:`repro.core.sequences`);
+4. attribute the sequences to the blocks they start in and declare a
+   block *sequence-resolved* once it yields at least
+   ``resolved_threshold`` sequences, none containing an undetermined
+   character;
 5. report the "delay" (bytes decompressed before the first
    sequence-resolved block) and, from there on, the fraction of
    unambiguous sequences — the two quantities of the paper's Table I.
@@ -24,7 +26,8 @@ import numpy as np
 
 from repro.core.marker import count_markers
 from repro.core.marker_inflate import marker_inflate
-from repro.core.sequences import ExtractedSequence, extract_sequences
+from repro.core.seqstream import StreamingSequenceExtractor
+from repro.core.sequences import ExtractedSequence
 from repro.core.sync import find_block_start
 from repro.deflate.gzipfmt import parse_gzip_header
 from repro.errors import RandomAccessError
@@ -76,50 +79,44 @@ def random_access_payload(
     max_output: int | None = None,
     confirm_blocks: int = 5,
     end_bit: int | None = None,
-    streaming: bool = False,
 ) -> RandomAccessReport:
     """Random access into a raw DEFLATE payload at a bit offset.
 
-    ``streaming=True`` runs the decode through the streaming sequence
-    extractor instead of materialising the symbol stream — O(32 KiB)
-    memory, for GB-scale scans (the paper's Table I protocol at full
-    size).
+    The decode streams through :func:`marker_inflate`'s sink into a
+    :class:`~repro.core.seqstream.StreamingSequenceExtractor`, so only
+    the 32 KiB window, one flush and the extractor's carried run are
+    resident, whatever the span (the paper's Table I protocol at full
+    size).  The extractor finds
+    exactly :func:`~repro.core.sequences.extract_sequences`'s
+    sequences over the whole span; each is then attributed to the
+    block it starts in.
     """
     sync = find_block_start(data, start_bit=start_bit, confirm_blocks=confirm_blocks, end_bit=end_bit)
+    extractor = StreamingSequenceExtractor(min_length=min_read_length)
+    markers = 0
 
-    if streaming:
-        return _random_access_streaming(
-            data, sync, min_read_length, resolved_threshold, max_output, start_bit
-        )
+    def sink(symbols: np.ndarray, start_position: int) -> None:
+        nonlocal markers
+        markers += count_markers(symbols)
+        extractor(symbols, start_position)
 
-    result = marker_inflate(data, start_bit=sync.bit_offset, window=None, max_output=max_output)
-    symbols = result.symbols
-
+    result = marker_inflate(
+        data, start_bit=sync.bit_offset, window=None, sink=sink, max_output=max_output
+    )
+    extractor.finish()
     report = RandomAccessReport(
         requested_offset=start_bit // 8,
         sync_bit=sync.bit_offset,
         sync_candidates=sync.candidates_tried,
-        decompressed=len(symbols),
+        decompressed=result.total_output,
         first_resolved_block=None,
         delay_bytes=None,
-        residual_markers=count_markers(symbols),
+        residual_markers=markers,
     )
-
-    # Extract sequences over the whole span once (the grammar spans
-    # block boundaries naturally), then attribute them to blocks.
-    sequences = extract_sequences(symbols, min_length=min_read_length)
-    _attribute_to_blocks(report, result.blocks, sequences, resolved_threshold)
-    return report
-
-
-def _attribute_to_blocks(
-    report: RandomAccessReport, blocks, sequences: list[ExtractedSequence], resolved_threshold: int
-) -> None:
-    """Attribute ``sequences`` to ``blocks`` by start position and fill
-    ``report``'s per-block counts, first sequence-resolved block, delay
-    and the sequences from that block on."""
+    # Attribute each sequence to the block it starts in.
+    sequences = extractor.sequences
+    blocks = result.blocks
     seq_idx = 0
-    first_resolved = None
     for bi, block in enumerate(blocks):
         total = ambiguous = 0
         while seq_idx < len(sequences) and sequences[seq_idx].start < block.out_end:
@@ -130,52 +127,11 @@ def _attribute_to_blocks(
                     ambiguous += 1
             seq_idx += 1
         report.block_sequences.append((total, ambiguous))
-        if first_resolved is None and total >= resolved_threshold and ambiguous == 0:
-            first_resolved = bi
-    report.first_resolved_block = first_resolved
-    if first_resolved is not None:
-        resolved_start = blocks[first_resolved].out_start
-        report.delay_bytes = resolved_start
-        report.sequences = [s for s in sequences if s.start >= resolved_start]
-
-
-def _random_access_streaming(
-    data,
-    sync,
-    min_read_length: int,
-    resolved_threshold: int,
-    max_output: int | None,
-    start_bit: int,
-) -> RandomAccessReport:
-    """Streaming variant: composed sinks, no symbol materialisation."""
-    from repro.core.marker import MARKER_BASE
-    from repro.core.seqstream import StreamingSequenceExtractor
-
-    extractor = StreamingSequenceExtractor(min_length=min_read_length)
-    marker_total = [0]
-
-    def sink(symbols, start_position):
-        arr = np.asarray(symbols, dtype=np.int32)
-        marker_total[0] += int((arr >= MARKER_BASE).sum())
-        extractor(symbols, start_position)
-
-    result = marker_inflate(
-        data, start_bit=sync.bit_offset, window=None,
-        sink=sink, max_output=max_output,
-    )
-    extractor.finish()
-    sequences = extractor.sequences
-
-    report = RandomAccessReport(
-        requested_offset=start_bit // 8,
-        sync_bit=sync.bit_offset,
-        sync_candidates=sync.candidates_tried,
-        decompressed=result.total_output,
-        first_resolved_block=None,
-        delay_bytes=None,
-        residual_markers=marker_total[0],
-    )
-    _attribute_to_blocks(report, result.blocks, sequences, resolved_threshold)
+        if report.first_resolved_block is None and total >= resolved_threshold and ambiguous == 0:
+            report.first_resolved_block = bi
+    if report.first_resolved_block is not None:
+        report.delay_bytes = blocks[report.first_resolved_block].out_start
+        report.sequences = [s for s in sequences if s.start >= report.delay_bytes]
     return report
 
 
@@ -213,7 +169,6 @@ def random_access_sequences(
     resolved_threshold: int = 10,
     max_output: int | None = None,
     confirm_blocks: int = 5,
-    streaming: bool = False,
     index=None,
 ) -> RandomAccessReport:
     """Random access into a gzip file at a compressed byte offset.
@@ -248,5 +203,4 @@ def random_access_sequences(
         max_output=max_output,
         confirm_blocks=confirm_blocks,
         end_bit=payload_end_bit,
-        streaming=streaming,
     )

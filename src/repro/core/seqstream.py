@@ -5,8 +5,11 @@ symbol stream in memory.  This sink-based variant plugs into
 :func:`repro.core.marker_inflate.marker_inflate`'s streaming mode and
 handles the paper's "special case ... to handle sequences that span two
 blocks" — here, spans across *flush chunks* — by carrying the active
-partial match between chunks.  Memory is O(longest sequence), so
-Table I-style scans can run over arbitrarily large files.
+partial match between chunks.  Memory is O(longest run of D/U
+symbols), one byte per symbol, so Table I-style scans can run over
+arbitrarily large files.  It finds exactly the batch extractor's
+sequences: the end of the decoded span is not a terminator, so a read
+cut off by it is not a read.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ class StreamingSequenceExtractor:
     _total: int = 0
     _finished: bool = False
 
-    def __call__(self, symbols: list[int], start_position: int) -> None:
+    def __call__(self, symbols: np.ndarray, start_position: int) -> None:
         if self._finished:
             raise RuntimeError("extractor already finished")
-        classes = classify_symbols(np.asarray(symbols, dtype=np.int32))
+        classes = classify_symbols(symbols)
         if self._carry:
             if start_position != self._carry_start + len(self._carry):
                 raise ValueError("chunks must arrive contiguously")
@@ -57,40 +60,22 @@ class StreamingSequenceExtractor:
         # A match is *final* iff the D/U run at its trailing lookahead
         # terminates inside the buffer — equivalently, iff it ends
         # before the buffer's trailing maximal D/U run (which might
-        # still extend into the next chunk).  Everything from one
-        # character before that run (its potential leading terminator)
-        # onwards is carried.
-        tail_start = self._tail_run_start(buf)
-        self._extract(buf, buf_start, keep_end_before=tail_start)
+        # still extend into the next chunk).  No match crosses the
+        # character before that run, so the final matches are those of
+        # the buffer up to the run, and the run is scanned once, when
+        # a later chunk ends it.  The run is carried whole, with that
+        # character (its potential leading terminator): a match inside
+        # it can start after a U and end before one, so no prefix of it
+        # can be dropped without losing reads.
+        tail_start = len(buf.rstrip(b"DU"))
+        self._extract(buf[:tail_start], buf_start)
         carry_from = max(0, tail_start - 1)
         self._carry = buf[carry_from:]
         self._carry_start = buf_start + carry_from
-        # Bound the carry: anything longer than max_length (or a
-        # generous default) cannot be a read; keep only the tail that
-        # could still matter.
-        cap = (self.max_length or 100_000) + 2
-        if len(self._carry) > cap:
-            drop = len(self._carry) - cap
-            self._carry = self._carry[drop:]
-            self._carry_start += drop
 
-    @staticmethod
-    def _tail_run_start(buf: bytes) -> int:
-        """Start index of the buffer's trailing maximal D/U run.
-
-        ``len(buf)`` when the buffer ends with a terminator or other
-        character (no trailing run).
-        """
-        i = len(buf)
-        while i > 0 and buf[i - 1 : i] in (b"D", b"U"):
-            i -= 1
-        return i
-
-    def _extract(self, classes: bytes, global_start: int, keep_end_before: int | None = None) -> None:
+    def _extract(self, classes: bytes, global_start: int) -> None:
         for m in _SEQ_RE.finditer(classes):
             start, end = m.span()
-            if keep_end_before is not None and end >= keep_end_before:
-                continue  # provisional: may extend into the next chunk
             if end - start < self.min_length:
                 continue
             if self.max_length is not None and end - start > self.max_length:
@@ -104,12 +89,13 @@ class StreamingSequenceExtractor:
             )
 
     def finish(self) -> None:
-        """Flush the carried tail (terminated by end-of-stream)."""
+        """Extract what the carried tail terminates.  As in the batch
+        grammar, the end of the stream is no terminator: a D/U run it
+        cuts off (end of file or ``max_output``) is not a read."""
         if self._finished:
             return
-        # End of stream acts as a terminator: append a virtual 'T'.
         if self._carry:
-            self._extract(self._carry + b"T", self._carry_start)
+            self._extract(self._carry, self._carry_start)
         self._carry = b""
         self._finished = True
 

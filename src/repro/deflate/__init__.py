@@ -30,7 +30,6 @@ from repro.deflate.streaming import (
     FULL_FLUSH,
     SYNC_FLUSH,
     DeflateCompressor,
-    InflateDecompressor,
 )
 from repro.deflate.tokens import Token, TokenStats, TokenStream
 
@@ -51,7 +50,6 @@ __all__ = [
     "TokenStream",
     "TokenStats",
     "DeflateCompressor",
-    "InflateDecompressor",
     "SYNC_FLUSH",
     "FULL_FLUSH",
     "FINISH",

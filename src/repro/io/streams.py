@@ -32,9 +32,9 @@ class PugzStream(io.RawIOBase):
         # Late import: repro.core reaches back into repro.index (whose
         # modules use ByteSource from this package), so the decompressor
         # is bound at construction time, not import time.
-        from repro.core.windowed import WindowedReport, iter_pugz
+        from repro.core.pugz import PugzReport, iter_pugz
 
-        self.report = WindowedReport()
+        self.report = PugzReport(n_chunks_requested=n_chunks)
         self._source = iter_pugz(
             gz_data,
             n_chunks=n_chunks,

@@ -13,10 +13,10 @@ from repro.cli import main
 from repro.core.pugz import (
     PugzReport,
     _pass1_chunk,
+    iter_pugz,
     pugz_decompress,
     pugz_decompress_payload,
 )
-from repro.core.windowed import WindowedReport, iter_pugz
 from repro.data import fastq_like, random_dna, synthetic_fastq
 from repro.deflate.constants import WINDOW_SIZE
 from repro.deflate.deflate import gzip_compress
@@ -115,7 +115,7 @@ class TestFalseChunkStart:
     @pytest.mark.parametrize("n_chunks,stripe", STRIPES)
     def test_iter_pugz_is_exact(self, fixed_only_gz, n_chunks, stripe):
         text, gz = fixed_only_gz
-        report = WindowedReport()
+        report = PugzReport(n_chunks_requested=n_chunks)
         out = b"".join(iter_pugz(gz, n_chunks=n_chunks, stripe_chunks=stripe, report=report))
         assert out == text
         _, whole = pugz_decompress(gz, n_chunks=n_chunks, return_report=True)
@@ -123,7 +123,7 @@ class TestFalseChunkStart:
         def restarted(r):
             return [d.index for d in r.chunk_details if d.degraded_to == "restart"]
 
-        assert restarted(report.pugz) == restarted(whole)
+        assert restarted(report) == restarted(whole)
 
     @pytest.mark.parametrize("n_chunks,stripe", STRIPES)
     def test_pugz_stream_is_exact(self, fixed_only_gz, n_chunks, stripe):

@@ -6,8 +6,7 @@ import zlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pugz import pugz_decompress
-from repro.core.windowed import pugz_decompress_windowed
+from repro.core.pugz import iter_pugz, pugz_decompress
 
 # Structured text generators that produce multi-block streams with
 # varied match/literal regimes.
@@ -46,9 +45,7 @@ class TestPugzProperty:
     def test_windowed_exactness(self, doc, reps, stripe):
         text = doc * reps
         gz = stdlib_gzip.compress(text, 6, mtime=0)
-        parts = []
-        pugz_decompress_windowed(gz, parts.append, n_chunks=5, stripe_chunks=stripe)
-        assert b"".join(parts) == text
+        assert b"".join(iter_pugz(gz, n_chunks=5, stripe_chunks=stripe)) == text
 
     @given(st.lists(_document, min_size=1, max_size=3))
     @settings(max_examples=10, deadline=None)

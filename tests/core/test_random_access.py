@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.core.marker import count_markers
+from repro.core.marker_inflate import marker_inflate
 from repro.core.random_access import random_access_sequences
+from repro.core.sequences import extract_sequences
 from repro.data import gzip_zlib, synthetic_fastq
 from repro.deflate.deflate import gzip_compress
 from repro.errors import RandomAccessError
@@ -71,20 +74,43 @@ class TestLowestLevelWeakPersona:
 
 
 class TestStreamingMode:
-    def test_streaming_equals_materialised(self, safe_fastq):
-        """The O(32 KiB)-memory path must report identical results."""
-        gz = gzip_zlib(safe_fastq, 6)
-        a = random_access_sequences(gz, len(gz) // 4)
-        b = random_access_sequences(gz, len(gz) // 4, streaming=True)
-        assert a.sync_bit == b.sync_bit
-        assert a.decompressed == b.decompressed
-        assert a.residual_markers == b.residual_markers
-        assert a.first_resolved_block == b.first_resolved_block
-        assert a.delay_bytes == b.delay_bytes
-        assert a.block_sequences == b.block_sequences
-        assert [(s.start, s.end, s.undetermined) for s in a.sequences] == [
-            (s.start, s.end, s.undetermined) for s in b.sequences
+    """Random access streams its decode through the sequence extractor;
+    it must report what the materialised reference does: the whole
+    span from ``marker_inflate``, then ``extract_sequences`` over it."""
+
+    @staticmethod
+    def _check_against_materialised(gz, max_output=None):
+        got = random_access_sequences(gz, len(gz) // 4, max_output=max_output)
+        full = marker_inflate(gz, start_bit=got.sync_bit, max_output=max_output)
+        sequences = extract_sequences(full.symbols, min_length=20)
+        assert got.decompressed == len(full.symbols)
+        assert got.residual_markers == count_markers(full.symbols)
+        assert got.block_sequences == [
+            (len(inside), sum(not s.is_unambiguous for s in inside))
+            for inside in (
+                [s for s in sequences if b.out_start <= s.start < b.out_end]
+                for b in full.blocks
+            )
         ]
+        assert got.delay_bytes is not None
+        assert [(s.start, s.end, s.undetermined) for s in got.sequences] == [
+            (s.start, s.end, s.undetermined)
+            for s in sequences
+            if s.start >= got.delay_bytes
+        ]
+        return got, sequences
+
+    def test_streaming_equals_materialised(self, safe_fastq):
+        """The O(32 KiB)-memory path reports the materialised results,
+        also when ``max_output`` cuts a read off: as in the batch
+        grammar, which needs a terminator after it, that is no read."""
+        gz = gzip_zlib(safe_fastq, 6)
+        whole, _ = self._check_against_materialised(gz)
+        cut = whole.sequences[len(whole.sequences) // 2]
+        # 100 of the read's 150 bases: past the 20-base minimum.
+        got, sequences = self._check_against_materialised(gz, cut.start + 100)
+        assert cut.start + 100 <= got.decompressed < cut.end
+        assert sequences[-1].end < cut.start
 
 
 class TestMechanics:

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.marker import from_bytes
+from repro.core.marker import MARKER_BASE, from_bytes
 from repro.core.marker_inflate import marker_inflate
 from repro.core.seqstream import StreamingSequenceExtractor
 from repro.core.sequences import extract_sequences
@@ -11,8 +13,8 @@ from repro.core.sync import find_block_start
 from repro.data import gzip_zlib, synthetic_fastq
 
 
-def feed_in_chunks(symbols: np.ndarray, sizes, min_length=20):
-    ex = StreamingSequenceExtractor(min_length=min_length)
+def feed_in_chunks(symbols: np.ndarray, sizes, min_length=20, max_length=None):
+    ex = StreamingSequenceExtractor(min_length=min_length, max_length=max_length)
     pos = 0
     i = 0
     while pos < len(symbols):
@@ -38,11 +40,46 @@ class TestEquivalence:
         text = b"\n".join(
             [b"@h1", b"ACGT" * 30, b"+", b"I" * 120, b"@h2", b"TTGGCCAA" * 20, b"+", b"J" * 160]
         ) + b"\n"
-        symbols = from_bytes(text)
-        batch = extract_sequences(symbols, min_length=20)
-        stream = feed_in_chunks(symbols, [chunk])
-        assert [(s.start, s.end) for s in stream.sequences] == [
-            (s.start, s.end) for s in batch
+        # The second text ends mid-read: the end of the span is no
+        # terminator, so neither extractor counts the cut-off read.
+        for text, reads in ((text, 2), (text + b"@h3\n" + b"ACGT" * 10, 2)):
+            symbols = from_bytes(text)
+            batch = extract_sequences(symbols, min_length=20)
+            stream = feed_in_chunks(symbols, [chunk])
+            assert len(batch) == reads
+            assert [(s.start, s.end) for s in stream.sequences] == [
+                (s.start, s.end) for s in batch
+            ]
+
+    def test_read_longer_than_many_chunks(self):
+        """A 160 kb read spanning four chunks is carried whole."""
+        symbols = from_bytes(b"\n" + b"ACGT" * 40_000 + b"\n")
+        stream = feed_in_chunks(symbols, [50_000])
+        assert [(s.start, s.end) for s in stream.sequences] == [(1, 160_001)]
+
+    def test_read_before_a_long_marker_run(self):
+        """A short read a marker terminates stays a read when the D/U run
+        it opens goes on far past ``max_length``."""
+        symbols = np.concatenate(
+            [from_bytes(b"\n" + b"A" * 30), np.full(200, MARKER_BASE, np.int32), from_bytes(b"\n")]
+        )
+        batch = extract_sequences(symbols, min_length=20, max_length=100)
+        stream = feed_in_chunks(symbols, [50], max_length=100)
+        assert [(s.start, s.end) for s in batch] == [(1, 31)]
+        assert [(s.start, s.end) for s in stream.sequences] == [(1, 31)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([ord("A"), ord("\n"), ord("I"), MARKER_BASE]), max_size=400),
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
+        st.sampled_from([None, 5, 30]),
+    )
+    def test_matches_batch_on_any_stream(self, symbols, sizes, max_length):
+        symbols = np.asarray(symbols, dtype=np.int32)
+        batch = extract_sequences(symbols, min_length=1, max_length=max_length)
+        stream = feed_in_chunks(symbols, sizes, min_length=1, max_length=max_length)
+        assert [(s.start, s.end, s.undetermined) for s in stream.sequences] == [
+            (s.start, s.end, s.undetermined) for s in batch
         ]
 
     def test_sequence_split_across_chunks(self):
@@ -90,10 +127,14 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             ex(from_bytes(b"ACGT\n").tolist(), 100)
 
-    def test_end_of_stream_terminates_final_read(self):
-        """A read at EOF without trailing newline still extracts."""
+    def test_end_of_stream_does_not_terminate_final_read(self):
+        """A read at EOF without a trailing terminator is not extracted;
+        one a marker terminates is."""
         ex = StreamingSequenceExtractor()
         ex(from_bytes(b"\n" + b"ACGT" * 10).tolist(), 0)
         ex.finish()
-        assert len(ex.sequences) == 1
-        assert ex.sequences[0].length == 40
+        assert ex.sequences == []
+        ex = StreamingSequenceExtractor()
+        ex(from_bytes(b"\n" + b"ACGT" * 10).tolist() + [MARKER_BASE], 0)
+        ex.finish()
+        assert [s.length for s in ex.sequences] == [40]

@@ -11,84 +11,65 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.core.pugz import pugz_decompress
-from repro.core.windowed import WindowedReport, iter_pugz, pugz_decompress_windowed
+from repro.core.pugz import PugzReport, iter_pugz, pugz_decompress
 from repro.data import gzip_zlib
 from repro.errors import GzipFormatError, ReproError
 from repro.io import PugzStream
 from repro.robustness import default_corpora
 
 
+def _stream(gz: bytes, n_chunks: int, **kw) -> tuple[list[bytes], PugzReport]:
+    """Run :func:`iter_pugz` to its end: the pieces and the report."""
+    report = PugzReport(n_chunks_requested=n_chunks)
+    return list(iter_pugz(gz, n_chunks=n_chunks, report=report, **kw)), report
+
+
 class TestExactness:
     @pytest.mark.parametrize("n_chunks,stripe", [(4, 1), (4, 2), (8, 3), (6, 6), (5, 10)])
     def test_stripe_geometries(self, n_chunks, stripe, fastq_medium, fastq_medium_gz6):
-        parts = []
-        report = pugz_decompress_windowed(
-            fastq_medium_gz6, parts.append, n_chunks=n_chunks, stripe_chunks=stripe
-        )
+        parts, report = _stream(fastq_medium_gz6, n_chunks=n_chunks, stripe_chunks=stripe)
         assert b"".join(parts) == fastq_medium
         assert report.output_size == len(fastq_medium)
 
     def test_single_chunk(self, fastq_medium, fastq_medium_gz6):
-        parts = []
-        pugz_decompress_windowed(fastq_medium_gz6, parts.append, n_chunks=1)
+        parts, _ = _stream(fastq_medium_gz6, n_chunks=1)
         assert b"".join(parts) == fastq_medium
 
     @pytest.mark.parametrize("level", [1, 9])
     def test_other_levels(self, level, fastq_medium):
         gz = gzip_zlib(fastq_medium, level)
-        parts = []
-        pugz_decompress_windowed(gz, parts.append, n_chunks=4, stripe_chunks=2)
+        parts, _ = _stream(gz, n_chunks=4, stripe_chunks=2)
         assert b"".join(parts) == fastq_medium
 
 
 class TestMemoryBound:
     def test_peak_below_total(self, fastq_medium, fastq_medium_gz6):
-        parts = []
-        report = pugz_decompress_windowed(
-            fastq_medium_gz6, parts.append, n_chunks=8, stripe_chunks=2
-        )
-        if report.chunks >= 6:
+        _, report = _stream(fastq_medium_gz6, n_chunks=8, stripe_chunks=2)
+        if len(report.chunks) >= 6:
             assert report.peak_stripe_symbols < 0.6 * len(fastq_medium)
 
     def test_smaller_stripes_smaller_peak(self, fastq_medium, fastq_medium_gz6):
         peaks = {}
         for stripe in (1, 4):
-            parts = []
-            report = pugz_decompress_windowed(
-                fastq_medium_gz6, parts.append, n_chunks=8, stripe_chunks=stripe
-            )
+            _, report = _stream(fastq_medium_gz6, n_chunks=8, stripe_chunks=stripe)
             peaks[stripe] = report.peak_stripe_symbols
         assert peaks[1] <= peaks[4]
 
     def test_stripe_count_reported(self, fastq_medium_gz6):
-        parts = []
-        report = pugz_decompress_windowed(
-            fastq_medium_gz6, parts.append, n_chunks=6, stripe_chunks=2
-        )
-        assert report.stripes == -(-report.chunks // 2)
+        _, report = _stream(fastq_medium_gz6, n_chunks=6, stripe_chunks=2)
+        assert report.stripes == -(-len(report.chunks) // 2)
 
 
 class TestValidation:
     def test_invalid_stripe_chunks(self, fastq_medium_gz6):
         with pytest.raises(ValueError):
-            pugz_decompress_windowed(fastq_medium_gz6, lambda b: None, stripe_chunks=0)
+            next(iter_pugz(fastq_medium_gz6, stripe_chunks=0))
 
     def test_ordered_emission(self, fastq_medium, fastq_medium_gz6):
-        """Chunks arrive at the sink strictly in stream order."""
-        seen = []
-
-        def sink(b):
-            seen.append(len(b))
-
-        pugz_decompress_windowed(fastq_medium_gz6, sink, n_chunks=6, stripe_chunks=2)
-        total = 0
-        reassembled = []
-        parts2 = []
-        pugz_decompress_windowed(
-            fastq_medium_gz6, parts2.append, n_chunks=6, stripe_chunks=2
-        )
-        assert b"".join(parts2) == fastq_medium
+        """Pieces are yielded strictly in stream order."""
+        parts, _ = _stream(fastq_medium_gz6, n_chunks=6, stripe_chunks=2)
+        assert len(parts) > 1
+        assert b"".join(parts) == fastq_medium
 
 
 def _members(kind: str) -> bytes:
@@ -106,8 +87,8 @@ class TestMultiMember:
     @pytest.mark.parametrize("stripe", [1, 2, 8])
     def test_iter_pugz(self, kind, stripe):
         data = _members(kind)
-        report = WindowedReport()
-        out = b"".join(iter_pugz(data, n_chunks=4, stripe_chunks=stripe, report=report))
+        parts, report = _stream(data, n_chunks=4, stripe_chunks=stripe)
+        out = b"".join(parts)
         assert out == stdlib_gzip.decompress(data)
         assert report.output_size == len(out)
 
@@ -144,10 +125,8 @@ class TestPeakShrinksWithStripe:
     def test_peak_shrinks_with_stripe(self, fastq_medium, fastq_medium_gz6):
         peaks = []
         for stripe in (8, 4, 2, 1):
-            report = pugz_decompress_windowed(
-                fastq_medium_gz6, lambda b: None, n_chunks=8, stripe_chunks=stripe
-            )
-            assert report.chunks >= 6
+            _, report = _stream(fastq_medium_gz6, n_chunks=8, stripe_chunks=stripe)
+            assert len(report.chunks) >= 6
             peaks.append(report.peak_stripe_symbols)
         assert peaks[0] == len(fastq_medium)  # one stripe holds every symbol
         assert peaks[1] < len(fastq_medium)

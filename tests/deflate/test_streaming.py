@@ -1,6 +1,5 @@
-"""Incremental compressor/decompressor objects and flush semantics."""
+"""Incremental compressor object and flush semantics."""
 
-import random
 import zlib
 
 import pytest
@@ -10,11 +9,9 @@ from repro.deflate.streaming import (
     FULL_FLUSH,
     SYNC_FLUSH,
     DeflateCompressor,
-    InflateDecompressor,
 )
-from repro.data import synthetic_fastq
 from repro.deflate.inflate import inflate
-from repro.errors import DeflateError, ReproError
+from repro.errors import ReproError
 
 
 class TestCompressor:
@@ -105,81 +102,23 @@ class TestCompressor:
 
 
 class TestDecompressor:
+    """Streams, ours and zlib's, decode with :func:`inflate`."""
+
     def _compress(self, data: bytes) -> bytes:
         co = zlib.compressobj(6, zlib.DEFLATED, -15)
         return co.compress(data) + co.flush()
 
     def test_one_shot(self, fastq_small):
-        dec = InflateDecompressor()
-        out = dec.decompress(self._compress(fastq_small))
-        out += dec.finish()
-        assert out == fastq_small
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_random_feed_sizes(self, seed, fastq_small):
-        raw = self._compress(fastq_small)
-        rng = random.Random(seed)
-        dec = InflateDecompressor()
-        got = bytearray()
-        pos = 0
-        while pos < len(raw):
-            step = rng.randint(1, 9000)
-            got += dec.decompress(raw[pos : pos + step])
-            pos += step
-        got += dec.finish()
-        assert bytes(got) == fastq_small
-
-    def test_byte_at_a_time(self):
-        data = b"tiny payload for slow feeding" * 30
-        raw = self._compress(data)
-        dec = InflateDecompressor()
-        got = bytearray()
-        for i in range(len(raw)):
-            got += dec.decompress(raw[i : i + 1])
-        got += dec.finish()
-        assert bytes(got) == data
+        assert inflate(self._compress(fastq_small)).data == fastq_small
 
     def test_truncated_stream_detected(self, fastq_small):
         raw = self._compress(fastq_small)
-        dec = InflateDecompressor()
-        dec.decompress(raw[: len(raw) // 2])
         with pytest.raises(ReproError):
-            dec.finish()
-
-    @pytest.mark.parametrize("piece", [4096, 100_000])
-    def test_finish_raises_the_decoders_error(self, piece):
-        """A reserved BTYPE past the 64 KiB buffer trim surfaces at
-        finish() as inflate's own error, at its absolute bit offset."""
-        text = synthetic_fastq(2000, read_length=100, seed=3)
-        co = zlib.compressobj(6, zlib.DEFLATED, -15)
-        third = len(text) // 3
-        head = co.compress(text[:third]) + co.flush(zlib.Z_FULL_FLUSH)
-        head += co.compress(text[third : 2 * third]) + co.flush(zlib.Z_FULL_FLUSH)
-        tail = bytearray(co.compress(text[2 * third :]) + co.flush())
-        tail[0] |= 0b110  # BTYPE 3 in the block after the second flush
-        raw = head + bytes(tail)
-        assert len(head) > 65536
-        with pytest.raises(DeflateError) as expected:
-            inflate(raw)
-        dec = InflateDecompressor()
-        for i in range(0, len(raw), piece):
-            dec.decompress(raw[i : i + piece])
-        with pytest.raises(type(expected.value)) as got:
-            dec.finish()
-        assert got.value.bit_offset == expected.value.bit_offset
-
-    def test_data_after_final_block_rejected(self):
-        raw = self._compress(b"done")
-        dec = InflateDecompressor()
-        dec.decompress(raw)
-        assert dec.finished
-        with pytest.raises(ReproError):
-            dec.decompress(b"trailing garbage")
+            inflate(raw[: len(raw) // 2])
 
     def test_round_trip_with_our_compressor(self, fastq_small):
         co = DeflateCompressor(6)
         co.compress(fastq_small)
-        raw = co.flush(FINISH)
-        dec = InflateDecompressor()
-        out = dec.decompress(raw) + dec.finish()
-        assert out == fastq_small
+        result = inflate(co.flush(FINISH))
+        assert result.final_seen
+        assert result.data == fastq_small

@@ -1,6 +1,8 @@
 """BGZF blocked-gzip format: framing, random access, parallel decode."""
 
 import gzip as stdlib_gzip
+import io
+import pickle
 import struct
 
 import pytest
@@ -18,6 +20,8 @@ from repro.bgzf import (
     split_virtual_offset,
 )
 from repro.errors import GzipFormatError, RandomAccessError
+from repro.io.source import ByteSource
+from repro.parallel.executor import SerialExecutor
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,35 @@ class TestFormat:
         corrupt[b.coffset + b.csize - 6] ^= 0xFF  # CRC of first block
         with pytest.raises(GzipFormatError):
             read_block(bytes(corrupt), b)
+
+    @pytest.mark.parametrize("wrap", [ByteSource, io.BytesIO], ids=["ByteSource", "file"])
+    def test_ranged_sources_read_like_bytes(self, bgzf_file, wrap):
+        """One scanner and one block reader serve bytes and ranged
+        sources alike."""
+        _, bg = bgzf_file
+        blocks = scan_blocks(bg)
+        assert scan_blocks(wrap(bg)) == blocks
+        source = wrap(bg)
+        assert [read_block(source, b) for b in blocks] == [read_block(bg, b) for b in blocks]
+
+    @pytest.mark.parametrize("wrap", [bytes, ByteSource, io.BytesIO], ids=["bytes", "ByteSource", "file"])
+    @pytest.mark.parametrize(
+        "cut,message",
+        [(-len(BGZF_EOF), "EOF"), (-len(BGZF_EOF) - 3, "truncated"), (5, "truncated")],
+        ids=["no-eof", "mid-block", "mid-header"],
+    )
+    def test_bad_endings_raise_alike(self, bgzf_file, wrap, cut, message):
+        _, bg = bgzf_file
+        with pytest.raises(GzipFormatError, match=message) as excinfo:
+            scan_blocks(wrap(bg[:cut]))
+        assert excinfo.value.stage == "bgzf"
+
+    def test_truncated_block_read_raises(self, bgzf_file):
+        _, bg = bgzf_file
+        block = scan_blocks(bg)[1]
+        with pytest.raises(GzipFormatError, match="truncated") as excinfo:
+            read_block(io.BytesIO(bg[: block.coffset + block.csize - 1]), block)
+        assert excinfo.value.stage == "bgzf"
 
     def test_paper_ratio_claim(self, fastq_medium):
         """Related work: blocked files 'yield worse compression ratios'."""
@@ -151,6 +184,21 @@ class TestParallel:
     def test_parallel_decompress(self, executor, bgzf_file):
         text, bg = bgzf_file
         assert bgzf_decompress_parallel(bg, executor, 3) == text
+
+    def test_each_task_ships_only_its_block(self, bgzf_file):
+        """A task carries its own block's bytes, not the whole file."""
+
+        class Recording(SerialExecutor):
+            def map(self, fn, items):
+                shipped.extend(len(pickle.dumps((fn, item))) for item in items)
+                return super().map(fn, items)
+
+        text, bg = bgzf_file
+        shipped: list[int] = []
+        assert bgzf_decompress_parallel(bg, Recording()) == text
+        blocks = [b for b in scan_blocks(bg) if not b.is_eof]
+        assert len(shipped) == len(blocks) > 1
+        assert all(size < b.csize + 200 for size, b in zip(shipped, blocks))
 
     def test_pugz_also_handles_bgzf(self, bgzf_file):
         """pugz treats BGZF as what it is: multi-member gzip."""
